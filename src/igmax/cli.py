@@ -55,8 +55,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--anchor-rule", choices=ANCHOR_RULES, default="lex")
     sub.add_argument("--tie-break", choices=TIE_BREAKS, default="least")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="reserved for randomized suites; unused by the deterministic commands")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--skip-slow", action="store_true", help="drop the n = 6 runs")
     corpus.add_argument("--workers", type=int, default=1)
     corpus.add_argument("--max-cosets", type=int, default=10**6)
-    corpus.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -113,9 +110,13 @@ def _validate(args) -> Monoid:
         raise ValueError(f"k={args.k} out of range for n={args.n}")
     if monoid is Monoid.TOTAL and args.k == 0:
         raise ValueError("T_n has no rank-0 class")
+    _validate_workers(args)
+    return monoid
+
+
+def _validate_workers(args) -> None:
     if args.workers < 1:
         raise ValueError("workers must be positive")
-    return monoid
 
 
 def _grid_json(grid) -> dict:
@@ -317,6 +318,7 @@ CORPUS_RUNS: list[tuple[str, int, int, str]] = [
 
 
 def _cmd_corpus(args, out) -> int:
+    _validate_workers(args)
     runs = []
     all_ok = True
     for mon, n, k, expected in CORPUS_RUNS:

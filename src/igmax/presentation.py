@@ -9,6 +9,7 @@ elimination of all generators sitting in partial-domain rows.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -190,8 +191,17 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
 
     Deterministic priority: shortest relator first, then least generator, then
     oldest relator.  The isomorphism class of the presented group is preserved.
+
+    Cost: an index from each generator to the live relators containing it and a
+    lazy min-heap of (length, least once-occurring generator, relator id,
+    version) replace a rescan of every relator per elimination.  A relator's
+    key changes only when it is rewritten, so the heap minimum is the
+    priority's minimum at every step and the elimination order does not depend
+    on the index.  Eliminating x rewrites only the relators containing x, in
+    ascending id, so a rewrite that duplicates another keeps the same survivor.
     """
     rels: list[Relator | None] = []
+    canons: list[Relator | None] = []
     tags: list[str] = []
     canon_of: dict[Relator, int] = {}
     for rel, tag in zip(p.relators, p.provenance):
@@ -203,58 +213,68 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
             continue
         canon_of[canon] = len(rels)
         rels.append(rel)
+        canons.append(canon)
         tags.append(tag)
 
     alive = [True] * len(p.generators)
+    occ: list[set[int]] = [set() for _ in p.generators]
+    version = [0] * len(rels)
+    heap: list[tuple[int, int, int, int]] = []
 
-    while True:
-        best = None
-        for rid, rel in enumerate(rels):
-            if rel is None:
-                continue
-            counts = Counter(g for g, _ in rel)
-            once = [g for g, cnt in counts.items() if cnt == 1]
-            if not once:
-                continue
-            key = (len(rel), min(once), rid)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            break
-        _, x, rid = best
+    def index(rid: int, rel: Relator) -> None:
+        counts: dict[int, int] = {}
+        for g, _ in rel:
+            counts[g] = counts.get(g, 0) + 1
+        once = [g for g, cnt in counts.items() if cnt == 1]
+        for g in counts:
+            occ[g].add(rid)
+        if once:
+            heapq.heappush(heap, (len(rel), min(once), rid, version[rid]))
+
+    def retire(rid: int) -> None:
+        for g, _ in rels[rid]:
+            occ[g].discard(rid)
+        version[rid] += 1
+        rels[rid] = None
+        canons[rid] = None
+
+    for rid, rel in enumerate(rels):
+        index(rid, rel)
+
+    while heap:
+        _, x, rid, ver = heapq.heappop(heap)
+        if ver != version[rid]:
+            continue
         rel = rels[rid]
         idx = next(pos for pos, (g, _) in enumerate(rel) if g == x)
         sign = rel[idx][1]
         rest = rel[idx + 1 :] + rel[:idx]
         sub = invert(rest) if sign == 1 else rest  # now x = sub holds
-        rels[rid] = None
+        sub_inv = invert(sub)
+        retire(rid)
         alive[x] = False
-        for rid2, rel2 in enumerate(rels):
-            if rel2 is None or all(g != x for g, _ in rel2):
-                continue
+        for rid2 in sorted(occ[x]):
             new: list[tuple[int, int]] = []
-            for g, e in rel2:
+            for g, e in rels[rid2]:
                 if g == x:
-                    new.extend(sub if e == 1 else invert(sub))
+                    new.extend(sub if e == 1 else sub_inv)
                 else:
                     new.append((g, e))
+            retire(rid2)
             reduced = cyclically_reduce(tuple(new))
             if not reduced:
-                rels[rid2] = None
                 continue
             canon = canonical_form(reduced)
             other = canon_of.get(canon)
-            if (
-                other is not None
-                and other != rid2
-                and rels[other] is not None
-                and canonical_form(rels[other]) == canon
-            ):
-                rels[rid2] = None
+            # canon_of may name a relator since rewritten or retired; canons
+            # holds the live form, so this is a duplicate of a live relator
+            if other is not None and canons[other] == canon:
                 continue
             canon_of[canon] = rid2
             rels[rid2] = reduced
+            canons[rid2] = canon
             tags[rid2] = TIETZE
+            index(rid2, reduced)
 
     return _rebuild(p, alive, rels, tags)
 

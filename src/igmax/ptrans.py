@@ -66,9 +66,6 @@ class PartialMap:
         # image == fixpoints characterizes a*a == a (tested against that oracle)
         return self.image() == self.fixpoints()
 
-    def __mul__(self, other: PartialMap) -> PartialMap:
-        return compose(self, other)
-
     @classmethod
     def identity(cls, n: int) -> PartialMap:
         return cls(tuple(range(n)))

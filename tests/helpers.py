@@ -9,11 +9,21 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 from igmax.dclass import anchors, build_grid
 from igmax.groupid import identify
-from igmax.presentation import build_presentation
+from igmax.presentation import (
+    TIETZE,
+    GroupPresentation,
+    Relator,
+    _rebuild,
+    build_presentation,
+    canonical_form,
+    cyclically_reduce,
+    invert,
+)
 from igmax.ptrans import Monoid, PartialMap, compose
 from igmax.schreier import build_schreier, verify_schreier
 from igmax.squares import enumerate_singular_squares
@@ -127,12 +137,90 @@ def cached_identify(monoid_key: str, n: int, k: int, anchor_rule: str = "lex",
 
 
 # ---------------------------------------------------------------------------
+# Tietze oracle: the full-rescan simplification the indexed one replaced.  It
+# recounts every live relator on every elimination, so it is slow but plainly
+# follows the priority (length, least once-occurring generator, relator id).
+
+
+def reference_tietze_simplify(p: GroupPresentation) -> GroupPresentation:
+    """Kill trivial relators and eliminate once-occurring generators to a fixpoint.
+
+    Deterministic priority: shortest relator first, then least generator, then
+    oldest relator.  The isomorphism class of the presented group is preserved.
+    """
+    rels: list[Relator | None] = []
+    tags: list[str] = []
+    canon_of: dict[Relator, int] = {}
+    for rel, tag in zip(p.relators, p.provenance):
+        rel = cyclically_reduce(rel)
+        if not rel:
+            continue
+        canon = canonical_form(rel)
+        if canon in canon_of:
+            continue
+        canon_of[canon] = len(rels)
+        rels.append(rel)
+        tags.append(tag)
+
+    alive = [True] * len(p.generators)
+
+    while True:
+        best = None
+        for rid, rel in enumerate(rels):
+            if rel is None:
+                continue
+            counts = Counter(g for g, _ in rel)
+            once = [g for g, cnt in counts.items() if cnt == 1]
+            if not once:
+                continue
+            key = (len(rel), min(once), rid)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            break
+        _, x, rid = best
+        rel = rels[rid]
+        idx = next(pos for pos, (g, _) in enumerate(rel) if g == x)
+        sign = rel[idx][1]
+        rest = rel[idx + 1 :] + rel[:idx]
+        sub = invert(rest) if sign == 1 else rest  # now x = sub holds
+        rels[rid] = None
+        alive[x] = False
+        for rid2, rel2 in enumerate(rels):
+            if rel2 is None or all(g != x for g, _ in rel2):
+                continue
+            new: list[tuple[int, int]] = []
+            for g, e in rel2:
+                if g == x:
+                    new.extend(sub if e == 1 else invert(sub))
+                else:
+                    new.append((g, e))
+            reduced = cyclically_reduce(tuple(new))
+            if not reduced:
+                rels[rid2] = None
+                continue
+            canon = canonical_form(reduced)
+            other = canon_of.get(canon)
+            if (
+                other is not None
+                and other != rid2
+                and rels[other] is not None
+                and canonical_form(rels[other]) == canon
+            ):
+                rels[rid2] = None
+                continue
+            canon_of[canon] = rid2
+            rels[rid2] = reduced
+            tags[rid2] = TIETZE
+
+    return _rebuild(p, alive, rels, tags)
+
+
+# ---------------------------------------------------------------------------
 # fixed small presentations with verified permutation realizations
 
 
 def _make_presentation(gens, rels):
-    from igmax.presentation import GroupPresentation
-
     return GroupPresentation(tuple(gens), tuple(rels), tuple("type3" for _ in rels))
 
 

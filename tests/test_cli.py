@@ -149,6 +149,15 @@ class TestErrors:
         code, _, err = run(capsys, "grid", "--monoid", "t", "--n", "3", "--k", "0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["corpus"], ["identify", "--monoid", "pt", "--n", "3", "--k", "2"]]
+    )
+    def test_nonpositive_workers_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--workers", "0")
+        assert code == 2
+        assert out == ""
+        assert "workers must be positive" in err
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

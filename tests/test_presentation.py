@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from igmax.dclass import anchors, build_grid
+from igmax.dclass import ANCHOR_RULES, anchors, build_grid
 from igmax.errors import StructuralError
 from igmax.groupid import abelian_invariants, todd_coxeter
 from igmax.presentation import (
@@ -25,10 +25,10 @@ from igmax.presentation import (
     to_gap,
 )
 from igmax.ptrans import Monoid
-from igmax.schreier import lift_total_schreier
+from igmax.schreier import TIE_BREAKS, build_schreier, lift_total_schreier
 from igmax.squares import enumerate_singular_squares
 
-from helpers import brute_idempotents, cached_identify, pipeline
+from helpers import brute_idempotents, cached_identify, pipeline, reference_tietze_simplify
 
 PT = Monoid.PARTIAL
 T = Monoid.TOTAL
@@ -164,11 +164,39 @@ class TestTietze:
                     rels.append(rel)
             p = make([f"g{i}" for i in range(ngens)], rels)
             assert abelian_invariants(p) == abelian_invariants(tietze_simplify(p))
+            assert tietze_simplify(p) == reference_tietze_simplify(p)
 
     def test_simplified_group_order_unchanged(self):
         _, _, _, _, pres = pipeline("t", 4, 2)
         simp = tietze_simplify(pres)
         assert todd_coxeter(simp).order == todd_coxeter(pres).order == 2
+
+
+SMALL_CLASSES = [
+    (key, n, k) for n in range(2, 6) for k in range(1, n) for key in ("pt", "t")
+]
+
+
+class TestTietzeDifferential:
+    @pytest.mark.parametrize(
+        "key,n,k",
+        SMALL_CLASSES + [pytest.param(key, 6, k, marks=pytest.mark.slow)
+                         for key, k in [("t", 3), ("pt", 4)]],
+    )
+    def test_matches_full_rescan_oracle(self, key, n, k):
+        grid, _, _, singulars, _ = pipeline(key, n, k)
+        seen = set()  # on total grids "two-step" picks the same anchors as "lex"
+        for rule in ANCHOR_RULES:
+            anchors_map = anchors(grid, rule)
+            for tie in TIE_BREAKS:
+                pres = build_presentation(grid, build_schreier(grid, tie), anchors_map, singulars)
+                if pres in seen:
+                    continue
+                seen.add(pres)
+                got = tietze_simplify(pres)
+                want = reference_tietze_simplify(pres)
+                assert got == want, (rule, tie)
+                assert to_gap(got) == to_gap(want), (rule, tie)
 
 
 class TestEliminatePartialRows:
