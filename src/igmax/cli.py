@@ -33,7 +33,8 @@ from .presentation import (
     to_gap,
 )
 from .ptrans import Monoid
-from .schreier import TIE_BREAKS, build_schreier, lift_total_schreier, verify_schreier
+from .schreier import TIE_BREAKS, SchreierSystem, build_schreier, lift_total_schreier
+from .schreier import verify_schreier
 from .squares import enumerate_singular_squares
 
 DEFAULT_MAX_N = 7
@@ -157,19 +158,25 @@ def _cmd_grid(args, out) -> int:
     return 0
 
 
-def _cmd_schreier(args, out) -> int:
-    monoid = _validate(args)
-    if args.lift:
-        if monoid is not Monoid.PARTIAL:
-            raise ValueError("--lift needs --monoid pt")
-        grid = build_grid(args.n, args.k, monoid)
-        sys_ = lift_total_schreier(build_grid(args.n, args.k, Monoid.TOTAL), grid)
+def _verified_schreier(grid, tie_break: str, lift: bool = False) -> SchreierSystem:
+    """Build or lift, then verify; a degenerate grid's one column has empty words."""
+    if grid.degenerate:
+        sys_ = SchreierSystem(grid.base[1], {grid.base[1]: ()}, {grid.base[1]: ()}, {})
+    elif lift:
+        sys_ = lift_total_schreier(build_grid(grid.n, grid.k, Monoid.TOTAL), grid)
     else:
-        grid = build_grid(args.n, args.k, monoid)
-        sys_ = build_schreier(grid, args.tie_break)
+        sys_ = build_schreier(grid, tie_break)
     violations = verify_schreier(grid, sys_)
     if violations:
         raise StructuralError("; ".join(violations[:10]))
+    return sys_
+
+
+def _cmd_schreier(args, out) -> int:
+    monoid = _validate(args)
+    if args.lift and monoid is not Monoid.PARTIAL:
+        raise ValueError("--lift needs --monoid pt")
+    sys_ = _verified_schreier(build_grid(args.n, args.k, monoid), args.tie_break, args.lift)
     payload = {
         "n": args.n,
         "k": args.k,
@@ -223,13 +230,9 @@ def _cmd_squares(args, out) -> int:
 def _build_pipeline(args, monoid):
     grid = build_grid(args.n, args.k, monoid)
     anchors_map = anchors(grid, args.anchor_rule)
-    sys_ = build_schreier(grid, args.tie_break)
-    violations = verify_schreier(grid, sys_)
-    if violations:
-        raise StructuralError("; ".join(violations[:10]))
+    sys_ = _verified_schreier(grid, args.tie_break)
     singulars = enumerate_singular_squares(grid, workers=args.workers)
-    pres = build_presentation(grid, sys_, anchors_map, singulars)
-    return grid, singulars, pres
+    return grid, singulars, build_presentation(grid, sys_, anchors_map, singulars)
 
 
 def _cmd_presentation(args, out) -> int:
@@ -330,6 +333,8 @@ def _cmd_corpus(args, out) -> int:
         ok = report.verdict == expected
         if expected == VERDICT_SYMMETRIC:
             ok = ok and report.order == math.factorial(k)
+        elif expected == VERDICT_FREE:  # the Graham-Houghton cycle rank
+            ok = ok and report.free_rank == (n - 1) * (n - 2) // 2
         all_ok = all_ok and ok
         runs.append(
             {

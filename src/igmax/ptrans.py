@@ -121,10 +121,6 @@ class KernelPartition:
     def domain(self) -> tuple[int, ...]:
         return tuple(sorted(x for b in self.blocks for x in b))
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
     def block_of(self) -> dict[int, int]:
         """Element -> index of its block."""
         out: dict[int, int] = {}

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 
-from igmax.dclass import anchors, build_grid
+from igmax.dclass import DClassGrid, anchors, build_grid
 from igmax.groupid import identify
 from igmax.presentation import (
     TIETZE,
@@ -25,7 +25,13 @@ from igmax.presentation import (
     invert,
 )
 from igmax.ptrans import Monoid, PartialMap, compose
-from igmax.schreier import build_schreier, verify_schreier
+from igmax.schreier import (
+    SchreierSystem,
+    build_schreier,
+    l_class_elements,
+    verify_schreier,
+    word_value,
+)
 from igmax.squares import enumerate_singular_squares
 
 MONOIDS = {"pt": Monoid.PARTIAL, "t": Monoid.TOTAL}
@@ -214,6 +220,54 @@ def reference_tietze_simplify(p: GroupPresentation) -> GroupPresentation:
             tags[rid2] = TIETZE
 
     return _rebuild(p, alive, rels, tags)
+
+
+# ---------------------------------------------------------------------------
+# Schreier oracle: the exhaustive check the Green's-lemma one replaced.  It
+# multiplies every element of the base L-class by every column word, so it is
+# slow but checks the bijection L_e -> L_col element by element.
+
+
+def reference_verify_schreier(grid: DClassGrid, sys: SchreierSystem) -> list[str]:
+    """Exhaustively check the Schreier system; returns violations (empty = valid)."""
+    bad: list[str] = []
+    ncols = len(grid.cols)
+    if set(sys.r) != set(range(ncols)) or set(sys.r_inv) != set(range(ncols)):
+        bad.append("words do not cover every column")
+        return bad
+    if sys.r[sys.base_col] != ():
+        bad.append(f"root word r[{sys.base_col}] is not the empty word")
+
+    word_cols = {w: c for c, w in sys.r.items()}
+    if len(word_cols) != ncols:
+        bad.append("column words are not pairwise distinct")
+    for col in range(ncols):
+        w = sys.r[col]
+        for cut in range(len(w)):
+            if w[:cut] not in word_cols:
+                bad.append(f"prefix of r[{col}] of length {cut} is no column word")
+        for cell in w + sys.r_inv[col]:
+            if cell not in grid.group_cells:
+                bad.append(f"letter {cell} in the words of column {col} is not a group cell")
+
+    if bad:
+        return bad
+
+    base_elems = l_class_elements(grid, sys.base_col)
+    for col in range(ncols):
+        fwd = word_value(grid, sys.r[col])
+        back = word_value(grid, sys.r_inv[col])
+        target = grid.cols[col]
+        for x in base_elems:
+            y = compose(x, fwd)
+            if y.image() != target:
+                bad.append(f"column {col}: {x.to_text()} * r does not land in L_{col}")
+                continue
+            if y.kernel() != x.kernel():
+                bad.append(f"column {col}: right multiplication by r moved the R-class of {x.to_text()}")
+            if compose(y, back) != x:
+                bad.append(f"column {col}: r_inv does not invert r on {x.to_text()}")
+    return bad
 
 
 # ---------------------------------------------------------------------------

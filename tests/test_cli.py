@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from igmax import cli
 from igmax.cli import main
 
 
@@ -82,6 +84,43 @@ class TestSchreier:
         )
         assert code == 0
         assert "verified" in out
+
+
+DEGENERATE = [("pt", 4, 0), ("pt", 4, 4), ("t", 3, 3), ("pt", 1, 1)]
+
+
+class TestDegenerate:
+    """k in {0, n}: one column, the empty-word Schreier system, one anchor."""
+
+    @pytest.mark.parametrize("monoid,n,k", DEGENERATE)
+    def test_schreier(self, capsys, monoid, n, k):
+        argv = ["schreier", "--monoid", monoid, "--n", str(n), "--k", str(k), "--output", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert data["verified"] is True
+        assert data["base_col"] == 1
+        assert data["words"] == [{"col": 1, "r": [], "r_inv": []}]
+        if monoid == "pt":
+            assert run(capsys, *argv, "--lift") == (0, out, "")
+
+    @pytest.mark.parametrize("monoid,n,k", DEGENERATE)
+    def test_presentation_matches_identify_counts(self, capsys, monoid, n, k):
+        common = ["--monoid", monoid, "--n", str(n), "--k", str(k), "--output", "json"]
+        code, out, _ = run(capsys, "presentation", *common)
+        assert code == 0
+        pres = json.loads(out)
+        code, out, _ = run(capsys, "identify", *common)
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "trivial"
+        assert len(pres["generators"]) == report["generators"] == 1
+        assert pres["counts"] == report["relators"] == {
+            "type1": 1, "type2": 0, "type3": 0, "tietze": 0,
+        }
+        code, out, _ = run(capsys, "presentation", *common, "--simplify")
+        assert code == 0
+        assert json.loads(out)["generators"] == []
 
 
 class TestSquares:
@@ -165,6 +204,22 @@ class TestErrors:
 
 
 class TestCorpus:
+    def test_free_rank_is_checked(self, capsys, monkeypatch):
+        real_identify = cli.identify
+
+        def off_by_one(n, k, monoid, **kwargs):
+            report = real_identify(n, k, monoid, **kwargs)
+            if report.verdict == "free_of_rank":
+                report = dataclasses.replace(report, free_rank=report.free_rank + 1)
+            return report
+
+        monkeypatch.setattr(cli, "identify", off_by_one)
+        code, out, _ = run(capsys, "corpus", "--skip-slow", "--output", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["all_ok"] is False
+        assert [(r["n"], r["k"]) for r in data["runs"] if not r["ok"]] == [(3, 2), (4, 3)]
+
     def test_fast_subset_passes(self, capsys):
         code, out, _ = run(capsys, "corpus", "--skip-slow", "--output", "json")
         assert code == 0
