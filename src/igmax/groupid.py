@@ -237,7 +237,54 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
 
 
 def smith_normal_form(rows: list[list[int]]) -> list[int]:
-    """Nonzero diagonal invariant factors d1 | d2 | ... of an integer matrix."""
+    """Nonzero diagonal invariant factors d1 | d2 | ... of an integer matrix.
+
+    Relation matrices are sparse and reduce mostly by unit pivots.  Each unit
+    (+-1) entry is eliminated over sparse rows, splitting off a direct summand
+    [1], so it contributes one invariant factor 1; the dense routine finishes
+    the residual matrix.  The invariant factors are unique, so the result is
+    the dense routine's on the whole matrix.
+    """
+    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    rows_of: dict[int, set[int]] = {}
+    for i, r in enumerate(sparse):
+        for j in r:
+            rows_of.setdefault(j, set()).add(i)
+    units = 0
+    pending = list(range(len(sparse)))  # rows that may hold a unit entry
+    while pending:
+        i = pending.pop()
+        piv = sparse[i]
+        unit_cols = [j for j, v in piv.items() if v in (1, -1)]
+        if not unit_cols:
+            continue
+        # the unit whose column meets the fewest other rows fills in least
+        c = min(unit_cols, key=lambda j: (len(rows_of[j]), j))
+        p = piv.pop(c)
+        sparse[i] = {}
+        for j in piv:
+            rows_of[j].discard(i)
+        for i2 in rows_of.pop(c) - {i}:
+            r2 = sparse[i2]
+            q = r2.pop(c) * p  # r2 -= q * (row i) clears column c, as p * p = 1
+            for j, v in piv.items():
+                w = r2.get(j, 0) - q * v
+                if w:
+                    r2[j] = w
+                    rows_of[j].add(i2)
+                elif j in r2:
+                    del r2[j]
+                    rows_of[j].discard(i2)
+            pending.append(i2)
+        units += 1
+    residual = [r for r in sparse if r]
+    cols = sorted({j for r in residual for j in r})
+    dense = [[r.get(j, 0) for j in cols] for r in residual]
+    return [1] * units + dense_smith_normal_form(dense)
+
+
+def dense_smith_normal_form(rows: list[list[int]]) -> list[int]:
+    """Invariant factors by repeated least-pivot elimination on a dense matrix."""
     a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
@@ -498,7 +545,6 @@ def identify(
     timings["schreier"] = clock() - t1
 
     t2 = clock()
-    candidates = group_square_candidates(grid)
     singulars = enumerate_singular_squares(grid, workers=workers)
     timings["squares"] = clock() - t2
 
@@ -508,7 +554,7 @@ def identify(
     counts = raw.counts_by_type()
 
     if k == n - 1:
-        if candidates:
+        if group_square_candidates(grid):
             raise StructuralError("unexpected all-group square in the k = n-1 class")
         if counts["type3"]:
             raise StructuralError("unexpected type-3 relator in the k = n-1 class")

@@ -24,7 +24,7 @@ from igmax.presentation import (
     cyclically_reduce,
     invert,
 )
-from igmax.ptrans import Monoid, PartialMap, compose
+from igmax.ptrans import Monoid, PartialMap, compose, compose_entries
 from igmax.schreier import (
     SchreierSystem,
     build_schreier,
@@ -32,7 +32,12 @@ from igmax.schreier import (
     verify_schreier,
     word_value,
 )
-from igmax.squares import enumerate_singular_squares
+from igmax.squares import (
+    Entries,
+    _singular_case,
+    enumerate_singular_squares,
+    witness_pool,
+)
 
 MONOIDS = {"pt": Monoid.PARTIAL, "t": Monoid.TOTAL}
 
@@ -268,6 +273,64 @@ def reference_verify_schreier(grid: DClassGrid, sys: SchreierSystem) -> list[str
             if compose(y, back) != x:
                 bad.append(f"column {col}: r_inv does not invert r on {x.to_text()}")
     return bad
+
+
+# ---------------------------------------------------------------------------
+# Square-scan oracle: the per-cell buckets the row/column buckets replaced.  It
+# composes every distinct cell idempotent with the whole pool on both sides and
+# evaluates the full singularity conditions for every bucket survivor.
+
+
+class ReferenceSquareScan:
+    """Witness search state: the pool plus left/right fixing buckets per cell.
+
+    For case (a) the witness must fix both left-column cells under left
+    multiplication, for case (b) it must fix both top-row cells under right
+    multiplication, so intersecting precomputed buckets prunes the pool before
+    any full condition is evaluated.  This is the hot loop of the package.
+    """
+
+    def __init__(self, grid: "DClassGrid"):
+        self.grid = grid
+        self.pool = [m.entries for m in witness_pool(grid)]
+        self.cellmaps = {cell: m.entries for cell, m in grid.group_cells.items()}
+        lefts: dict[Entries, frozenset[int]] = {}
+        rights: dict[Entries, frozenset[int]] = {}
+        for c in set(self.cellmaps.values()):
+            ls = []
+            rs = []
+            for idx, eps in enumerate(self.pool):
+                if compose_entries(eps, c) == c:
+                    ls.append(idx)
+                if compose_entries(c, eps) == c:
+                    rs.append(idx)
+            lefts[c] = frozenset(ls)
+            rights[c] = frozenset(rs)
+        self.lefts = lefts
+        self.rights = rights
+
+    def scan(self, cand: tuple[int, int, int, int]):
+        """First witness over (orientation, pool index); None if not singular."""
+        i, j, lam, mu = cand
+        cm = self.cellmaps
+        e = cm[(i, lam)]
+        f = cm[(i, mu)]
+        g = cm[(j, lam)]
+        h = cm[(j, mu)]
+        orientations = (
+            ((i, j), (lam, mu), (e, f, g, h)),
+            ((i, j), (mu, lam), (f, e, h, g)),
+            ((j, i), (lam, mu), (g, h, e, f)),
+            ((j, i), (mu, lam), (h, g, f, e)),
+        )
+        for rows, cols, cells in orientations:
+            ee, ff, gg, _ = cells
+            candidates = (self.lefts[ee] & self.lefts[gg]) | (self.rights[ee] & self.rights[ff])
+            for pidx in sorted(candidates):
+                case = _singular_case(self.pool[pidx], cells)
+                if case is not None:
+                    return rows, cols, pidx, case
+        return None
 
 
 # ---------------------------------------------------------------------------

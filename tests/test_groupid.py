@@ -10,6 +10,7 @@ from igmax.groupid import (
     VERDICT_TRIVIAL,
     AbelianInvariants,
     abelian_invariants,
+    dense_smith_normal_form,
     idempotent_closure,
     identify,
     perm_compose,
@@ -26,6 +27,7 @@ from igmax.ptrans import Monoid, PartialMap, compose
 from igmax.schreier import word_value
 
 from helpers import (
+    MONOIDS,
     all_maps,
     cached_identify,
     minor_gcd_invariants,
@@ -150,6 +152,46 @@ class TestSmithNormalForm:
             diag = smith_normal_form(mat)
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0
+
+
+def relation_matrix(pres):
+    matrix = []
+    for rel in pres.relators:
+        row = [0] * len(pres.generators)
+        for g, e in rel:
+            row[g] += e
+        matrix.append(row)
+    return matrix
+
+
+class TestSparseUnitElimination:
+    """smith_normal_form eliminates unit pivots over sparse rows before the
+    dense routine; on any matrix it must equal the dense routine alone."""
+
+    def test_matches_dense_on_random_matrices(self):
+        rng = random.Random(2011)
+        entries = (1, -1, 1, -1, 2, -2, 3, -4, 0)
+        for _ in range(600):
+            m = rng.randint(0, 9)
+            n = rng.randint(1, 9)
+            density = rng.random()
+            mat = [
+                [rng.choice(entries) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)
+            ]
+            assert smith_normal_form(mat) == dense_smith_normal_form(mat), mat
+
+    def test_input_is_not_modified(self):
+        mat = [[1, 2, 0], [3, 1, -1], [0, 0, 2]]
+        copy = [list(r) for r in mat]
+        smith_normal_form(mat)
+        assert mat == copy
+
+    @pytest.mark.parametrize("key", sorted(MONOIDS))
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6) for k in range(1, n)])
+    def test_matches_dense_on_raw_relation_matrices(self, n, k, key):
+        mat = relation_matrix(pipeline(key, n, k)[4])
+        assert smith_normal_form(mat) == dense_smith_normal_form(mat)
 
 
 class TestAbelianInvariants:
