@@ -65,7 +65,7 @@ def perm_inverse(p: Permutation) -> Permutation:
 
 def perm_group_order(gens) -> int:
     """Order of the permutation group generated by `gens` (direct closure)."""
-    gens = list(gens)
+    gens = list(dict.fromkeys(gens))  # one per generator cell, mostly repeats
     if not gens:
         raise ValueError("need at least one permutation (group degree unknown)")
     k = len(gens[0])
@@ -118,6 +118,11 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
     HLT strategy: scan every relator at every live coset, filling gaps, with a
     queue-based coincidence routine merging colliding cosets.  Hitting the
     coset cap is reported as status OVERFLOW, not an error.
+
+    Each row is a dict {column: coset} holding only the defined entries, as a
+    raw presentation has hundreds of generators and most of a row stays
+    undefined; a dead coset's row is visited over its keys, in ascending
+    column order.  The result is compacted to dense rows.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
@@ -135,7 +140,7 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
     if ngens == 0:
         return CosetTable(0, [[]], COMPLETE)
 
-    table: list[list[int | None]] = [[None] * ncols]
+    table: list[dict[int, int]] = [{}]
     parent = [0]
     pending: deque[int] = deque()
 
@@ -158,42 +163,51 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
         while pending:
             dead = pending.popleft()
             row = table[dead]
-            for x in range(ncols):
-                target = row[x]
-                if target is None:
+            for x in sorted(row):
+                # a self-loop at dead clears its inverse entry during the visit
+                if x not in row:
                     continue
-                table[target][x ^ 1] = None
+                target = row[x]
+                table[target].pop(x ^ 1, None)
                 mu, nu = rep(dead), rep(target)
-                if table[mu][x] is not None:
-                    merge(nu, table[mu][x])
-                elif table[nu][x ^ 1] is not None:
-                    merge(mu, table[nu][x ^ 1])
+                mrow, nrow = table[mu], table[nu]
+                if x in mrow:
+                    merge(nu, mrow[x])
+                elif x ^ 1 in nrow:
+                    merge(mu, nrow[x ^ 1])
                 else:
-                    table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
+                    mrow[x] = nu
+                    nrow[x ^ 1] = mu
 
     def define(c: int, x: int) -> None:
         if len(table) >= max_cosets:
             raise _Overflow
         d = len(table)
-        table.append([None] * ncols)
+        table.append({x ^ 1: c})
         parent.append(d)
         table[c][x] = d
-        table[d][x ^ 1] = c
 
     def scan_and_fill(c: int, word: tuple[int, ...]) -> None:
         f, i = c, 0
         b, j = c, len(word) - 1
         while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = table[f][word[i]]
+            while i <= j:
+                row = table[f]
+                w = word[i]
+                if w not in row:
+                    break
+                f = row[w]
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][word[j] ^ 1] is not None:
-                b = table[b][word[j] ^ 1]
+            while j >= i:
+                row = table[b]
+                w = word[j] ^ 1
+                if w not in row:
+                    break
+                b = row[w]
                 j -= 1
             if j < i:
                 coincidence(f, b)
@@ -216,8 +230,9 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
                 if rep(alpha) != alpha:
                     break
             if rep(alpha) == alpha:
+                row = table[alpha]
                 for x in range(ncols):
-                    if table[alpha][x] is None:
+                    if x not in row:
                         define(alpha, x)
             alpha += 1
     except _Overflow:
@@ -225,10 +240,10 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
 
     live = [c for c in range(len(table)) if rep(c) == c]
     index = {c: i for i, c in enumerate(live)}
-    compact = [
-        [None if v is None else index[rep(v)] for v in table[c]]
-        for c in live
-    ]
+    compact = []
+    for c in live:
+        row = table[c]
+        compact.append([index[rep(row[x])] if x in row else None for x in range(ncols)])
     return CosetTable(ngens, compact, status)
 
 
@@ -245,7 +260,11 @@ def smith_normal_form(rows: list[list[int]]) -> list[int]:
     the residual matrix.  The invariant factors are unique, so the result is
     the dense routine's on the whole matrix.
     """
-    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    return _sparse_smith_normal_form([{j: v for j, v in enumerate(r) if v} for r in rows])
+
+
+def _sparse_smith_normal_form(sparse: list[dict[int, int]]) -> list[int]:
+    """smith_normal_form on rows given as {column: nonzero entry}; consumes them."""
     rows_of: dict[int, set[int]] = {}
     for i, r in enumerate(sparse):
         for j in r:
@@ -367,11 +386,11 @@ def abelian_invariants(p: GroupPresentation) -> AbelianInvariants:
     ngens = len(p.generators)
     matrix = []
     for rel in p.relators:
-        row = [0] * ngens
+        row: dict[int, int] = {}
         for g, e in rel:
-            row[g] += e
-        matrix.append(row)
-    diag = smith_normal_form(matrix) if matrix and ngens else []
+            row[g] = row.get(g, 0) + e
+        matrix.append({g: v for g, v in row.items() if v})
+    diag = _sparse_smith_normal_form(matrix) if matrix and ngens else []
     return AbelianInvariants(
         torsion=tuple(d for d in diag if d > 1),
         free_rank=ngens - len(diag),
@@ -508,6 +527,8 @@ def identify(
     """
     if not 0 <= k <= n:
         raise ValueError(f"rank {k} out of range for n={n}")
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be positive")
     timings: dict[str, float] = {}
     clock = time.perf_counter
     t0 = clock()

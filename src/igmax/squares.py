@@ -150,7 +150,8 @@ class _SquareScan:
     """
 
     def __init__(self, grid: "DClassGrid"):
-        self.pool = pool = [m.entries for m in witness_pool(grid)]
+        self.maps = witness_pool(grid)
+        self.pool = pool = [m.entries for m in self.maps]
         self.cellmaps = cm = {cell: m.entries for cell, m in grid.group_cells.items()}
         # takes[x][v]: witnesses eps with x.eps = v; v = UNDEF indexes the last
         # entry, so takes[x][-1] is the witnesses undefined at x
@@ -277,13 +278,19 @@ def enumerate_singular_squares(
     cands = group_square_candidates(grid)
     scan = _SquareScan(grid)
     hits = _scan_all(scan, cands, workers)
+    # a few hundred distinct witnesses serve thousands of squares; each is
+    # validated once, on the pool's own PartialMap
+    witnesses: dict[tuple[int, str], SingularityWitness] = {}
     out = []
     for hit in hits:
         if hit is None:
             continue
         rows, cols, pidx, case = hit
+        w = witnesses.get((pidx, case))
+        if w is None:
+            w = witnesses[(pidx, case)] = SingularityWitness(scan.maps[pidx], case)
         sq = Square.from_grid(grid, rows[0], rows[1], cols[0], cols[1])
-        out.append((sq, SingularityWitness(PartialMap(scan.pool[pidx]), case)))
+        out.append((sq, w))
     return tuple(out)
 
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache
 
 from igmax.dclass import DClassGrid, anchors, build_grid
-from igmax.groupid import identify
+from igmax.groupid import COMPLETE, OVERFLOW, CosetTable, _Overflow, identify
 from igmax.presentation import (
     TIETZE,
     GroupPresentation,
@@ -331,6 +331,132 @@ class ReferenceSquareScan:
                 if case is not None:
                     return rows, cols, pidx, case
         return None
+
+
+# ---------------------------------------------------------------------------
+# coset enumeration oracle: the dense-row HLT enumeration the sparse one
+# replaced.  Every row is a list of 2 * ngens entries, and a dead coset's row
+# is walked over every column.
+
+
+def reference_todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
+    """Enumerate cosets of the trivial subgroup; order = live cosets when complete.
+
+    HLT strategy: scan every relator at every live coset, filling gaps, with a
+    queue-based coincidence routine merging colliding cosets.  Hitting the
+    coset cap is reported as status OVERFLOW, not an error.
+    """
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be positive")
+    ngens = len(p.generators)
+    rel_words = []
+    for rel in p.relators:
+        word = []
+        for g, e in rel:
+            if not 0 <= g < ngens or e not in (1, -1):
+                raise ValueError(f"malformed relator letter ({g},{e})")
+            word.append(2 * g if e == 1 else 2 * g + 1)
+        if word:
+            rel_words.append(tuple(word))
+    ncols = 2 * ngens
+    if ngens == 0:
+        return CosetTable(0, [[]], COMPLETE)
+
+    table: list[list[int | None]] = [[None] * ncols]
+    parent = [0]
+    pending: deque[int] = deque()
+
+    def rep(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def merge(a: int, b: int) -> None:
+        a, b = rep(a), rep(b)
+        if a != b:
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            pending.append(b)
+
+    def coincidence(a: int, b: int) -> None:
+        merge(a, b)
+        while pending:
+            dead = pending.popleft()
+            row = table[dead]
+            for x in range(ncols):
+                target = row[x]
+                if target is None:
+                    continue
+                table[target][x ^ 1] = None
+                mu, nu = rep(dead), rep(target)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x])
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1])
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+
+    def define(c: int, x: int) -> None:
+        if len(table) >= max_cosets:
+            raise _Overflow
+        d = len(table)
+        table.append([None] * ncols)
+        parent.append(d)
+        table[c][x] = d
+        table[d][x ^ 1] = c
+
+    def scan_and_fill(c: int, word: tuple[int, ...]) -> None:
+        f, i = c, 0
+        b, j = c, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] is not None:
+                f = table[f][word[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][word[j] ^ 1] is not None:
+                b = table[b][word[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:
+                table[f][word[i]] = b
+                table[b][word[i] ^ 1] = f
+                return
+            define(f, word[i])
+
+    status = COMPLETE
+    try:
+        alpha = 0
+        while alpha < len(table):
+            if rep(alpha) != alpha:
+                alpha += 1
+                continue
+            for word in rel_words:
+                scan_and_fill(alpha, word)
+                if rep(alpha) != alpha:
+                    break
+            if rep(alpha) == alpha:
+                for x in range(ncols):
+                    if table[alpha][x] is None:
+                        define(alpha, x)
+            alpha += 1
+    except _Overflow:
+        status = OVERFLOW
+
+    live = [c for c in range(len(table)) if rep(c) == c]
+    index = {c: i for i, c in enumerate(live)}
+    compact = [
+        [None if v is None else index[rep(v)] for v in table[c]]
+        for c in live
+    ]
+    return CosetTable(ngens, compact, status)
 
 
 # ---------------------------------------------------------------------------

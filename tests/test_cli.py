@@ -227,3 +227,41 @@ class TestCorpus:
         assert data["all_ok"] is True
         assert all(r["ok"] for r in data["runs"])
         assert all(r["n"] < 6 for r in data["runs"])
+
+
+class TestMaxCosets:
+    """A nonpositive coset cap is a usage error at every rank, before any work."""
+
+    @pytest.fixture
+    def no_pipeline(self, monkeypatch):
+        from igmax import groupid
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pipeline ran before the cap was checked")
+
+        monkeypatch.setattr(groupid, "build_grid", refuse)
+
+    @pytest.mark.parametrize("k", range(0, 5))
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_identify_rejects_nonpositive_cap(self, capsys, no_pipeline, k, cap):
+        code, out, err = run(
+            capsys, "identify", "--monoid", "pt", "--n", "4", "--k", str(k),
+            "--max-cosets", cap, "--output", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert "max_cosets must be positive" in err
+
+    def test_corpus_rejects_nonpositive_cap(self, capsys, no_pipeline):
+        code, out, err = run(capsys, "corpus", "--skip-slow", "--max-cosets", "0")
+        assert code == 2
+        assert out == ""
+        assert "max_cosets must be positive" in err
+
+    def test_cap_of_one_still_runs(self, capsys):
+        code, out, _ = run(
+            capsys, "identify", "--monoid", "pt", "--n", "4", "--k", "2",
+            "--max-cosets", "1", "--output", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["order_kind"] == "overflow"

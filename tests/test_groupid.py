@@ -324,3 +324,41 @@ class TestIdempotentClosure:
             if m.rank() < 3 or m == PartialMap.identity(3)
         }
         assert set(closed) == expected
+
+
+class TestPermGroupOrderRepeats:
+    def test_repeated_and_identity_generators(self):
+        s3 = [(1, 0, 2), (1, 2, 0)]
+        gens = [perm_identity(3)] + s3 * 20 + [perm_identity(3)] * 5
+        assert perm_group_order(gens) == 6
+        assert perm_group_order(iter(gens)) == 6
+        assert perm_group_order([perm_identity(5)] * 7) == 1
+        assert perm_group_order([(1, 0, 2, 3)] * 3 + [(0, 1, 3, 2)] * 2) == 4
+
+    @pytest.mark.parametrize("key,n,k", [("pt", 4, 2), ("t", 5, 3), ("pt", 5, 3)])
+    def test_sandwich_images_with_and_without_repeats(self, key, n, k):
+        grid, anchors_map, sys_, _, _ = pipeline(key, n, k)
+        images = list(rees_hom(grid, sys_, anchors_map).values())
+        assert len(set(images)) < len(images)
+        assert perm_group_order(images) == perm_group_order(sorted(set(images)))
+
+
+class TestAbelianInvariantsOfRawPresentations:
+    """abelian_invariants builds sparse rows itself; the public
+    smith_normal_form on the dense relation matrix must agree."""
+
+    @pytest.mark.parametrize("key", sorted(MONOIDS))
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6) for k in range(1, n)])
+    def test_matches_dense_relation_matrix(self, key, n, k):
+        pres = pipeline(key, n, k)[-1]
+        ngens = len(pres.generators)
+        matrix = []
+        for rel in pres.relators:
+            row = [0] * ngens
+            for g, e in rel:
+                row[g] += e
+            matrix.append(row)
+        diag = smith_normal_form(matrix)
+        inv = abelian_invariants(pres)
+        assert inv.torsion == tuple(d for d in diag if d > 1)
+        assert inv.free_rank == ngens - len(diag)
