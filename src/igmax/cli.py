@@ -13,17 +13,18 @@ import json
 import math
 import sys
 
-from .dclass import ANCHOR_RULES, anchors, build_grid
+from .dclass import ANCHOR_RULES, build_grid
 from .errors import StructuralError
 from .groupid import (
     VERDICT_FREE,
     VERDICT_SYMMETRIC,
     VERDICT_TRIVIAL,
     VERDICT_UNDECIDED,
+    build_stages,
     identify,
+    verified_schreier,
 )
 from .presentation import (
-    build_presentation,
     eliminate_partial_rows,
     free_rank,
     gh_graph,
@@ -33,8 +34,7 @@ from .presentation import (
     to_gap,
 )
 from .ptrans import Monoid
-from .schreier import TIE_BREAKS, SchreierSystem, build_schreier, lift_total_schreier
-from .schreier import verify_schreier
+from .schreier import TIE_BREAKS, lift_total_schreier
 from .squares import enumerate_singular_squares
 
 DEFAULT_MAX_N = 7
@@ -158,25 +158,15 @@ def _cmd_grid(args, out) -> int:
     return 0
 
 
-def _verified_schreier(grid, tie_break: str, lift: bool = False) -> SchreierSystem:
-    """Build or lift, then verify; a degenerate grid's one column has empty words."""
-    if grid.degenerate:
-        sys_ = SchreierSystem(grid.base[1], {grid.base[1]: ()}, {grid.base[1]: ()}, {})
-    elif lift:
-        sys_ = lift_total_schreier(build_grid(grid.n, grid.k, Monoid.TOTAL), grid)
-    else:
-        sys_ = build_schreier(grid, tie_break)
-    violations = verify_schreier(grid, sys_)
-    if violations:
-        raise StructuralError("; ".join(violations[:10]))
-    return sys_
-
-
 def _cmd_schreier(args, out) -> int:
     monoid = _validate(args)
     if args.lift and monoid is not Monoid.PARTIAL:
         raise ValueError("--lift needs --monoid pt")
-    sys_ = _verified_schreier(build_grid(args.n, args.k, monoid), args.tie_break, args.lift)
+    grid = build_grid(args.n, args.k, monoid)
+    if args.lift and not grid.degenerate:
+        sys_ = lift_total_schreier(build_grid(args.n, args.k, Monoid.TOTAL), grid)
+    else:
+        sys_ = verified_schreier(grid, args.tie_break)
     payload = {
         "n": args.n,
         "k": args.k,
@@ -227,17 +217,12 @@ def _cmd_squares(args, out) -> int:
     return 0
 
 
-def _build_pipeline(args, monoid):
-    grid = build_grid(args.n, args.k, monoid)
-    anchors_map = anchors(grid, args.anchor_rule)
-    sys_ = _verified_schreier(grid, args.tie_break)
-    singulars = enumerate_singular_squares(grid, workers=args.workers)
-    return grid, singulars, build_presentation(grid, sys_, anchors_map, singulars)
-
-
 def _cmd_presentation(args, out) -> int:
     monoid = _validate(args)
-    grid, singulars, pres = _build_pipeline(args, monoid)
+    grid, _, _, singulars, pres = build_stages(
+        args.n, args.k, monoid, anchor_rule=args.anchor_rule, tie_break=args.tie_break,
+        workers=args.workers,
+    )
     if args.eliminate_partial:
         pres = eliminate_partial_rows(pres, grid, singulars)
     if args.simplify:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .dclass import (
     DClassGrid,
@@ -32,8 +34,8 @@ from .presentation import (
     tietze_simplify,
 )
 from .ptrans import Monoid, compose_entries, enumerate_idempotents
-from .schreier import build_schreier, verify_schreier
-from .squares import enumerate_singular_squares, group_square_candidates
+from .schreier import SchreierSystem, build_schreier, verify_schreier
+from .squares import Square, SingularityWitness, enumerate_singular_squares, group_square_candidates
 
 COMPLETE = "complete"
 OVERFLOW = "overflow"
@@ -127,15 +129,10 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
     ngens = len(p.generators)
-    rel_words = []
-    for rel in p.relators:
-        word = []
-        for g, e in rel:
-            if not 0 <= g < ngens or e not in (1, -1):
-                raise ValueError(f"malformed relator letter ({g},{e})")
-            word.append(2 * g if e == 1 else 2 * g + 1)
-        if word:
-            rel_words.append(tuple(word))
+    # letters were validated when the presentation was constructed
+    rel_words = [
+        tuple(2 * g if e == 1 else 2 * g + 1 for g, e in rel) for rel in p.relators if rel
+    ]
     ncols = 2 * ngens
     if ngens == 0:
         return CosetTable(0, [[]], COMPLETE)
@@ -463,48 +460,90 @@ def idempotent_closure(n: int, monoid: Monoid) -> frozenset[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# the full pipeline
+# the stages every caller shares: grid, verified Schreier system, singular
+# squares, raw presentation; each is looked up in this module's globals
+
+
+@contextmanager
+def _timed(timings: dict[str, float], stage: str):
+    start = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - start
+
+
+def verified_schreier(grid: DClassGrid, tie_break: str = "least") -> SchreierSystem:
+    """Build and verify; a degenerate grid's one column has empty words."""
+    if grid.degenerate:
+        sys = SchreierSystem(grid.base[1], {grid.base[1]: ()}, {grid.base[1]: ()}, {})
+    else:
+        sys = build_schreier(grid, tie_break)
+    violations = verify_schreier(grid, sys)
+    if violations:
+        raise StructuralError("Schreier system failed verification: " + "; ".join(violations[:10]))
+    return sys
+
+
+class Stages(NamedTuple):
+    grid: DClassGrid
+    anchors: dict[int, int]
+    sys: SchreierSystem
+    singulars: tuple[tuple[Square, SingularityWitness], ...]
+    presentation: GroupPresentation
+
+
+def build_stages(
+    n: int,
+    k: int,
+    monoid: Monoid,
+    *,
+    anchor_rule: str = "lex",
+    tie_break: str = "least",
+    workers: int = 1,
+    timings: dict[str, float] | None = None,
+) -> Stages:
+    """Run the four shared stages, recording each one's seconds in `timings`."""
+    timings = {} if timings is None else timings
+    with _timed(timings, "grid"):
+        grid = build_grid(n, k, monoid)
+    with _timed(timings, "schreier"):
+        anchors_map = anchors(grid, anchor_rule)
+        sys = verified_schreier(grid, tie_break)
+    with _timed(timings, "squares"):
+        singulars = enumerate_singular_squares(grid, workers=workers)
+    with _timed(timings, "presentation"):
+        pres = build_presentation(grid, sys, anchors_map, singulars)
+    return Stages(grid, anchors_map, sys, singulars, pres)
 
 
 @dataclass
 class IdentificationReport:
+    """What identify found; the field defaults are the trivial verdict's."""
+
     n: int
     k: int
     monoid: Monoid
-    verdict: str
-    order: int | None
-    order_kind: str  # finite | infinite_free | overflow
-    free_rank: int | None
-    abelian_invariants: list[int]
-    hom_valid: bool | None
-    image_order: int | None
-    generators: int
-    relator_counts: dict[str, int]
-    simplified_generators: int | None
-    simplified_relators: int | None
+    verdict: str = VERDICT_TRIVIAL
+    order: int | None = 1
+    order_kind: str = "finite"  # finite | infinite_free | overflow
+    free_rank: int | None = None
+    abelian_invariants: list[int] = field(default_factory=list)
+    hom_valid: bool | None = None
+    image_order: int | None = None
+    generators: int = 1
+    relator_counts: dict[str, int] = field(
+        default_factory=lambda: {TYPE1: 1, TYPE2: 0, TYPE3: 0, TIETZE: 0}
+    )
+    simplified_generators: int | None = None
+    simplified_relators: int | None = None
     diagnostics: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_json(self, include_timings: bool = False) -> dict:
-        out = {
-            "monoid": self.monoid.value,
-            "n": self.n,
-            "k": self.k,
-            "verdict": self.verdict,
-            "order": self.order,
-            "order_kind": self.order_kind,
-            "free_rank": self.free_rank,
-            "abelian_invariants": self.abelian_invariants,
-            "hom_valid": self.hom_valid,
-            "image_order": self.image_order,
-            "generators": self.generators,
-            "relators": self.relator_counts,
-            "simplified_generators": self.simplified_generators,
-            "simplified_relators": self.simplified_relators,
-            "diagnostics": self.diagnostics,
-        }
-        if include_timings:
-            out["timings"] = self.timings
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["monoid"] = self.monoid.value
+        out["relators"] = out.pop("relator_counts")
+        if not include_timings:
+            del out["timings"]
         return out
 
 
@@ -525,53 +564,19 @@ def identify(
     certified free of the Graham-Houghton cycle rank, and 1 <= k <= n-2 is
     certified symmetric via order k! plus a verified surjection onto S_k.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"rank {k} out of range for n={n}")
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
     timings: dict[str, float] = {}
-    clock = time.perf_counter
-    t0 = clock()
 
     if k in (0, n):
-        grid = build_grid(n, k, monoid)
-        timings["grid"] = clock() - t0
-        return IdentificationReport(
-            n=n,
-            k=k,
-            monoid=monoid,
-            verdict=VERDICT_TRIVIAL,
-            order=1,
-            order_kind="finite",
-            free_rank=None,
-            abelian_invariants=[],
-            hom_valid=None,
-            image_order=None,
-            generators=1,
-            relator_counts={TYPE1: 1, TYPE2: 0, TYPE3: 0, TIETZE: 0},
-            simplified_generators=None,
-            simplified_relators=None,
-            timings=timings,
-        )
+        with _timed(timings, "grid"):
+            build_grid(n, k, monoid)
+        return IdentificationReport(n, k, monoid, timings=timings)
 
-    grid = build_grid(n, k, monoid)
-    timings["grid"] = clock() - t0
-
-    t1 = clock()
-    anchors_map = anchors(grid, anchor_rule)
-    sys = build_schreier(grid, tie_break)
-    violations = verify_schreier(grid, sys)
-    if violations:
-        raise StructuralError("Schreier system failed verification: " + violations[0])
-    timings["schreier"] = clock() - t1
-
-    t2 = clock()
-    singulars = enumerate_singular_squares(grid, workers=workers)
-    timings["squares"] = clock() - t2
-
-    t3 = clock()
-    raw = build_presentation(grid, sys, anchors_map, singulars)
-    timings["presentation"] = clock() - t3
+    grid, anchors_map, sys, _, raw = build_stages(
+        n, k, monoid, anchor_rule=anchor_rule, tie_break=tie_break, workers=workers,
+        timings=timings,
+    )
     counts = raw.counts_by_type()
 
     if k == n - 1:
@@ -579,79 +584,60 @@ def identify(
             raise StructuralError("unexpected all-group square in the k = n-1 class")
         if counts["type3"]:
             raise StructuralError("unexpected type-3 relator in the k = n-1 class")
-        t4 = clock()
-        rank = free_rank(gh_graph(grid), grid.base)
-        simp = tietze_simplify(raw)
-        inv = abelian_invariants(simp)
-        timings["free_rank"] = clock() - t4
+        with _timed(timings, "free_rank"):
+            rank = free_rank(gh_graph(grid), grid.base)
+            simp = tietze_simplify(raw)
+            inv = abelian_invariants(simp)
         if inv.torsion or inv.free_rank != rank:
             raise StructuralError(
                 f"cycle rank {rank} disagrees with abelianization {inv.as_list()}"
             )
-        return IdentificationReport(
-            n=n,
-            k=k,
-            monoid=monoid,
+        outcome = dict(
             verdict=VERDICT_FREE,
             order=1 if rank == 0 else None,
             order_kind="finite" if rank == 0 else "infinite_free",
             free_rank=rank,
-            abelian_invariants=inv.as_list(),
-            hom_valid=None,
-            image_order=None,
-            generators=len(raw.generators),
-            relator_counts=counts,
-            simplified_generators=len(simp.generators),
-            simplified_relators=len(simp.relators),
-            timings=timings,
+        )
+    else:
+        with _timed(timings, "tietze"):
+            simp = tietze_simplify(raw) if simplify else raw
+        with _timed(timings, "coset_enumeration"):
+            table = todd_coxeter(simp, max_cosets=max_cosets)
+        with _timed(timings, "abelian_invariants"):
+            inv = abelian_invariants(simp)
+        with _timed(timings, "hom"):
+            hom = rees_hom(grid, sys, anchors_map)
+            hom_ok = verify_hom(raw, hom)
+            image_order = perm_group_order(hom.values())
+
+        expected = math.factorial(k)
+        diagnostics = []
+        if table.status == OVERFLOW:
+            diagnostics.append(f"coset enumeration overflowed at {max_cosets} cosets")
+        elif table.order != expected:
+            diagnostics.append(f"order {table.order} differs from k! = {expected}")
+        if not hom_ok:
+            diagnostics.append("sandwich homomorphism does not kill every relator")
+        if image_order != expected:
+            diagnostics.append(f"homomorphic image has order {image_order}, expected {expected}")
+        outcome = dict(
+            verdict=VERDICT_SYMMETRIC if not diagnostics else VERDICT_UNDECIDED,
+            order=table.order,
+            order_kind="finite" if table.status == COMPLETE else "overflow",
+            hom_valid=hom_ok,
+            image_order=image_order,
+            diagnostics=diagnostics,
         )
 
-    t4 = clock()
-    simp = tietze_simplify(raw) if simplify else raw
-    timings["tietze"] = clock() - t4
-
-    t5 = clock()
-    table = todd_coxeter(simp, max_cosets=max_cosets)
-    order = table.order
-    timings["coset_enumeration"] = clock() - t5
-
-    t6 = clock()
-    inv = abelian_invariants(simp)
-    timings["abelian_invariants"] = clock() - t6
-
-    t7 = clock()
-    hom = rees_hom(grid, sys, anchors_map)
-    hom_ok = verify_hom(raw, hom)
-    image_order = perm_group_order(hom.values())
-    timings["hom"] = clock() - t7
-
-    expected = math.factorial(k)
-    diagnostics = []
-    if table.status == OVERFLOW:
-        diagnostics.append(f"coset enumeration overflowed at {max_cosets} cosets")
-    elif order != expected:
-        diagnostics.append(f"order {order} differs from k! = {expected}")
-    if not hom_ok:
-        diagnostics.append("sandwich homomorphism does not kill every relator")
-    if image_order != expected:
-        diagnostics.append(f"homomorphic image has order {image_order}, expected {expected}")
-
-    verdict = VERDICT_SYMMETRIC if not diagnostics else VERDICT_UNDECIDED
     return IdentificationReport(
-        n=n,
-        k=k,
-        monoid=monoid,
-        verdict=verdict,
-        order=order,
-        order_kind="finite" if table.status == COMPLETE else "overflow",
-        free_rank=None,
+        n,
+        k,
+        monoid,
         abelian_invariants=inv.as_list(),
-        hom_valid=hom_ok,
-        image_order=image_order,
         generators=len(raw.generators),
         relator_counts=counts,
         simplified_generators=len(simp.generators),
         simplified_relators=len(simp.relators),
-        diagnostics=diagnostics,
         timings=timings,
+        **outcome,
     )

@@ -12,14 +12,13 @@ import math
 from collections import Counter, deque
 from functools import lru_cache
 
-from igmax.dclass import DClassGrid, anchors, build_grid
-from igmax.groupid import COMPLETE, OVERFLOW, CosetTable, _Overflow, identify
+from igmax.dclass import DClassGrid
+from igmax.groupid import COMPLETE, OVERFLOW, CosetTable, _Overflow, build_stages, identify
 from igmax.presentation import (
     TIETZE,
     GroupPresentation,
     Relator,
     _rebuild,
-    build_presentation,
     canonical_form,
     cyclically_reduce,
     invert,
@@ -27,15 +26,12 @@ from igmax.presentation import (
 from igmax.ptrans import Monoid, PartialMap, compose, compose_entries
 from igmax.schreier import (
     SchreierSystem,
-    build_schreier,
     l_class_elements,
-    verify_schreier,
     word_value,
 )
 from igmax.squares import (
     Entries,
     _singular_case,
-    enumerate_singular_squares,
     witness_pool,
 )
 
@@ -131,14 +127,8 @@ def _det(matrix: list[list[int]]) -> int:
 
 @lru_cache(maxsize=None)
 def pipeline(monoid_key: str, n: int, k: int, anchor_rule: str = "lex", tie_break: str = "least"):
-    monoid = MONOIDS[monoid_key]
-    grid = build_grid(n, k, monoid)
-    anchors_map = anchors(grid, anchor_rule)
-    sys_ = build_schreier(grid, tie_break)
-    assert verify_schreier(grid, sys_) == []
-    singulars = enumerate_singular_squares(grid)
-    pres = build_presentation(grid, sys_, anchors_map, singulars)
-    return grid, anchors_map, sys_, singulars, pres
+    """(grid, anchors, sys, singulars, presentation) of the shared stages."""
+    return build_stages(n, k, MONOIDS[monoid_key], anchor_rule=anchor_rule, tie_break=tie_break)
 
 
 @lru_cache(maxsize=None)

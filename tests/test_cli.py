@@ -86,6 +86,38 @@ class TestSchreier:
         assert "verified" in out
 
 
+class TestSchreierFailure:
+    """identify and every subcommand that verifies share one failure message."""
+
+    @pytest.fixture
+    def swapped(self, monkeypatch):
+        from igmax import groupid
+        from igmax.schreier import SchreierSystem, build_schreier
+
+        def swap_two_columns(grid, tie_break="least"):
+            sys_ = build_schreier(grid, tie_break)
+            a, b = [c for c in sorted(sys_.r) if c != sys_.base_col][:2]
+            r, r_inv = dict(sys_.r), dict(sys_.r_inv)
+            r[a], r[b], r_inv[a], r_inv[b] = r[b], r[a], r_inv[b], r_inv[a]
+            return SchreierSystem(sys_.base_col, r, r_inv, sys_.parent)
+
+        monkeypatch.setattr(groupid, "build_schreier", swap_two_columns)
+
+    def test_same_message_everywhere(self, capsys, swapped):
+        from igmax.errors import StructuralError
+        from igmax.groupid import identify
+
+        with pytest.raises(StructuralError) as exc:
+            identify(4, 2, cli.MONOIDS["pt"])
+        message = str(exc.value)
+        assert message.startswith("Schreier system failed verification: column ")
+        assert message.count("; ") >= 1
+        for command in ("identify", "schreier", "presentation"):
+            code, out, err = run(capsys, command, "--monoid", "pt", "--n", "4", "--k", "2")
+            assert (code, out) == (3, "")
+            assert json.loads(err) == {"error": "structural", "message": message}
+
+
 DEGENERATE = [("pt", 4, 0), ("pt", 4, 4), ("t", 3, 3), ("pt", 1, 1)]
 
 

@@ -1,0 +1,104 @@
+"""Golden digests of the default CLI output.
+
+Every byte of default output is kept unless a change says what moved and
+why.  `golden_digests.json` holds, for each subcommand variant, anchor rule,
+tie-break and `n <= 5` class of `CORPUS_RUNS`, the sha256 of the exit code
+and stdout.  The default anchor rule and tie-break run in tier 1, the rest of
+the 3 x 2 matrix under `slow`.  After a deliberate output change, rewrite the
+file from the root of a checkout with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from igmax.cli import CORPUS_RUNS, main
+from igmax.dclass import ANCHOR_RULES
+from igmax.schreier import TIE_BREAKS
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+CLASSES = [(mon, n, k) for mon, n, k, _ in CORPUS_RUNS if n <= 5]
+
+# variant -> (argv after the class flags, partial monoid only)
+VARIANTS = {
+    "identify-json": (["identify", "--output", "json"], False),
+    "identify-text": (["identify", "--output", "text"], False),
+    "identify-raw": (["identify", "--raw-coset-table", "--output", "json"], False),
+    "squares": (["squares", "--output", "json"], False),
+    "grid": (["grid", "--output", "json"], False),
+    "free-rank": (["free-rank", "--output", "json"], False),
+    "schreier": (["schreier", "--output", "json"], False),
+    "presentation": (["presentation", "--output", "json"], False),
+    "presentation-simplify": (["presentation", "--simplify", "--output", "json"], False),
+    "schreier-lift": (["schreier", "--lift", "--output", "json"], True),
+    "presentation-eliminate": (["presentation", "--eliminate-partial", "--output", "json"], True),
+}
+
+DEFAULT = ("lex", "least")
+
+
+def run_digest(argv: list[str]) -> str:
+    """sha256 of the exit code and stdout of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+def digests(variant: str, anchor_rule: str, tie_break: str) -> dict[str, str]:
+    argv, partial_only = VARIANTS[variant]
+    out = {}
+    for mon, n, k in CLASSES:
+        if partial_only and mon != "pt":
+            continue
+        out[f"{mon}-{n}-{k}"] = run_digest(
+            [argv[0], "--monoid", mon, "--n", str(n), "--k", str(k),
+             "--anchor-rule", anchor_rule, "--tie-break", tie_break, *argv[1:]]
+        )
+    return out
+
+
+def key(variant: str, anchor_rule: str, tie_break: str) -> str:
+    return f"{variant} {anchor_rule} {tie_break}"
+
+
+MATRIX = [
+    pytest.param(v, a, t, marks=() if (a, t) == DEFAULT else pytest.mark.slow)
+    for v in VARIANTS
+    for a in ANCHOR_RULES
+    for t in TIE_BREAKS
+]
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, dict[str, str]]:
+    return json.loads(DIGESTS.read_text())
+
+
+@pytest.mark.parametrize("variant, anchor_rule, tie_break", MATRIX)
+def test_output_bytes_unchanged(golden, variant, anchor_rule, tie_break):
+    want = golden[key(variant, anchor_rule, tie_break)]
+    got = digests(variant, anchor_rule, tie_break)
+    assert [c for c in want if got.get(c) != want[c]] == []
+    assert got.keys() == want.keys()
+
+
+if __name__ == "__main__":
+    table = {
+        key(v, a, t): digests(v, a, t)
+        for v in VARIANTS
+        for a in ANCHOR_RULES
+        for t in TIE_BREAKS
+    }
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {sum(map(len, table.values()))} digests to {DIGESTS}\n")

@@ -291,6 +291,21 @@ class TestIdentify:
         report = identify(4, 2, PT, simplify=False)
         assert report.verdict == VERDICT_SYMMETRIC and report.order == 2
 
+    STAGES = {"grid", "schreier", "squares", "presentation"}
+
+    @pytest.mark.parametrize(
+        "n, k, simplify, stages",
+        [
+            (3, 0, True, {"grid"}),
+            (4, 4, True, {"grid"}),
+            (4, 3, True, STAGES | {"free_rank"}),
+            (4, 2, True, STAGES | {"tietze", "coset_enumeration", "abelian_invariants", "hom"}),
+            (4, 2, False, STAGES | {"tietze", "coset_enumeration", "abelian_invariants", "hom"}),
+        ],
+    )
+    def test_timing_keys(self, n, k, simplify, stages):
+        assert identify(n, k, PT, simplify=simplify).timings.keys() == stages
+
     def test_full_matrix_up_to_n5(self):
         import math
 

@@ -183,6 +183,29 @@ class TestEnumerate:
         parallel = enumerate_singular_squares(grid, workers=2)
         assert serial == parallel
 
+    def test_pool_matches_serial_below_the_threshold(self, monkeypatch, capsys):
+        from igmax import squares
+        from igmax.cli import main
+
+        grid = build_grid(5, 2, PT)
+        serial = enumerate_singular_squares(grid, workers=1)
+        argv = ["squares", "--monoid", "pt", "--n", "5", "--k", "2", "--output", "json"]
+        assert main(argv) == 0
+        serial_out = capsys.readouterr().out
+        pools = []
+
+        class RecordingPool(squares.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(squares, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(squares, "POOL_MIN_CANDIDATES", 0)
+        assert enumerate_singular_squares(grid, workers=2) == serial
+        assert main([*argv, "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial_out
+        assert pools == [2, 2]
+
     def test_deterministic(self):
         grid = build_grid(4, 2, PT)
         assert enumerate_singular_squares(grid) == enumerate_singular_squares(grid)
