@@ -34,7 +34,7 @@ from .presentation import (
     tietze_simplify,
 )
 from .ptrans import Monoid, compose_entries, enumerate_idempotents
-from .schreier import SchreierSystem, build_schreier, verify_schreier
+from .schreier import SchreierSystem, build_schreier, verification_failed, verify_schreier
 from .squares import Square, SingularityWitness, enumerate_singular_squares, group_square_candidates
 
 COMPLETE = "complete"
@@ -89,7 +89,7 @@ def perm_group_order(gens) -> int:
 
 @dataclass
 class CosetTable:
-    """Compacted coset table over the generator letters and their inverses."""
+    """Compacted coset table; column x is relator letter x (see Relator)."""
 
     ngens: int
     table: list[list[int | None]]
@@ -100,10 +100,9 @@ class CosetTable:
         return len(self.table) if self.status == COMPLETE else None
 
     def trace(self, coset: int, word) -> int | None:
-        """Follow (gen, exp) letters from a coset; None on an undefined entry."""
-        for g, e in word:
-            col = 2 * g if e == 1 else 2 * g + 1
-            nxt = self.table[coset][col]
+        """Follow the letters of a word from a coset; None on an undefined entry."""
+        for x in word:
+            nxt = self.table[coset][x]
             if nxt is None:
                 return None
             coset = nxt
@@ -130,9 +129,7 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
         raise ValueError("max_cosets must be positive")
     ngens = len(p.generators)
     # letters were validated when the presentation was constructed
-    rel_words = [
-        tuple(2 * g if e == 1 else 2 * g + 1 for g, e in rel) for rel in p.relators if rel
-    ]
+    rel_words = [rel for rel in p.relators if rel]
     ncols = 2 * ngens
     if ngens == 0:
         return CosetTable(0, [[]], COMPLETE)
@@ -384,8 +381,8 @@ def abelian_invariants(p: GroupPresentation) -> AbelianInvariants:
     matrix = []
     for rel in p.relators:
         row: dict[int, int] = {}
-        for g, e in rel:
-            row[g] = row.get(g, 0) + e
+        for x in rel:
+            row[x >> 1] = row.get(x >> 1, 0) + (-1 if x & 1 else 1)
         matrix.append({g: v for g, v in row.items() if v})
     diag = _sparse_smith_normal_form(matrix) if matrix and ngens else []
     return AbelianInvariants(
@@ -427,11 +424,11 @@ def verify_hom(p: GroupPresentation, hom: dict[tuple[int, int], Permutation]) ->
         return True
     k = len(next(iter(hom.values())))
     ident = perm_identity(k)
+    images = [q for cell in p.cells for q in (hom[cell], perm_inverse(hom[cell]))]  # by letter
     for rel in p.relators:
         acc = ident
-        for g, e in rel:
-            q = hom[p.cells[g]]
-            acc = perm_compose(acc, q if e == 1 else perm_inverse(q))
+        for x in rel:
+            acc = perm_compose(acc, images[x])
         if acc != ident:
             return False
     return True
@@ -479,7 +476,7 @@ def verified_schreier(grid: DClassGrid, tie_break: str = "least") -> SchreierSys
         sys = build_schreier(grid, tie_break)
     violations = verify_schreier(grid, sys)
     if violations:
-        raise StructuralError("Schreier system failed verification: " + "; ".join(violations[:10]))
+        raise verification_failed(violations)
     return sys
 
 

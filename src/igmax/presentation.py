@@ -22,7 +22,9 @@ if TYPE_CHECKING:
     from .dclass import DClassGrid
     from .schreier import SchreierSystem
 
-Relator = tuple[tuple[int, int], ...]
+# Letter 2g is generator g and 2g+1 its inverse, so x ^ 1 inverts a letter and
+# x >> 1 is its generator; the letters are the columns of a coset table.
+Relator = tuple[int, ...]
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -43,13 +45,13 @@ class GroupPresentation:
             raise ValueError("one provenance tag per relator required")
         if self.cells is not None and len(self.cells) != len(self.generators):
             raise ValueError("one cell per generator required")
-        ngens = len(self.generators)
+        letters = range(2 * len(self.generators))
         for rel in self.relators:
-            for g, e in rel:
-                if not 0 <= g < ngens or e not in (1, -1):
-                    raise ValueError(f"malformed relator letter ({g},{e})")
+            for x in rel:
+                if x not in letters:
+                    raise ValueError(f"malformed relator letter {x!r}")
             for a, b in zip(rel, rel[1:]):
-                if a[0] == b[0] and a[1] == -b[1]:
+                if a ^ 1 == b:
                     raise ValueError("relator is not freely reduced")
 
     def counts_by_type(self) -> dict[str, int]:
@@ -58,24 +60,24 @@ class GroupPresentation:
 
 
 def free_reduce(rel: Relator) -> Relator:
-    out: list[tuple[int, int]] = []
-    for g, e in rel:
-        if out and out[-1][0] == g and out[-1][1] == -e:
+    out: list[int] = []
+    for x in rel:
+        if out and out[-1] == x ^ 1:
             out.pop()
         else:
-            out.append((g, e))
+            out.append(x)
     return tuple(out)
 
 
 def cyclically_reduce(rel: Relator) -> Relator:
     rel = free_reduce(rel)
-    while len(rel) >= 2 and rel[0][0] == rel[-1][0] and rel[0][1] == -rel[-1][1]:
+    while len(rel) >= 2 and rel[0] == rel[-1] ^ 1:
         rel = free_reduce(rel[1:-1])
     return rel
 
 
 def invert(rel: Relator) -> Relator:
-    return tuple((g, -e) for g, e in reversed(rel))
+    return tuple(x ^ 1 for x in reversed(rel))
 
 
 def canonical_form(rel: Relator) -> Relator:
@@ -101,27 +103,18 @@ def build_presentation(
     anchors_map: dict[int, int],
     singulars: tuple[tuple[Square, SingularityWitness], ...],
 ) -> GroupPresentation:
+    """Type 1, 2 and 3 relators, reduced and pairwise distinct as built.
+
+    Type 1 is one letter per row, type 2 two cells of a row in distinct
+    columns, type 3 the four distinct cells of a square, each square emitted
+    once; the three lengths differ, so no relator needs a dedup pass.
+    """
     cells = tuple(sorted(grid.group_cells))
-    gid = {cell: idx for idx, cell in enumerate(cells)}
+    letter = {cell: 2 * idx for idx, cell in enumerate(cells)}
     names = tuple(generator_name(cell) for cell in cells)
 
-    rels: list[Relator] = []
-    tags: list[str] = []
-    seen: set[Relator] = set()
-
-    def add(rel: Relator, tag: str) -> None:
-        rel = free_reduce(rel)
-        if not rel:
-            return
-        canon = canonical_form(rel)
-        if canon in seen:
-            return
-        seen.add(canon)
-        rels.append(rel)
-        tags.append(tag)
-
-    for i in range(len(grid.rows)):
-        add(((gid[(i, anchors_map[i])], 1),), TYPE1)
+    rels: list[Relator] = [(letter[(i, anchors_map[i])],) for i in range(len(grid.rows))]
+    tags = [TYPE1] * len(rels)
 
     # type 2: literal word equality r[lam] + e_{i,mu} == r[mu]
     for mu in range(len(grid.cols)):
@@ -134,20 +127,14 @@ def build_presentation(
         prefix = w[:-1]
         for lam in range(len(grid.cols)):
             if lam != mu and sys.r[lam] == prefix and (i, lam) in grid.group_cells:
-                add(((gid[(i, lam)], 1), (gid[(i, mu)], -1)), TYPE2)
+                rels.append((letter[(i, lam)], letter[(i, mu)] ^ 1))
+                tags.append(TYPE2)
 
     for sq, _ in singulars:
         i, j = sq.rows
         lam, mu = sq.cols
-        add(
-            (
-                (gid[(i, lam)], -1),
-                (gid[(i, mu)], 1),
-                (gid[(j, mu)], -1),
-                (gid[(j, lam)], 1),
-            ),
-            TYPE3,
-        )
+        rels.append((letter[(i, lam)] ^ 1, letter[(i, mu)], letter[(j, mu)] ^ 1, letter[(j, lam)]))
+    tags += [TYPE3] * len(singulars)
 
     return GroupPresentation(names, tuple(rels), tuple(tags), cells)
 
@@ -223,7 +210,8 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
 
     def index(rid: int, rel: Relator) -> None:
         counts: dict[int, int] = {}
-        for g, _ in rel:
+        for y in rel:
+            g = y >> 1
             counts[g] = counts.get(g, 0) + 1
         once = [g for g, cnt in counts.items() if cnt == 1]
         for g in counts:
@@ -232,8 +220,8 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
             heapq.heappush(heap, (len(rel), min(once), rid, version[rid]))
 
     def retire(rid: int) -> None:
-        for g, _ in rels[rid]:
-            occ[g].discard(rid)
+        for y in rels[rid]:
+            occ[y >> 1].discard(rid)
         version[rid] += 1
         rels[rid] = None
         canons[rid] = None
@@ -246,20 +234,19 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
         if ver != version[rid]:
             continue
         rel = rels[rid]
-        idx = next(pos for pos, (g, _) in enumerate(rel) if g == x)
-        sign = rel[idx][1]
+        idx = next(pos for pos, y in enumerate(rel) if y >> 1 == x)
         rest = rel[idx + 1 :] + rel[:idx]
-        sub = invert(rest) if sign == 1 else rest  # now x = sub holds
+        sub = rest if rel[idx] & 1 else invert(rest)  # now x = sub holds
         sub_inv = invert(sub)
         retire(rid)
         alive[x] = False
         for rid2 in sorted(occ[x]):
-            new: list[tuple[int, int]] = []
-            for g, e in rels[rid2]:
-                if g == x:
-                    new.extend(sub if e == 1 else sub_inv)
+            new: list[int] = []
+            for y in rels[rid2]:
+                if y >> 1 == x:
+                    new.extend(sub_inv if y & 1 else sub)
                 else:
-                    new.append((g, e))
+                    new.append(y)
             retire(rid2)
             reduced = cyclically_reduce(tuple(new))
             if not reduced:
@@ -283,13 +270,13 @@ def _rebuild(
     p: GroupPresentation, alive: list[bool], rels: list[Relator | None], tags: list[str]
 ) -> GroupPresentation:
     keep = [g for g in range(len(p.generators)) if alive[g]]
-    remap = {g: i for i, g in enumerate(keep)}
+    shift = {g: 2 * (g - i) for i, g in enumerate(keep)}  # letter 2g+b becomes 2i+b
     out_rels = []
     out_tags = []
     for rel, tag in zip(rels, tags):
         if rel is None:
             continue
-        out_rels.append(tuple((remap[g], e) for g, e in rel))
+        out_rels.append(tuple(x - shift[x >> 1] for x in rel))
         out_tags.append(tag)
     return GroupPresentation(
         generators=tuple(p.generators[g] for g in keep),
@@ -322,7 +309,7 @@ def eliminate_partial_rows(
     anchors_map: dict[int, int] = {}
     for rel, tag in zip(p.relators, p.provenance):
         if tag == TYPE1 and len(rel) == 1:
-            i, lam = p.cells[rel[0][0]]
+            i, lam = p.cells[rel[0] >> 1]
             anchors_map[i] = lam
     for i in range(len(grid.rows)):
         if i not in anchors_map:
@@ -349,7 +336,7 @@ def eliminate_partial_rows(
                 f"no singular square eliminates generator {p.generators[g]}"
             )
         try:
-            sub[g] = ((gid[(j, lam_i)], -1), (gid[(j, lam)], 1))
+            sub[g] = (2 * gid[(j, lam_i)] + 1, 2 * gid[(j, lam)])
         except KeyError as exc:
             raise StructuralError(f"completion cell missing from the grid: {exc}") from exc
 
@@ -357,14 +344,14 @@ def eliminate_partial_rows(
     tags: list[str] = []
     seen: set[Relator] = set()
     for rel, tag in zip(p.relators, p.provenance):
-        out: list[tuple[int, int]] = []
+        out: list[int] = []
         changed = False
-        for g, e in rel:
-            if g in sub:
+        for x in rel:
+            if x >> 1 in sub:
                 changed = True
-                out.extend(sub[g] if e == 1 else invert(sub[g]))
+                out.extend(invert(sub[x >> 1]) if x & 1 else sub[x >> 1])
             else:
-                out.append((g, e))
+                out.append(x)
         reduced = free_reduce(tuple(out))
         if not reduced:
             continue
@@ -385,7 +372,7 @@ def to_gap(p: GroupPresentation) -> str:
     lines = [f"F := FreeGroup({names});"]
     terms = []
     for rel in p.relators:
-        terms.append("*".join(f"F.{g + 1}" + ("" if e == 1 else "^-1") for g, e in rel))
+        terms.append("*".join(f"F.{(x >> 1) + 1}" + ("^-1" if x & 1 else "") for x in rel))
     lines.append("rels := [ " + ", ".join(terms) + " ];")
     lines.append("G := F / rels;")
     return "\n".join(lines) + "\n"
@@ -409,7 +396,9 @@ def to_dot(g: GHGraph) -> str:
 def presentation_to_json(p: GroupPresentation) -> dict:
     return {
         "generators": list(p.generators),
-        "relators": [[[p.generators[g], e] for g, e in rel] for rel in p.relators],
+        "relators": [
+            [[p.generators[x >> 1], -1 if x & 1 else 1] for x in rel] for rel in p.relators
+        ],
         "provenance": list(p.provenance),
         "counts": p.counts_by_type(),
     }

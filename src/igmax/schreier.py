@@ -135,6 +135,11 @@ def verify_schreier(grid: "DClassGrid", sys: SchreierSystem) -> list[str]:
     return bad
 
 
+def verification_failed(violations: list[str]) -> StructuralError:
+    """The one error every verifying path raises: its first 10 violations."""
+    return StructuralError("Schreier system failed verification: " + "; ".join(violations[:10]))
+
+
 def lift_total_schreier(grid_t: "DClassGrid", grid_pt: "DClassGrid") -> SchreierSystem:
     """Reuse the total grid's Schreier system for the partial grid.
 
@@ -162,7 +167,5 @@ def lift_total_schreier(grid_t: "DClassGrid", grid_pt: "DClassGrid") -> Schreier
     )
     violations = verify_schreier(grid_pt, lifted)
     if violations:
-        raise StructuralError(
-            "lifted Schreier system failed verification: " + "; ".join(violations[:5])
-        )
+        raise verification_failed(violations)
     return lifted

@@ -38,6 +38,11 @@ from igmax.squares import (
 MONOIDS = {"pt": Monoid.PARTIAL, "t": Monoid.TOTAL}
 
 
+def letters(pairs) -> Relator:
+    """Relator letters from (generator, +-1) pairs: 2g for g, 2g+1 for g^-1."""
+    return tuple(2 * g if e == 1 else 2 * g + 1 for g, e in pairs)
+
+
 # ---------------------------------------------------------------------------
 # brute enumeration of the monoids
 
@@ -170,7 +175,7 @@ def reference_tietze_simplify(p: GroupPresentation) -> GroupPresentation:
         for rid, rel in enumerate(rels):
             if rel is None:
                 continue
-            counts = Counter(g for g, _ in rel)
+            counts = Counter(y >> 1 for y in rel)
             once = [g for g, cnt in counts.items() if cnt == 1]
             if not once:
                 continue
@@ -181,21 +186,20 @@ def reference_tietze_simplify(p: GroupPresentation) -> GroupPresentation:
             break
         _, x, rid = best
         rel = rels[rid]
-        idx = next(pos for pos, (g, _) in enumerate(rel) if g == x)
-        sign = rel[idx][1]
+        idx = next(pos for pos, y in enumerate(rel) if y >> 1 == x)
         rest = rel[idx + 1 :] + rel[:idx]
-        sub = invert(rest) if sign == 1 else rest  # now x = sub holds
+        sub = rest if rel[idx] & 1 else invert(rest)  # now x = sub holds
         rels[rid] = None
         alive[x] = False
         for rid2, rel2 in enumerate(rels):
-            if rel2 is None or all(g != x for g, _ in rel2):
+            if rel2 is None or all(y >> 1 != x for y in rel2):
                 continue
-            new: list[tuple[int, int]] = []
-            for g, e in rel2:
-                if g == x:
-                    new.extend(sub if e == 1 else invert(sub))
+            new: list[int] = []
+            for y in rel2:
+                if y >> 1 == x:
+                    new.extend(invert(sub) if y & 1 else sub)
                 else:
-                    new.append((g, e))
+                    new.append(y)
             reduced = cyclically_reduce(tuple(new))
             if not reduced:
                 rels[rid2] = None
@@ -341,13 +345,11 @@ def reference_todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> Cos
     ngens = len(p.generators)
     rel_words = []
     for rel in p.relators:
-        word = []
-        for g, e in rel:
-            if not 0 <= g < ngens or e not in (1, -1):
-                raise ValueError(f"malformed relator letter ({g},{e})")
-            word.append(2 * g if e == 1 else 2 * g + 1)
-        if word:
-            rel_words.append(tuple(word))
+        for x in rel:
+            if x not in range(2 * ngens):
+                raise ValueError(f"malformed relator letter {x!r}")
+        if rel:
+            rel_words.append(rel)
     ncols = 2 * ngens
     if ngens == 0:
         return CosetTable(0, [[]], COMPLETE)
@@ -459,7 +461,7 @@ def _make_presentation(gens, rels):
 
 def _power(g: int, n: int):
     e = 1 if n > 0 else -1
-    return tuple((g, e) for _ in range(abs(n)))
+    return letters((g, e) for _ in range(abs(n)))
 
 
 def oracle_presentations():
@@ -476,7 +478,8 @@ def oracle_presentations():
         ("c3", _make_presentation(["a"], [x(0, 3)]), [(1, 2, 0)], 3, [3]),
         ("c5", _make_presentation(["a"], [x(0, 5)]), [(1, 2, 3, 4, 0)], 5, [5]),
         ("c6_two_gen",
-         _make_presentation(["a", "b"], [x(0, 2), x(1, 3), ((0, 1), (1, 1), (0, -1), (1, -1))]),
+         _make_presentation(["a", "b"],
+                            [x(0, 2), x(1, 3), letters(((0, 1), (1, 1), (0, -1), (1, -1)))]),
          [(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)], 6, [6]),
         ("klein4",
          _make_presentation(["a", "b"], [x(0, 2), x(1, 2), (x(0, 1) + x(1, 1)) * 2]),
@@ -485,7 +488,8 @@ def oracle_presentations():
          _make_presentation(["a", "b"], [x(0, 2), x(1, 2), (x(0, 1) + x(1, 1)) * 3]),
          [(1, 0, 2), (0, 2, 1)], 6, [2]),
         ("s3_cyclic",
-         _make_presentation(["r", "s"], [x(0, 3), x(1, 2), ((1, 1), (0, 1), (1, 1), (0, 1))]),
+         _make_presentation(["r", "s"],
+                            [x(0, 3), x(1, 2), letters(((1, 1), (0, 1), (1, 1), (0, 1)))]),
          [(1, 2, 0), (1, 0, 2)], 6, [2]),
         ("d4",
          _make_presentation(["a", "b"], [x(0, 2), x(1, 2), (x(0, 1) + x(1, 1)) * 4]),
@@ -495,6 +499,7 @@ def oracle_presentations():
          [(0, 4, 3, 2, 1), (2, 1, 0, 4, 3)], 10, [2]),
         ("q8",
          _make_presentation(["a", "b"],
-                            [x(0, 4), x(0, 2) + x(1, -2), ((1, -1), (0, 1), (1, 1), (0, 1))]),
+                            [x(0, 4), x(0, 2) + x(1, -2),
+                             letters(((1, -1), (0, 1), (1, 1), (0, 1)))]),
          None, 8, [2, 2]),
     ]

@@ -207,8 +207,9 @@ def test_criterion_10_generation_sanity():
 
 def _eval_perm_word(rel, gens):
     acc = perm_identity(len(gens[0]))
-    for g, e in rel:
-        acc = perm_compose(acc, gens[g] if e == 1 else perm_inverse(gens[g]))
+    for x in rel:
+        g = x >> 1
+        acc = perm_compose(acc, perm_inverse(gens[g]) if x & 1 else gens[g])
     return acc
 
 
@@ -227,8 +228,8 @@ def test_criterion_11_oracle_micro_suite():
         matrix = []
         for rel in pres.relators:
             row = [0] * len(pres.generators)
-            for g, e in rel:
-                row[g] += e
+            for x in rel:
+                row[x >> 1] += -1 if x & 1 else 1
             matrix.append(row)
         oracle = [d for d in minor_gcd_invariants(matrix) if d > 1]
         assert list(inv.torsion) == oracle, name

@@ -5,6 +5,7 @@ import pytest
 
 from igmax import cli
 from igmax.cli import main
+from igmax.schreier import SchreierSystem, build_schreier
 
 
 def run(capsys, *argv):
@@ -89,19 +90,20 @@ class TestSchreier:
 class TestSchreierFailure:
     """identify and every subcommand that verifies share one failure message."""
 
+    @staticmethod
+    def swap_two_columns(grid, tie_break="least"):
+        """build_schreier with the words of two non-base columns swapped."""
+        sys_ = build_schreier(grid, tie_break)
+        a, b = [c for c in sorted(sys_.r) if c != sys_.base_col][:2]
+        r, r_inv = dict(sys_.r), dict(sys_.r_inv)
+        r[a], r[b], r_inv[a], r_inv[b] = r[b], r[a], r_inv[b], r_inv[a]
+        return SchreierSystem(sys_.base_col, r, r_inv, sys_.parent)
+
     @pytest.fixture
     def swapped(self, monkeypatch):
         from igmax import groupid
-        from igmax.schreier import SchreierSystem, build_schreier
 
-        def swap_two_columns(grid, tie_break="least"):
-            sys_ = build_schreier(grid, tie_break)
-            a, b = [c for c in sorted(sys_.r) if c != sys_.base_col][:2]
-            r, r_inv = dict(sys_.r), dict(sys_.r_inv)
-            r[a], r[b], r_inv[a], r_inv[b] = r[b], r[a], r_inv[b], r_inv[a]
-            return SchreierSystem(sys_.base_col, r, r_inv, sys_.parent)
-
-        monkeypatch.setattr(groupid, "build_schreier", swap_two_columns)
+        monkeypatch.setattr(groupid, "build_schreier", self.swap_two_columns)
 
     def test_same_message_everywhere(self, capsys, swapped):
         from igmax.errors import StructuralError
@@ -116,6 +118,21 @@ class TestSchreierFailure:
             code, out, err = run(capsys, command, "--monoid", "pt", "--n", "4", "--k", "2")
             assert (code, out) == (3, "")
             assert json.loads(err) == {"error": "structural", "message": message}
+
+    def test_lift_same_message_format(self, capsys, monkeypatch):
+        from igmax import schreier
+
+        # lift_total_schreier builds the total grid's system through this name
+        monkeypatch.setattr(schreier, "build_schreier", self.swap_two_columns)
+        code, out, err = run(
+            capsys, "schreier", "--monoid", "pt", "--n", "4", "--k", "2", "--lift"
+        )
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "structural"
+        message = payload["message"]
+        assert message.startswith("Schreier system failed verification: column ")
+        assert 1 <= message.count("; ") <= 9
 
 
 DEGENERATE = [("pt", 4, 0), ("pt", 4, 4), ("t", 3, 3), ("pt", 1, 1)]

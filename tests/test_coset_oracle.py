@@ -16,7 +16,7 @@ from igmax.groupid import todd_coxeter
 from igmax.presentation import GroupPresentation, free_reduce, tietze_simplify
 from igmax.schreier import TIE_BREAKS
 
-from helpers import MONOIDS, oracle_presentations, pipeline, reference_todd_coxeter
+from helpers import MONOIDS, letters, oracle_presentations, pipeline, reference_todd_coxeter
 
 CAPS = (1, 10, 100, 1000, 10**6)
 SQUEEZE_CLASSES = [(n, k) for n in range(2, 6) for k in range(1, n - 1)]
@@ -63,7 +63,7 @@ class TestSmallPresentations:
             ngens = rng.choice((2, 3))
             rels = tuple(
                 free_reduce(
-                    tuple(
+                    letters(
                         (rng.randrange(ngens), rng.choice((1, -1)))
                         for _ in range(rng.randint(1, 7))
                     )

@@ -3,9 +3,10 @@
 Every byte of default output is kept unless a change says what moved and
 why.  `golden_digests.json` holds, for each subcommand variant, anchor rule,
 tie-break and `n <= 5` class of `CORPUS_RUNS`, the sha256 of the exit code
-and stdout.  The default anchor rule and tie-break run in tier 1, the rest of
-the 3 x 2 matrix under `slow`.  After a deliberate output change, rewrite the
-file from the root of a checkout with
+and stdout, followed by the written file for the `--gap` variants.  The
+default anchor rule and tie-break run in tier 1, the rest of the 3 x 2 matrix
+under `slow`.  After a deliberate output change, rewrite the file from the
+root of a checkout with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -17,6 +18,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -42,17 +44,29 @@ VARIANTS = {
     "presentation-simplify": (["presentation", "--simplify", "--output", "json"], False),
     "schreier-lift": (["schreier", "--lift", "--output", "json"], True),
     "presentation-eliminate": (["presentation", "--eliminate-partial", "--output", "json"], True),
+    "presentation-gap": (["presentation", "--output", "text", "--gap"], False),
+    "presentation-simplify-gap": (
+        ["presentation", "--simplify", "--output", "text", "--gap"], False),
 }
 
 DEFAULT = ("lex", "least")
 
 
 def run_digest(argv: list[str]) -> str:
-    """sha256 of the exit code and stdout of one in-process CLI run."""
+    """sha256 of the exit code and stdout of one in-process CLI run.
+
+    An argv ending in `--gap` gets a scratch path, and the file written there
+    is hashed after stdout.
+    """
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+    with tempfile.TemporaryDirectory() as tmp:
+        gap = Path(tmp, "presentation.g")
+        if argv[-1] == "--gap":
+            argv = [*argv, str(gap)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        written = gap.read_text() if gap.exists() else ""
+    return hashlib.sha256(f"{code}\n{out.getvalue()}{written}".encode()).hexdigest()
 
 
 def digests(variant: str, anchor_rule: str, tie_break: str) -> dict[str, str]:

@@ -30,6 +30,7 @@ from helpers import (
     MONOIDS,
     all_maps,
     cached_identify,
+    letters,
     minor_gcd_invariants,
     oracle_presentations,
     pipeline,
@@ -49,8 +50,9 @@ def make(gens, rels):
 def eval_perm_word(rel, gens):
     k = len(gens[0])
     acc = perm_identity(k)
-    for g, e in rel:
-        acc = perm_compose(acc, gens[g] if e == 1 else perm_inverse(gens[g]))
+    for x in rel:
+        g = x >> 1
+        acc = perm_compose(acc, perm_inverse(gens[g]) if x & 1 else gens[g])
     return acc
 
 
@@ -121,7 +123,7 @@ class TestToddCoxeter:
 
     def test_malformed_relator_rejected(self):
         with pytest.raises(ValueError):
-            todd_coxeter(GroupPresentation(("a",), (((3, 1),),), ("type1",)))
+            todd_coxeter(GroupPresentation(("a",), (letters(((3, 1),)),), ("type1",)))
 
     def test_deterministic(self):
         _, pres, _ = ORACLE_PRESENTATIONS[6]
@@ -158,8 +160,8 @@ def relation_matrix(pres):
     matrix = []
     for rel in pres.relators:
         row = [0] * len(pres.generators)
-        for g, e in rel:
-            row[g] += e
+        for x in rel:
+            row[x >> 1] += -1 if x & 1 else 1
         matrix.append(row)
     return matrix
 
@@ -370,8 +372,8 @@ class TestAbelianInvariantsOfRawPresentations:
         matrix = []
         for rel in pres.relators:
             row = [0] * ngens
-            for g, e in rel:
-                row[g] += e
+            for x in rel:
+                row[x >> 1] += -1 if x & 1 else 1
             matrix.append(row)
         diag = smith_normal_form(matrix)
         inv = abelian_invariants(pres)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from igmax.cli import CORPUS_RUNS
 from igmax.dclass import ANCHOR_RULES, anchors, build_grid
 from igmax.errors import StructuralError
 from igmax.groupid import abelian_invariants, todd_coxeter
@@ -28,7 +29,13 @@ from igmax.ptrans import Monoid
 from igmax.schreier import TIE_BREAKS, build_schreier, lift_total_schreier
 from igmax.squares import enumerate_singular_squares
 
-from helpers import brute_idempotents, cached_identify, pipeline, reference_tietze_simplify
+from helpers import (
+    brute_idempotents,
+    cached_identify,
+    letters,
+    pipeline,
+    reference_tietze_simplify,
+)
 
 PT = Monoid.PARTIAL
 T = Monoid.TOTAL
@@ -41,17 +48,20 @@ def make(gens, rels, tags=None, cells=None):
 
 class TestWordOps:
     def test_free_reduce(self):
-        assert free_reduce(((0, 1), (0, -1), (1, 1))) == ((1, 1),)
-        assert free_reduce(((0, 1), (1, 1), (1, -1), (0, -1))) == ()
+        assert free_reduce(letters(((0, 1), (0, -1), (1, 1)))) == letters(((1, 1),))
+        assert free_reduce(letters(((0, 1), (1, 1), (1, -1), (0, -1)))) == ()
 
     def test_cyclic_reduce(self):
-        assert cyclically_reduce(((0, -1), (1, 1), (0, 1))) == ((1, 1),)
+        assert cyclically_reduce(letters(((0, -1), (1, 1), (0, 1)))) == letters(((1, 1),))
 
     def test_canonical_form_identifies_rotations_and_inverse(self):
-        rel = ((0, -1), (1, 1), (2, -1), (3, 1))
+        rel = letters(((0, -1), (1, 1), (2, -1), (3, 1)))
         forms = {canonical_form(rel[s:] + rel[:s]) for s in range(4)}
         forms.add(canonical_form(invert(rel)))
         assert len(forms) == 1
+
+
+CORPUS_CLASSES = [(mon, n, k) for mon, n, k, _ in CORPUS_RUNS if n <= 5]
 
 
 class TestBuildPresentation:
@@ -80,22 +90,36 @@ class TestBuildPresentation:
         for sq, wit in singulars:
             assert singularizes(wit.epsilon, sq) == wit.case
 
-    def test_relators_freely_reduced_and_deduped(self):
-        _, _, _, _, pres = pipeline("pt", 5, 3)
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize("anchor_rule", ANCHOR_RULES)
+    @pytest.mark.parametrize("key,n,k", CORPUS_CLASSES)
+    def test_relators_reduced_and_distinct(self, key, n, k, anchor_rule, tie_break):
+        # build_presentation runs no dedup pass: this is the invariant it rests on
+        grid, _, _, singulars, pres = pipeline(key, n, k, anchor_rule, tie_break)
         seen = set()
         for rel in pres.relators:
             assert free_reduce(rel) == rel
             canon = canonical_form(rel)
             assert canon not in seen
             seen.add(canon)
+        counts = pres.counts_by_type()
+        assert counts[TYPE1] == len(grid.rows)
+        assert counts[TYPE2] == len(grid.cols) - 1
+        assert counts[TYPE3] == len(singulars)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            make(["a"], [((0, 1), (0, -1))])  # not freely reduced
+            make(["a"], [letters(((0, 1), (0, -1)))])  # not freely reduced
         with pytest.raises(ValueError):
-            make(["a"], [((1, 1),)])  # unknown generator
+            make(["a"], [letters(((1, 1),))])  # unknown generator
         with pytest.raises(ValueError):
-            GroupPresentation(("a",), (((0, 1),),), ())  # missing provenance
+            GroupPresentation(("a",), (letters(((0, 1),)),), ())  # missing provenance
+        with pytest.raises(ValueError):
+            make(["a"], [((0, 1),)])  # a (generator, exponent) pair is no letter
+        with pytest.raises(ValueError):
+            make(["a"], [(-1,)])  # negative letter
+        with pytest.raises(ValueError):
+            make(["a", "b"], [(4,)])  # letter 2 * ngens
 
 
 class TestGHGraph:
@@ -134,7 +158,7 @@ class TestGHGraph:
 
 class TestTietze:
     def test_single_generator_killed(self):
-        p = make(["x"], [((0, 1),)], ("type1",))
+        p = make(["x"], [letters(((0, 1),))], ("type1",))
         simp = tietze_simplify(p)
         assert simp.generators == () and simp.relators == ()
 
@@ -156,7 +180,7 @@ class TestTietze:
             rels = []
             for _ in range(rng.randint(0, 6)):
                 length = rng.randint(1, 6)
-                rel = tuple(
+                rel = letters(
                     (rng.randrange(ngens), rng.choice((1, -1))) for _ in range(length)
                 )
                 rel = free_reduce(rel)
@@ -252,14 +276,17 @@ class TestTotalPartialContainment:
         pres_pt = build_presentation(grid_pt, sys_lift, am_pt, sing_pt)
 
         row_map = {i: grid_pt.row_of[kp] for i, kp in enumerate(grid_t.rows)}
+        pt_cells = {cell: idx for idx, cell in enumerate(pres_pt.cells)}
 
         def rename(rel, cells):
-            return tuple(((row_map[cells[g][0]], cells[g][1]), e) for g, e in rel)
+            # each total letter becomes the partial letter of the same cell
+            return tuple(
+                2 * pt_cells[(row_map[cells[x >> 1][0]], cells[x >> 1][1])] | x & 1
+                for x in rel
+            )
 
-        pt_cells = {cell: idx for idx, cell in enumerate(pres_pt.cells)}
         pt_rels = {
-            canonical_form(tuple((pres_pt.cells[g], e) for g, e in rel)): tag
-            for rel, tag in zip(pres_pt.relators, pres_pt.provenance)
+            canonical_form(rel): tag for rel, tag in zip(pres_pt.relators, pres_pt.provenance)
         }
         # every total relator appears in the partial presentation with its type
         for rel, tag in zip(pres_t.relators, pres_t.provenance):
