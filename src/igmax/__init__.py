@@ -25,6 +25,7 @@ from .presentation import (
     GHGraph,
     GroupPresentation,
     build_presentation,
+    collapse_short_relators,
     eliminate_partial_rows,
     free_rank,
     gh_graph,

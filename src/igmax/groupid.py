@@ -29,6 +29,7 @@ from .presentation import (
     TYPE3,
     GroupPresentation,
     build_presentation,
+    collapse_short_relators,
     free_rank,
     gh_graph,
     tietze_simplify,
@@ -583,7 +584,7 @@ def identify(
             raise StructuralError("unexpected type-3 relator in the k = n-1 class")
         with _timed(timings, "free_rank"):
             rank = free_rank(gh_graph(grid), grid.base)
-            simp = tietze_simplify(raw)
+            simp = tietze_simplify(collapse_short_relators(raw))
             inv = abelian_invariants(simp)
         if inv.torsion or inv.free_rank != rank:
             raise StructuralError(
@@ -597,7 +598,7 @@ def identify(
         )
     else:
         with _timed(timings, "tietze"):
-            simp = tietze_simplify(raw) if simplify else raw
+            simp = tietze_simplify(collapse_short_relators(raw)) if simplify else raw
         with _timed(timings, "coset_enumeration"):
             table = todd_coxeter(simp, max_cosets=max_cosets)
         with _timed(timings, "abelian_invariants"):

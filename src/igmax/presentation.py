@@ -45,10 +45,11 @@ class GroupPresentation:
             raise ValueError("one provenance tag per relator required")
         if self.cells is not None and len(self.cells) != len(self.generators):
             raise ValueError("one cell per generator required")
-        letters = range(2 * len(self.generators))
+        top = 2 * len(self.generators)
         for rel in self.relators:
             for x in rel:
-                if x not in letters:
+                # type(x) is int: 1.0 and True compare equal to letters
+                if type(x) is not int or not 0 <= x < top:
                     raise ValueError(f"malformed relator letter {x!r}")
             for a, b in zip(rel, rel[1:]):
                 if a ^ 1 == b:
@@ -263,6 +264,89 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
             tags[rid2] = TIETZE
             index(rid2, reduced)
 
+    return _rebuild(p, alive, rels, tags)
+
+
+def collapse_short_relators(p: GroupPresentation) -> GroupPresentation:
+    """Consume every relator of length 1 or 2 by a signed union-find, to a fixpoint.
+
+    A relator g kills g's class; a relator on two distinct classes links them.
+    Each round rewrites every remaining relator once through the classes and
+    cyclically reduces it, consuming it at once if it became short; rounds
+    repeat until one consumes nothing.  A relator on one class, such as x^2,
+    is kept.  The survivors are deduplicated by canonical form, in order, and
+    each class is renamed to its largest generator, the one `tietze_simplify`
+    keeps, with that generator's cell.  These are Tietze moves, so the
+    presented group is unchanged.
+    """
+    ngen = len(p.generators)
+    # image[x] is the letter that letter x equals, a letter of its class's
+    # representative, or -1 once the class is killed.  The smaller class moves
+    # under the larger, so a generator is moved O(log ngen) times.
+    image = list(range(2 * ngen))
+    members = [[g] for g in range(ngen)]
+
+    def consume(rel: Relator) -> bool:
+        if len(rel) == 1:
+            for g in members[rel[0] >> 1]:
+                image[2 * g] = image[2 * g + 1] = -1
+            members[rel[0] >> 1] = []
+            return True
+        if len(rel) != 2 or rel[0] >> 1 == rel[1] >> 1:
+            return False
+        x, y = rel  # x y = 1 and y x = 1, so either one may move
+        if len(members[x >> 1]) > len(members[y >> 1]):
+            x, y = y, x
+        base = y ^ 1 ^ (x & 1)  # the representative of x's class equals y^-1
+        for g in members[x >> 1]:
+            image[2 * g] = base ^ (image[2 * g] & 1)
+            image[2 * g + 1] = image[2 * g] ^ 1
+        members[y >> 1] += members[x >> 1]
+        members[x >> 1] = []
+        return True
+
+    # relators are freely reduced, so only a pair of ends can cancel
+    pending = [
+        (rel, tag, cyclically_reduce(rel) if len(rel) > 1 and rel[0] == rel[-1] ^ 1 else rel)
+        for rel, tag in zip(p.relators, p.provenance)
+    ]
+    consumed = True
+    while consumed:
+        consumed = False
+        kept = []
+        for rel, tag, cur in pending:
+            word = tuple(map(image.__getitem__, cur))
+            if word != cur:
+                if -1 in word:
+                    word = tuple(y for y in word if y >= 0)
+                word = cyclically_reduce(word)
+            if len(word) <= 2 and consume(word):
+                consumed = True
+            elif word:
+                kept.append((rel, tag, word))
+        pending = kept
+
+    # rename each class to its largest generator g, which equals rep^t
+    rename = list(range(2 * ngen))
+    alive = [False] * ngen
+    for rep, group in enumerate(members):
+        if group:
+            g = max(group)
+            alive[g] = True
+            t = image[2 * g] & 1
+            rename[2 * rep] = 2 * g | t
+            rename[2 * rep + 1] = 2 * g | (t ^ 1)
+
+    rels: list[Relator] = []
+    tags: list[str] = []
+    seen: set[Relator] = set()
+    for rel, tag, cur in pending:
+        word = tuple(map(rename.__getitem__, cur))
+        canon = canonical_form(word)
+        if canon not in seen:
+            seen.add(canon)
+            rels.append(word)
+            tags.append(tag if word == rel else TIETZE)
     return _rebuild(p, alive, rels, tags)
 
 

@@ -203,6 +203,24 @@ class TestPresentation:
         assert code == 0
         assert len(json.loads(out)["generators"]) == 24
 
+    @pytest.mark.parametrize(
+        "monoid,n,k", [(mon, n, k) for mon, n, k, _ in cli.CORPUS_RUNS if n <= 5]
+    )
+    def test_simplify_matches_identify_counts(self, capsys, monoid, n, k):
+        common = ["--monoid", monoid, "--n", str(n), "--k", str(k), "--output", "json"]
+        code, out, _ = run(capsys, "identify", *common)
+        assert code == 0
+        report = json.loads(out)
+        code, out, _ = run(capsys, "presentation", "--simplify", *common)
+        assert code == 0
+        simp = json.loads(out)
+        if k in (0, n):  # identify stops at the trivial verdict before simplifying
+            assert report["simplified_generators"] is report["simplified_relators"] is None
+            assert simp["generators"] == simp["relators"] == []
+        else:
+            assert report["simplified_generators"] == len(simp["generators"])
+            assert report["simplified_relators"] == len(simp["relators"])
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):

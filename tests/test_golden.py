@@ -5,10 +5,12 @@ why.  `golden_digests.json` holds, for each subcommand variant, anchor rule,
 tie-break and `n <= 5` class of `CORPUS_RUNS`, the sha256 of the exit code
 and stdout, followed by the written file for the `--gap` variants.  The
 default anchor rule and tie-break run in tier 1, the rest of the 3 x 2 matrix
-under `slow`.  After a deliberate output change, rewrite the file from the
-root of a checkout with
+under `slow`.  After a deliberate output change, rewrite the digests of the
+variants that changed, and only those, from the root of a checkout with
 
-    PYTHONPATH=src python3 tests/test_golden.py
+    PYTHONPATH=src python3 tests/test_golden.py VARIANT [VARIANT ...]
+
+Naming no variant rewrites all of them.
 """
 
 from __future__ import annotations
@@ -107,12 +109,24 @@ def test_output_bytes_unchanged(golden, variant, anchor_rule, tie_break):
     assert got.keys() == want.keys()
 
 
-if __name__ == "__main__":
-    table = {
+def regenerate(variants: list[str]) -> int:
+    """Rewrite the digests of the named variants, or of all when none is named."""
+    unknown = [v for v in variants if v not in VARIANTS]
+    if unknown:
+        sys.stderr.write(f"unknown variant(s) {', '.join(unknown)}; known: {', '.join(VARIANTS)}\n")
+        return 2
+    table = json.loads(DIGESTS.read_text()) if variants else {}
+    fresh = {
         key(v, a, t): digests(v, a, t)
-        for v in VARIANTS
+        for v in variants or VARIANTS
         for a in ANCHOR_RULES
         for t in TIE_BREAKS
     }
+    table.update(fresh)
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    sys.stdout.write(f"wrote {sum(map(len, table.values()))} digests to {DIGESTS}\n")
+    sys.stdout.write(f"wrote {sum(map(len, fresh.values()))} digests to {DIGESTS}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(sys.argv[1:]))
