@@ -3,8 +3,9 @@
 One generator X_<row>_<col> per group cell, relators in three flavors:
 anchors equal 1 (type 1), Schreier parent edges identify generators (type 2),
 singular squares equate column transitions across rows (type 3).  Includes
-the Graham-Houghton graph, cycle rank, Tietze simplification, and the
-elimination of all generators sitting in partial-domain rows.
+the Graham-Houghton graph, cycle rank, Tietze simplification with its
+short-relator pre-pass, and the elimination of all generators sitting in
+partial-domain rows.
 """
 
 from __future__ import annotations

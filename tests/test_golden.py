@@ -113,7 +113,9 @@ def regenerate(variants: list[str]) -> int:
     """Rewrite the digests of the named variants, or of all when none is named."""
     unknown = [v for v in variants if v not in VARIANTS]
     if unknown:
-        sys.stderr.write(f"unknown variant(s) {', '.join(unknown)}; known: {', '.join(VARIANTS)}\n")
+        sys.stderr.write(
+            f"unknown variant(s) {', '.join(unknown)}; known: {', '.join(VARIANTS)}\n"
+        )
         return 2
     table = json.loads(DIGESTS.read_text()) if variants else {}
     fresh = {

@@ -242,7 +242,9 @@ class TestCollapseShortRelators:
         assert collapse_short_relators(make([], [])) == make([], [])
 
     def test_nothing_short_is_only_deduplicated(self):
-        abc, bca, a3 = letters(((0, 1), (1, 1), (2, 1))), letters(((1, 1), (2, 1), (0, 1))), (0, 0, 0)
+        abc = letters(((0, 1), (1, 1), (2, 1)))
+        bca = letters(((1, 1), (2, 1), (0, 1)))
+        a3 = (0, 0, 0)
         cells = ((0, 0), (0, 1), (1, 1))
         p = make("abc", [abc, a3, bca, invert(abc)], ("type3", "type2", "type1", "type3"), cells)
         assert collapse_short_relators(p) == make("abc", [abc, a3], ("type3", "type2"), cells)
@@ -301,7 +303,9 @@ class TestCollapseShortRelators:
         # keeps as many but not the same: which generators survive depends on
         # which of two duplicate relators Tietze's own dedup happened to keep.
         grid, _, _, singulars, _ = pipeline(key, n, k)
-        pairs = [(r, t) for r in ANCHOR_RULES for t in TIE_BREAKS] if n <= 5 else [("lex", "least")]
+        pairs = [(r, t) for r in ANCHOR_RULES for t in TIE_BREAKS]
+        if n > 5:
+            pairs = [("lex", "least")]
         for rule, tie in pairs:
             anchors_map = anchors(grid, rule)
             sys_ = build_schreier(grid, tie)
