@@ -47,8 +47,7 @@ from .schreier import (
     word_value,
 )
 from .squares import (
-    SingularityWitness,
-    Square,
+    SingularSquare,
     enumerate_singular_squares,
     complete_to_singular_square,
     singularizes,

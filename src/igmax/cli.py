@@ -206,9 +206,9 @@ def _cmd_squares(args, out) -> int:
             {
                 "rows": [sq.rows[0] + 1, sq.rows[1] + 1],
                 "cols": [sq.cols[0] + 1, sq.cols[1] + 1],
-                "witness": {"map": w.epsilon.to_text(), "case": w.case},
+                "witness": {"map": sq.witness.to_text(), "case": sq.case},
             }
-            for sq, w in found
+            for sq in found
         ],
     }
     if args.output == "json":

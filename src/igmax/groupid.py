@@ -36,7 +36,7 @@ from .presentation import (
 )
 from .ptrans import Monoid, compose_entries, enumerate_idempotents
 from .schreier import SchreierSystem, build_schreier, verification_failed, verify_schreier
-from .squares import Square, SingularityWitness, enumerate_singular_squares, group_square_candidates
+from .squares import SingularSquare, enumerate_singular_squares, group_square_candidates
 
 COMPLETE = "complete"
 OVERFLOW = "overflow"
@@ -485,7 +485,7 @@ class Stages(NamedTuple):
     grid: DClassGrid
     anchors: dict[int, int]
     sys: SchreierSystem
-    singulars: tuple[tuple[Square, SingularityWitness], ...]
+    singulars: tuple[SingularSquare, ...]
     presentation: GroupPresentation
 
 

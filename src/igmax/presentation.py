@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .errors import StructuralError
 from .ptrans import Monoid
-from .squares import Square, SingularityWitness, complete_to_singular_square
+from .squares import SingularSquare, complete_to_singular_square
 
 if TYPE_CHECKING:
     from .dclass import DClassGrid
@@ -103,7 +103,7 @@ def build_presentation(
     grid: "DClassGrid",
     sys: "SchreierSystem",
     anchors_map: dict[int, int],
-    singulars: tuple[tuple[Square, SingularityWitness], ...],
+    singulars: tuple[SingularSquare, ...],
 ) -> GroupPresentation:
     """Type 1, 2 and 3 relators, reduced and pairwise distinct as built.
 
@@ -132,9 +132,7 @@ def build_presentation(
                 rels.append((letter[(i, lam)], letter[(i, mu)] ^ 1))
                 tags.append(TYPE2)
 
-    for sq, _ in singulars:
-        i, j = sq.rows
-        lam, mu = sq.cols
+    for (i, j), (lam, mu), _, _ in singulars:
         rels.append((letter[(i, lam)] ^ 1, letter[(i, mu)], letter[(j, mu)] ^ 1, letter[(j, lam)]))
     tags += [TYPE3] * len(singulars)
 
@@ -374,7 +372,7 @@ def _rebuild(
 def eliminate_partial_rows(
     p: GroupPresentation,
     grid: "DClassGrid",
-    singulars: tuple[tuple[Square, SingularityWitness], ...],
+    singulars: tuple[SingularSquare, ...],
 ) -> GroupPresentation:
     """Rewrite every generator in a partial-domain row through a total row.
 
@@ -400,7 +398,7 @@ def eliminate_partial_rows(
         if i not in anchors_map:
             raise ValueError(f"presentation has no type-1 anchor relator for row {i}")
 
-    seen_squares = {(frozenset(sq.rows), frozenset(sq.cols)) for sq, _ in singulars}
+    seen_squares = {(frozenset(sq.rows), frozenset(sq.cols)) for sq in singulars}
 
     sub: dict[int, Relator] = {}
     for g, (i, lam) in enumerate(p.cells):

@@ -8,6 +8,12 @@ singularizes it when either
 
 Case (a) further forces eps*f = f, eps*h = h, e*eps = e and g*eps = h*eps = g;
 those consequences are asserted whenever (a) fires.
+
+`enumerate_singular_squares` returns one `SingularSquare(rows, cols, witness,
+case)` per singular square: rows (i, j) and cols (lam, mu) oriented so that
+the cells e = (i, lam), f = (i, mu), g = (j, lam), h = (j, mu) satisfy `case`
+under the witness.  That quadruple is all the presentation needs: one type-3
+relator per record.
 """
 
 from __future__ import annotations
@@ -15,8 +21,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing as mp
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import StructuralError
 from .ptrans import (
@@ -37,39 +42,22 @@ CASE_B = "up_down_b"
 Entries = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Square:
-    rows: tuple[int, int]
-    cols: tuple[int, int]
-    cells: tuple[PartialMap, PartialMap, PartialMap, PartialMap]  # e, f, g, h
+class SingularSquare(NamedTuple):
+    """A singular square, oriented so that `witness` satisfies `case`."""
 
-    def __post_init__(self) -> None:
-        if self.rows[0] == self.rows[1] or self.cols[0] == self.cols[1]:
-            raise ValueError("degenerate square (repeated row or column)")
-
-    @classmethod
-    def from_grid(cls, grid: "DClassGrid", i: int, j: int, lam: int, mu: int) -> Square:
-        c = grid.group_cells
-        return cls((i, j), (lam, mu), (c[(i, lam)], c[(i, mu)], c[(j, lam)], c[(j, mu)]))
-
-
-@dataclass(frozen=True)
-class SingularityWitness:
-    epsilon: PartialMap
+    rows: tuple[int, int]  # (i, j)
+    cols: tuple[int, int]  # (lam, mu)
+    witness: PartialMap  # the witness pool's own idempotent, shared across squares
     case: str
 
-    def __post_init__(self) -> None:
-        if self.case not in (CASE_A, CASE_B):
-            raise ValueError(f"unknown singularity case {self.case!r}")
-        if not self.epsilon.is_idempotent():
-            raise ValueError("witness must be idempotent")
 
-
-def singularizes(eps: PartialMap, sq: Square) -> str | None:
-    """CASE_A / CASE_B if eps singularizes the square as oriented, else None."""
+def singularizes(
+    eps: PartialMap, cells: tuple[PartialMap, PartialMap, PartialMap, PartialMap]
+) -> str | None:
+    """CASE_A / CASE_B if eps singularizes the cells (e, f, g, h) as oriented, else None."""
     if not eps.is_idempotent():
         raise ValueError("candidate witness must be idempotent")
-    return _singular_case(eps.entries, tuple(c.entries for c in sq.cells))
+    return _singular_case(eps.entries, tuple(c.entries for c in cells))
 
 
 def _singular_case(eps: Entries, cells: tuple[Entries, Entries, Entries, Entries]) -> str | None:
@@ -270,32 +258,24 @@ def _scan_all(scan: _SquareScan, cands, workers: int):
         _SCAN = None
 
 
-def enumerate_singular_squares(
-    grid: "DClassGrid", workers: int = 1
-) -> tuple[tuple[Square, SingularityWitness], ...]:
+def enumerate_singular_squares(grid: "DClassGrid", workers: int = 1) -> tuple[SingularSquare, ...]:
     """Every singular nondegenerate all-group square, once, with its first witness.
 
     Output order follows the canonical (i, j, lam, mu) order of the underlying
-    unordered squares; the emitted Square carries the orientation under which
-    the witness satisfies the singularity conditions.
+    unordered squares; each record carries the orientation under which its
+    witness satisfies the singularity conditions.
     """
     cands = group_square_candidates(grid)
     scan = _SquareScan(grid)
-    hits = _scan_all(scan, cands, workers)
+    hits = [hit for hit in _scan_all(scan, cands, workers) if hit is not None]
     # a few hundred distinct witnesses serve thousands of squares; each is
-    # validated once, on the pool's own PartialMap
-    witnesses: dict[tuple[int, str], SingularityWitness] = {}
-    out = []
-    for hit in hits:
-        if hit is None:
-            continue
-        rows, cols, pidx, case = hit
-        w = witnesses.get((pidx, case))
-        if w is None:
-            w = witnesses[(pidx, case)] = SingularityWitness(scan.maps[pidx], case)
-        sq = Square.from_grid(grid, rows[0], rows[1], cols[0], cols[1])
-        out.append((sq, w))
-    return tuple(out)
+    # checked once, and a pool map that is not idempotent is a bug
+    for pidx in sorted({hit[2] for hit in hits}):
+        if not scan.maps[pidx].is_idempotent():
+            raise StructuralError(f"witness {pidx} of the pool is not idempotent")
+    return tuple(
+        SingularSquare(rows, cols, scan.maps[pidx], case) for rows, cols, pidx, case in hits
+    )
 
 
 def complete_to_singular_square(

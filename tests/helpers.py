@@ -136,6 +136,12 @@ def pipeline(monoid_key: str, n: int, k: int, anchor_rule: str = "lex", tie_brea
     return build_stages(n, k, MONOIDS[monoid_key], anchor_rule=anchor_rule, tie_break=tie_break)
 
 
+def square_cells(grid: DClassGrid, rows: tuple[int, int], cols: tuple[int, int]):
+    """The cells (e, f, g, h) of the square on rows (i, j) and cols (lam, mu), as oriented."""
+    (i, j), (lam, mu) = rows, cols
+    return grid.cell(i, lam), grid.cell(i, mu), grid.cell(j, lam), grid.cell(j, mu)
+
+
 @lru_cache(maxsize=None)
 def cached_identify(monoid_key: str, n: int, k: int, anchor_rule: str = "lex",
                     tie_break: str = "least"):

@@ -29,7 +29,6 @@ from igmax.presentation import TYPE3, free_rank, gh_graph
 from igmax.ptrans import Monoid, PartialMap, compose, enumerate_idempotents
 from igmax.schreier import lift_total_schreier, verify_schreier
 from igmax.squares import (
-    Square,
     enumerate_singular_squares,
     group_square_candidates,
     complete_to_singular_square,
@@ -42,6 +41,7 @@ from helpers import (
     minor_gcd_invariants,
     oracle_presentations,
     pipeline,
+    square_cells,
 )
 
 PT = Monoid.PARTIAL
@@ -146,11 +146,9 @@ def test_criterion_06_total_squares_stay_singular():
             grid_t = build_grid(n, k, T)
             grid_pt = build_grid(n, k, PT)
             row_map = {i: grid_pt.row_of[kp] for i, kp in enumerate(grid_t.rows)}
-            for sq, wit in enumerate_singular_squares(grid_t):
-                mapped = Square.from_grid(
-                    grid_pt, row_map[sq.rows[0]], row_map[sq.rows[1]], sq.cols[0], sq.cols[1]
-                )
-                assert singularizes(wit.epsilon, mapped) == wit.case
+            for sq in enumerate_singular_squares(grid_t):
+                mapped = square_cells(grid_pt, tuple(row_map[r] for r in sq.rows), sq.cols)
+                assert singularizes(sq.witness, mapped) == sq.case
                 revalidated += 1
     assert revalidated > 0
     report_line(6, f"{revalidated} total-grid singular squares revalidate in the "

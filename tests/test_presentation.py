@@ -83,14 +83,6 @@ class TestBuildPresentation:
         _, _, _, _, pres = pipeline("pt", 3, 2)
         assert pres.counts_by_type()[TYPE3] == 0
 
-    def test_type3_squares_revalidate(self):
-        from igmax.squares import singularizes
-
-        grid, _, _, singulars, pres = pipeline("pt", 4, 2)
-        assert pres.counts_by_type()[TYPE3] == len(singulars)
-        for sq, wit in singulars:
-            assert singularizes(wit.epsilon, sq) == wit.case
-
     @pytest.mark.parametrize("tie_break", TIE_BREAKS)
     @pytest.mark.parametrize("anchor_rule", ANCHOR_RULES)
     @pytest.mark.parametrize("key,n,k", CORPUS_CLASSES)

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
+from igmax.cli import CORPUS_RUNS
 from igmax.dclass import build_grid
+from igmax.errors import StructuralError
 from igmax.ptrans import Monoid, PartialMap, compose, enumerate_idempotents
 from igmax.squares import (
     CASE_A,
     CASE_B,
-    Square,
-    SingularityWitness,
     enumerate_singular_squares,
     group_square_candidates,
     complete_to_singular_square,
@@ -17,7 +17,7 @@ from igmax.squares import (
     witness_pool,
 )
 
-from helpers import pipeline
+from helpers import pipeline, square_cells
 
 PT = Monoid.PARTIAL
 T = Monoid.TOTAL
@@ -36,19 +36,8 @@ def raw_case(eps, e, f, g, h):
     return None
 
 
-class TestSquareType:
-    def test_degenerate_rejected(self):
-        e = pm("[1,1,3]")
-        with pytest.raises(ValueError):
-            Square((0, 0), (0, 1), (e, e, e, e))
-        with pytest.raises(ValueError):
-            Square((0, 1), (2, 2), (e, e, e, e))
-
-    def test_witness_must_be_idempotent(self):
-        with pytest.raises(ValueError):
-            SingularityWitness(pm("[2,1]"), CASE_A)
-        with pytest.raises(ValueError):
-            SingularityWitness(pm("[1,2]"), "sideways")
+# every class of the corpus with n <= 5 that has singular squares
+SQUARE_CLASSES = [(mon, n, k) for mon, n, k, _ in CORPUS_RUNS if n <= 5 and 1 <= k <= n - 2]
 
 
 class TestCompleteToSingularSquare:
@@ -59,8 +48,7 @@ class TestCompleteToSingularSquare:
         assert alpha_t == pm("[1,1,1]")
         assert beta_t == pm("[2,2,2]")
         assert eps == pm("[1,1,3]")
-        sq = Square((0, 1), (0, 1), (alpha, beta, alpha_t, beta_t))
-        assert singularizes(eps, sq) == CASE_A
+        assert singularizes(eps, (alpha, beta, alpha_t, beta_t)) == CASE_A
 
     def test_equal_inputs_degenerate_gracefully(self):
         alpha = pm("[1,1,-]")
@@ -120,8 +108,7 @@ class TestSingularizes:
         lam, mu = grid.cells_in_row[i][:2]
         alpha, beta = grid.cell(i, lam), grid.cell(i, mu)
         alpha_t, beta_t, eps = complete_to_singular_square(alpha, beta)
-        sq = Square((0, 1), (0, 1), (alpha, beta, alpha_t, beta_t))
-        assert singularizes(eps, sq) == CASE_A
+        assert singularizes(eps, (alpha, beta, alpha_t, beta_t)) == CASE_A
 
     def test_random_candidates_agree_with_direct_evaluation(self):
         rng = random.Random(77)
@@ -132,9 +119,9 @@ class TestSingularizes:
         for _ in range(400):
             i, j, lam, mu = cands[rng.randrange(len(cands))]
             eps = pool[rng.randrange(len(pool))]
-            sq = Square.from_grid(grid, i, j, lam, mu)
-            got = singularizes(eps, sq)
-            assert got == raw_case(eps, *sq.cells)
+            cells = square_cells(grid, (i, j), (lam, mu))
+            got = singularizes(eps, cells)
+            assert got == raw_case(eps, *cells)
             nones += got is None
         assert nones > 200  # misses dominate for random picks
 
@@ -142,7 +129,7 @@ class TestSingularizes:
         grid = build_grid(4, 2, PT)
         i, j, lam, mu = group_square_candidates(grid)[0]
         with pytest.raises(ValueError):
-            singularizes(pm("[2,1,3,4]"), Square.from_grid(grid, i, j, lam, mu))
+            singularizes(pm("[2,1,3,4]"), square_cells(grid, (i, j), (lam, mu)))
 
 
 class TestEnumerate:
@@ -151,17 +138,44 @@ class TestEnumerate:
         assert group_square_candidates(grid) == []
         assert enumerate_singular_squares(grid) == ()
 
-    def test_pt4_k2_nonempty_and_sound(self):
-        _, _, _, singulars, _ = pipeline("pt", 4, 2)
+    @pytest.mark.parametrize("key,n,k", SQUARE_CLASSES)
+    def test_records_revalidate(self, key, n, k):
+        grid, _, _, singulars, _ = pipeline(key, n, k)
         assert singulars
-        for sq, wit in singulars:
-            assert singularizes(wit.epsilon, sq) == wit.case
-            assert wit.epsilon.rank() >= 4 - 2
+        keys = set()
+        for rows, cols, witness, case in singulars:
+            assert rows[0] != rows[1] and cols[0] != cols[1]
+            keys.add((frozenset(rows), frozenset(cols)))
+            cells = square_cells(grid, rows, cols)
+            assert singularizes(witness, cells) == case
+            assert raw_case(witness, *cells) == case
+            assert witness.rank() >= k
+        assert len(keys) == len(singulars)  # once per unordered square
 
     def test_emitted_once_per_unordered_square(self):
         _, _, _, singulars, _ = pipeline("pt", 4, 2)
-        keys = [(frozenset(sq.rows), frozenset(sq.cols)) for sq, _ in singulars]
+        keys = [(frozenset(sq.rows), frozenset(sq.cols)) for sq in singulars]
         assert len(keys) == len(set(keys))
+
+    def test_non_idempotent_witness_is_a_structural_error(self, monkeypatch, capsys):
+        from igmax import squares
+        from igmax.cli import main
+
+        class BrokenScan(squares._SquareScan):
+            # the scan still searches the true pool, but reports every hit
+            # with a map that is not idempotent
+            def __init__(self, grid):
+                super().__init__(grid)
+                shift = PartialMap(tuple((x + 1) % grid.n for x in range(grid.n)))
+                self.maps = [shift] * len(self.maps)
+
+        monkeypatch.setattr(squares, "_SquareScan", BrokenScan)
+        with pytest.raises(StructuralError, match="not idempotent"):
+            enumerate_singular_squares(build_grid(4, 2, PT))
+        assert main(["squares", "--monoid", "pt", "--n", "4", "--k", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not idempotent" in captured.err
 
     def test_total_singulars_also_singular_in_partial(self):
         # same witness revalidates after reindexing the rows into the larger grid
@@ -170,18 +184,10 @@ class TestEnumerate:
                 grid_t = build_grid(n, k, T)
                 grid_pt = build_grid(n, k, PT)
                 row_map = {i: grid_pt.row_of[kp] for i, kp in enumerate(grid_t.rows)}
-                for sq, wit in enumerate_singular_squares(grid_t):
-                    i, j = (row_map[r] for r in sq.rows)
-                    mapped = Square.from_grid(grid_pt, i, j, sq.cols[0], sq.cols[1])
-                    assert mapped.cells == sq.cells
-                    assert singularizes(wit.epsilon, mapped) == wit.case
-
-    def test_workers_do_not_change_results(self):
-        # 1305 candidate squares, enough to cross the parallel threshold
-        grid = build_grid(5, 2, PT)
-        serial = enumerate_singular_squares(grid, workers=1)
-        parallel = enumerate_singular_squares(grid, workers=2)
-        assert serial == parallel
+                for sq in enumerate_singular_squares(grid_t):
+                    cells = square_cells(grid_pt, tuple(row_map[r] for r in sq.rows), sq.cols)
+                    assert cells == square_cells(grid_t, sq.rows, sq.cols)
+                    assert singularizes(sq.witness, cells) == sq.case
 
     def test_pool_matches_serial_below_the_threshold(self, monkeypatch, capsys):
         from igmax import squares
