@@ -36,6 +36,7 @@ from helpers import (
     letters,
     pipeline,
     reference_tietze_simplify,
+    square_cells,
 )
 
 PT = Monoid.PARTIAL
@@ -82,6 +83,15 @@ class TestBuildPresentation:
     def test_boundary_class_has_no_type3(self):
         _, _, _, _, pres = pipeline("pt", 3, 2)
         assert pres.counts_by_type()[TYPE3] == 0
+
+    def test_type3_squares_revalidate(self):
+        from igmax.squares import singularizes
+
+        grid, _, _, singulars, pres = pipeline("pt", 4, 2)
+        assert pres.counts_by_type()[TYPE3] == len(singulars)
+        for sq in singulars:
+            cells = square_cells(grid, sq.rows, sq.cols)
+            assert singularizes(sq.witness, cells) == sq.case
 
     @pytest.mark.parametrize("tie_break", TIE_BREAKS)
     @pytest.mark.parametrize("anchor_rule", ANCHOR_RULES)

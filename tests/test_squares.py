@@ -152,6 +152,13 @@ class TestEnumerate:
             assert witness.rank() >= k
         assert len(keys) == len(singulars)  # once per unordered square
 
+    def test_pt4_k2_nonempty_and_sound(self):
+        grid, _, _, singulars, _ = pipeline("pt", 4, 2)
+        assert singulars
+        for sq in singulars:
+            assert singularizes(sq.witness, square_cells(grid, sq.rows, sq.cols)) == sq.case
+            assert sq.witness.rank() >= 4 - 2
+
     def test_emitted_once_per_unordered_square(self):
         _, _, _, singulars, _ = pipeline("pt", 4, 2)
         keys = [(frozenset(sq.rows), frozenset(sq.cols)) for sq in singulars]
