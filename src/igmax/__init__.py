@@ -7,7 +7,7 @@ coset enumeration, abelianization, and an explicit homomorphism onto the
 symmetric group of the base image.
 """
 
-from .dclass import DClassGrid, anchors, build_grid, sandwich, sandwich_matrix
+from .dclass import DClassGrid, anchors, build_grid, sandwich_matrix
 from .errors import StructuralError
 from .groupid import (
     AbelianInvariants,

@@ -115,24 +115,19 @@ def build_grid(n: int, k: int, monoid: Monoid, base: PartialMap | None = None) -
 
 
 def anchors(grid: DClassGrid, rule: str = "lex") -> dict[int, int]:
-    """Pick one group column per row; the base row is pinned to the base column."""
+    """Pick one group column per row; the base row is pinned to the base column.
+
+    "lex" takes each row's least group column and "lexmax" its greatest;
+    "two-step" is accepted as a name for "lex".
+    """
     if rule not in ANCHOR_RULES:
         raise ValueError(f"anchor rule must be one of {ANCHOR_RULES}")
-    for i in range(len(grid.rows)):
-        if not grid.cells_in_row[i]:
-            raise StructuralError(f"row {i} has no group cell")
+    pick = -1 if rule == "lexmax" else 0
     out: dict[int, int] = {}
-    if rule == "two-step":
-        # total rows first (their choice matches the total grid), then the rest
-        for i in grid.total_rows():
-            out[i] = grid.cells_in_row[i][0]
-        for i in range(len(grid.rows)):
-            if i not in out:
-                out[i] = grid.cells_in_row[i][0]
-    else:
-        pick = 0 if rule == "lex" else -1
-        for i in range(len(grid.rows)):
-            out[i] = grid.cells_in_row[i][pick]
+    for i, cells in enumerate(grid.cells_in_row):
+        if not cells:
+            raise StructuralError(f"row {i} has no group cell")
+        out[i] = cells[pick]
     out[grid.base[0]] = grid.base[1]
     return out
 
@@ -151,59 +146,36 @@ def _restrict_to_base(grid: DClassGrid, m: PartialMap) -> Permutation:
     return perm
 
 
-def _q_element(grid: DClassGrid, sys: "_schreier.SchreierSystem", col: int) -> PartialMap:
-    q = compose(grid.base_idempotent, _schreier.word_value(grid, sys.r[col]))
-    _member_of_cell(grid, q, grid.base[0], col, f"column representative q[{col}]")
-    return q
-
-
-def _t_element(
-    grid: DClassGrid, sys: "_schreier.SchreierSystem", anchors_map: dict[int, int], row: int
-) -> PartialMap:
-    a = anchors_map[row]
-    t = compose(grid.cell(row, a), _schreier.word_value(grid, sys.r_inv[a]))
-    _member_of_cell(grid, t, row, grid.base[1], f"row representative t[{row}]")
-    return t
-
-
-def _entry(grid: DClassGrid, q: PartialMap, t: PartialMap, col: int, row: int) -> Permutation | None:
-    prod = compose(q, t)
-    if prod.rank() == grid.k:
-        if (row, col) not in grid.group_cells:
-            raise StructuralError(f"nonzero sandwich entry at non-group cell ({row},{col})")
-        _member_of_cell(grid, prod, grid.base[0], grid.base[1], "sandwich product")
-        return _restrict_to_base(grid, prod)
-    if (row, col) in grid.group_cells:
-        raise StructuralError(f"zero sandwich entry at group cell ({row},{col})")
-    return None
-
-
-def sandwich(
-    grid: DClassGrid,
-    sys: "_schreier.SchreierSystem",
-    anchors_map: dict[int, int],
-    col: int,
-    row: int,
-) -> Permutation | None:
-    """Rees sandwich entry p_{col,row}: a permutation of the base image, or None (zero).
-
-    The entry is the product of the column representative (base idempotent
-    pushed along r[col]) with the row representative (anchor cell pulled back
-    along r_inv of the anchor column).  It is nonzero exactly on group cells.
-    """
-    q = _q_element(grid, sys, col)
-    t = _t_element(grid, sys, anchors_map, row)
-    return _entry(grid, q, t, col, row)
-
-
 def sandwich_matrix(
     grid: DClassGrid, sys: "_schreier.SchreierSystem", anchors_map: dict[int, int]
-) -> dict[tuple[int, int], Permutation | None]:
-    """All sandwich entries keyed by (col, row), zero pattern checked."""
-    qs = [_q_element(grid, sys, c) for c in range(len(grid.cols))]
-    ts = [_t_element(grid, sys, anchors_map, i) for i in range(len(grid.rows))]
-    out: dict[tuple[int, int], Permutation | None] = {}
-    for c, q in enumerate(qs):
-        for i, t in enumerate(ts):
-            out[(c, i)] = _entry(grid, q, t, c, i)
+) -> dict[tuple[int, int], Permutation]:
+    """Rees sandwich entries p_{col,row} at the group cells, keyed by (col, row).
+
+    q[col] is the base idempotent pushed along r[col], in L_col of the base
+    row; t[row] is the anchor cell pulled back along r_inv of the anchor
+    column, in R_row of the base column.  Every other entry is zero: q*t has
+    rank k exactly when the image of col is a transversal of the kernel of
+    row (the rank of q*t counts the kernel blocks that im q meets), and that
+    is the test build_grid picked the group cells by (Clifford-Miller; Howie
+    1995, Prop. 2.3.7).  So only group cells are composed.
+    """
+    qs = []
+    for c in range(len(grid.cols)):
+        q = compose(grid.base_idempotent, _schreier.word_value(grid, sys.r[c]))
+        _member_of_cell(grid, q, grid.base[0], c, f"column representative q[{c}]")
+        qs.append(q)
+    back: dict[int, PartialMap] = {}  # r_inv of each anchor column, evaluated once
+    ts = []
+    for i in range(len(grid.rows)):
+        a = anchors_map[i]
+        if a not in back:
+            back[a] = _schreier.word_value(grid, sys.r_inv[a])
+        t = compose(grid.cell(i, a), back[a])
+        _member_of_cell(grid, t, i, grid.base[1], f"row representative t[{i}]")
+        ts.append(t)
+    out: dict[tuple[int, int], Permutation] = {}
+    for i, c in grid.group_cells:
+        prod = compose(qs[c], ts[i])
+        _member_of_cell(grid, prod, grid.base[0], grid.base[1], "sandwich product")
+        out[(c, i)] = _restrict_to_base(grid, prod)
     return out

@@ -407,14 +407,10 @@ def rees_hom(
     Anchors therefore map to the identity permutation by construction.
     """
     matrix = sandwich_matrix(grid, sys, anchors_map)
-    out: dict[tuple[int, int], Permutation] = {}
-    for i, lam in sorted(grid.group_cells):
-        p_anchor = matrix[(anchors_map[i], i)]
-        p_cell = matrix[(lam, i)]
-        if p_anchor is None or p_cell is None:
-            raise StructuralError(f"zero sandwich entry on generator cell ({i},{lam})")
-        out[(i, lam)] = perm_compose(p_anchor, perm_inverse(p_cell))
-    return out
+    return {
+        (i, lam): perm_compose(matrix[(anchors_map[i], i)], perm_inverse(matrix[(lam, i)]))
+        for i, lam in sorted(grid.group_cells)
+    }
 
 
 def verify_hom(p: GroupPresentation, hom: dict[tuple[int, int], Permutation]) -> bool:
@@ -471,10 +467,7 @@ def _timed(timings: dict[str, float], stage: str):
 
 def verified_schreier(grid: DClassGrid, tie_break: str = "least") -> SchreierSystem:
     """Build and verify; a degenerate grid's one column has empty words."""
-    if grid.degenerate:
-        sys = SchreierSystem(grid.base[1], {grid.base[1]: ()}, {grid.base[1]: ()}, {})
-    else:
-        sys = build_schreier(grid, tie_break)
+    sys = build_schreier(grid, tie_break)
     violations = verify_schreier(grid, sys)
     if violations:
         raise verification_failed(violations)

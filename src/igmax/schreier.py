@@ -30,8 +30,6 @@ class SchreierSystem:
     base_col: int
     r: dict[int, EWord]
     r_inv: dict[int, EWord]
-    # col -> (parent col, appended letter); absent for the base column
-    parent: dict[int, tuple[int, Cell]]
 
 
 def word_value(grid: "DClassGrid", word: EWord) -> PartialMap:
@@ -48,17 +46,15 @@ def build_schreier(grid: "DClassGrid", tie_break: str = "least") -> SchreierSyst
     Columns lam, mu are adjacent when some row has group cells at both; the
     words r[mu] = r[lam] + e_{i,mu} and r_inv[mu] = e_{i,lam} + r_inv[lam] are
     mutually inverse because e_{i,mu} and e_{i,lam} are R-related idempotents.
+    A degenerate grid (k in {0, n}) has one column, whose words are empty.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    if grid.degenerate:
-        raise ValueError("degenerate grid (k in {0, n}) has no Schreier system to build")
     reverse = tie_break == "greatest"
     ncols = len(grid.cols)
     base = grid.base[1]
     r: dict[int, EWord] = {base: ()}
     r_inv: dict[int, EWord] = {base: ()}
-    parent: dict[int, tuple[int, Cell]] = {}
     queue = deque([base])
     col_order = range(ncols - 1, -1, -1) if reverse else range(ncols)
     while queue:
@@ -73,12 +69,11 @@ def build_schreier(grid: "DClassGrid", tie_break: str = "least") -> SchreierSyst
             i = max(shared) if reverse else min(shared)
             r[mu] = r[lam] + ((i, mu),)
             r_inv[mu] = ((i, lam),) + r_inv[lam]
-            parent[mu] = (lam, (i, mu))
             queue.append(mu)
     if len(r) != ncols:
         missing = sorted(set(range(ncols)) - set(r))
         raise StructuralError(f"column graph disconnected; unreachable columns {missing}")
-    return SchreierSystem(base, r, r_inv, parent)
+    return SchreierSystem(base, r, r_inv)
 
 
 def l_class_elements(grid: "DClassGrid", col: int) -> list[PartialMap]:
@@ -163,7 +158,6 @@ def lift_total_schreier(grid_t: "DClassGrid", grid_pt: "DClassGrid") -> Schreier
         base_col=sys_t.base_col,
         r={c: conv(w) for c, w in sys_t.r.items()},
         r_inv={c: conv(w) for c, w in sys_t.r_inv.items()},
-        parent={c: (p, (row_map[cell[0]], cell[1])) for c, (p, cell) in sys_t.parent.items()},
     )
     violations = verify_schreier(grid_pt, lifted)
     if violations:

@@ -334,6 +334,42 @@ class ReferenceSquareScan:
 
 
 # ---------------------------------------------------------------------------
+# Sandwich oracle: the full row x column matrix the group-cell-only one
+# replaced.  It composes every column representative with every row
+# representative and reads the zero pattern off the rank of the product.
+
+
+def reference_sandwich_matrix(
+    grid: DClassGrid, sys: SchreierSystem, anchors_map: dict[int, int]
+) -> dict[tuple[int, int], tuple[int, ...] | None]:
+    """Every sandwich entry keyed by (col, row): a permutation of the base image, or None (zero)."""
+    base_row, base_col = grid.base
+    base_im = grid.cols[base_col]
+    pos = {x: idx for idx, x in enumerate(base_im)}
+    qs = []
+    for c in range(len(grid.cols)):
+        q = compose(grid.base_idempotent, word_value(grid, sys.r[c]))
+        assert (q.kernel(), q.image()) == (grid.rows[base_row], grid.cols[c]), c
+        qs.append(q)
+    ts = []
+    for i in range(len(grid.rows)):
+        a = anchors_map[i]
+        t = compose(grid.cell(i, a), word_value(grid, sys.r_inv[a]))
+        assert (t.kernel(), t.image()) == (grid.rows[i], base_im), i
+        ts.append(t)
+    out: dict[tuple[int, int], tuple[int, ...] | None] = {}
+    for c, q in enumerate(qs):
+        for i, t in enumerate(ts):
+            prod = compose(q, t)
+            if prod.rank() == grid.k:
+                assert (prod.kernel(), prod.image()) == (grid.rows[base_row], base_im)
+                out[(c, i)] = tuple(pos[prod.entries[x]] for x in base_im)
+            else:
+                out[(c, i)] = None
+    return out
+
+
+# ---------------------------------------------------------------------------
 # coset enumeration oracle: the dense-row HLT enumeration the sparse one
 # replaced.  Every row is a list of 2 * ngens entries, and a dead coset's row
 # is walked over every column.

@@ -97,7 +97,7 @@ class TestSchreierFailure:
         a, b = [c for c in sorted(sys_.r) if c != sys_.base_col][:2]
         r, r_inv = dict(sys_.r), dict(sys_.r_inv)
         r[a], r[b], r_inv[a], r_inv[b] = r[b], r[a], r_inv[b], r_inv[a]
-        return SchreierSystem(sys_.base_col, r, r_inv, sys_.parent)
+        return SchreierSystem(sys_.base_col, r, r_inv)
 
     @pytest.fixture
     def swapped(self, monkeypatch):

@@ -1,9 +1,13 @@
 import pytest
 
-from igmax.dclass import anchors, build_grid, default_base, sandwich, sandwich_matrix
-from igmax.groupid import perm_identity
+from igmax import dclass
+from igmax.cli import CORPUS_RUNS
+from igmax.dclass import ANCHOR_RULES, anchors, build_grid, default_base, sandwich_matrix
+from igmax.errors import StructuralError
+from igmax.groupid import perm_identity, verified_schreier
 from igmax.ptrans import Monoid, PartialMap, compose
-from helpers import all_maps, brute_idempotents, pipeline
+from igmax.schreier import TIE_BREAKS, SchreierSystem
+from helpers import MONOIDS, all_maps, brute_idempotents, pipeline, reference_sandwich_matrix
 
 PT = Monoid.PARTIAL
 T = Monoid.TOTAL
@@ -126,6 +130,13 @@ class TestAnchors:
         for rule in ("lex", "lexmax", "two-step"):
             assert anchors(grid, rule)[grid.base[0]] == grid.base[1]
 
+    def test_two_step_picks_what_lex_picks(self):
+        for n in range(1, 6):
+            for monoid in (T, PT):
+                for k in range(1 if monoid is T else 0, n + 1):
+                    grid = build_grid(n, k, monoid)
+                    assert anchors(grid, "two-step") == anchors(grid, "lex"), (monoid, n, k)
+
     def test_unknown_rule_rejected(self):
         grid = build_grid(3, 2, PT)
         with pytest.raises(ValueError):
@@ -136,19 +147,19 @@ class TestSandwich:
     def test_zero_pattern_matches_group_cells(self):
         grid, am, sys_, _, _ = pipeline("pt", 3, 2)
         mat = sandwich_matrix(grid, sys_, am)
-        for c in range(len(grid.cols)):
-            for i in range(len(grid.rows)):
-                assert (mat[(c, i)] is not None) == ((i, c) in grid.group_cells)
+        assert set(mat) == {(c, i) for i, c in grid.group_cells}
 
     def test_anchor_entries_never_zero(self):
         grid, am, sys_, _, _ = pipeline("pt", 4, 2)
+        mat = sandwich_matrix(grid, sys_, am)
         for i in range(len(grid.rows)):
-            assert sandwich(grid, sys_, am, am[i], i) is not None
+            assert mat[(am[i], i)] is not None
 
     def test_base_entry_is_identity(self):
         for key, n, k in [("pt", 3, 2), ("pt", 4, 2), ("t", 4, 2)]:
             grid, am, sys_, _, _ = pipeline(key, n, k)
-            assert sandwich(grid, sys_, am, grid.base[1], grid.base[0]) == perm_identity(k)
+            mat = sandwich_matrix(grid, sys_, am)
+            assert mat[(grid.base[1], grid.base[0])] == perm_identity(k)
 
     def test_matches_longhand_products(self):
         # recompute every entry by plain composition of the chosen representatives
@@ -156,6 +167,7 @@ class TestSandwich:
         base_im = grid.cols[grid.base[1]]
         pos = {x: idx for idx, x in enumerate(base_im)}
         e = grid.base_idempotent
+        mat = sandwich_matrix(grid, sys_, am)
         for c in range(len(grid.cols)):
             q = e
             for cell in sys_.r[c]:
@@ -165,8 +177,53 @@ class TestSandwich:
                 for cell in sys_.r_inv[am[i]]:
                     t = compose(t, grid.group_cells[cell])
                 prod = compose(q, t)
-                entry = sandwich(grid, sys_, am, c, i)
                 if prod.rank() == grid.k:
-                    assert entry == tuple(pos[prod.entries[x]] for x in base_im)
+                    assert mat[(c, i)] == tuple(pos[prod.entries[x]] for x in base_im)
                 else:
-                    assert entry is None
+                    assert (c, i) not in mat
+
+    def test_composes_only_group_cells(self, monkeypatch):
+        # one product per column, per row and per group cell; none off the cells
+        grid, am, sys_, _, _ = pipeline("pt", 4, 2)
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return compose(a, b)
+
+        monkeypatch.setattr(dclass, "compose", counted)
+        sandwich_matrix(grid, sys_, am)
+        assert len(calls) == len(grid.cols) + len(grid.rows) + len(grid.group_cells)
+
+    @pytest.mark.parametrize("key,n,k", [("pt", 4, 2), ("t", 4, 2), ("t", 5, 3)])
+    def test_misplaced_representatives_raise(self, key, n, k):
+        grid, am, sys_, _, _ = pipeline(key, n, k)
+        a, b = [c for c in sorted(sys_.r) if c != sys_.base_col][:2]
+        swapped = SchreierSystem(sys_.base_col, {**sys_.r, a: sys_.r[b], b: sys_.r[a]}, sys_.r_inv)
+        with pytest.raises(StructuralError, match="column representative"):
+            sandwich_matrix(grid, swapped, am)
+        lam = next(c for c in am.values() if c != sys_.base_col)
+        emptied = SchreierSystem(sys_.base_col, sys_.r, {**sys_.r_inv, lam: ()})
+        with pytest.raises(StructuralError, match="row representative"):
+            sandwich_matrix(grid, emptied, am)
+
+
+SANDWICH_CLASSES = [(key, n, k) for key, n, k, _ in CORPUS_RUNS if n <= 5] + [
+    pytest.param(key, 6, 4, marks=pytest.mark.slow) for key in ("t", "pt")
+]
+
+
+class TestSandwichDifferential:
+    """Group-cell entries against the full row x column oracle."""
+
+    @pytest.mark.parametrize("tie", TIE_BREAKS)
+    @pytest.mark.parametrize("rule", ANCHOR_RULES)
+    @pytest.mark.parametrize("key,n,k", SANDWICH_CLASSES)
+    def test_matches_full_matrix(self, key, n, k, rule, tie):
+        grid = build_grid(n, k, MONOIDS[key])
+        am = anchors(grid, rule)
+        sys_ = verified_schreier(grid, tie)
+        full = reference_sandwich_matrix(grid, sys_, am)
+        nonzero = {cell: p for cell, p in full.items() if p is not None}
+        assert sandwich_matrix(grid, sys_, am) == nonzero
+        assert {(i, c) for c, i in nonzero} == set(grid.group_cells)

@@ -1,8 +1,10 @@
 import pytest
 
 from igmax.dclass import build_grid
+from igmax.groupid import verified_schreier
 from igmax.ptrans import Monoid, compose
 from igmax.schreier import (
+    TIE_BREAKS,
     SchreierSystem,
     build_schreier,
     l_class_elements,
@@ -48,11 +50,17 @@ class TestBuild:
         grid = build_grid(4, 2, PT)
         a = build_schreier(grid)
         b = build_schreier(grid)
-        assert a.r == b.r and a.r_inv == b.r_inv and a.parent == b.parent
+        assert a.r == b.r and a.r_inv == b.r_inv
 
-    def test_rejects_degenerate_grid(self):
-        with pytest.raises(ValueError):
-            build_schreier(build_grid(3, 3, PT))
+    @pytest.mark.parametrize("tie", TIE_BREAKS)
+    def test_degenerate_grid_gets_empty_words(self, tie):
+        # k in {0, n}: one column, so the BFS stops at the root
+        for n in range(1, 7):
+            for monoid, k in [(PT, 0), (PT, n), (T, n)]:
+                grid = build_grid(n, k, monoid)
+                base = grid.base[1]
+                want = SchreierSystem(base, {base: ()}, {base: ()})
+                assert build_schreier(grid, tie) == verified_schreier(grid, tie) == want
 
     def test_prefix_closure(self):
         for key, n, k in [("pt", 4, 2), ("t", 5, 3)]:
@@ -81,19 +89,18 @@ class TestVerify:
             base_col=sys_.base_col,
             r=dict(sys_.r),
             r_inv={**sys_.r_inv, a: sys_.r_inv[b], b: sys_.r_inv[a]},
-            parent=dict(sys_.parent),
         )
         assert verify_schreier(grid, broken) != []
 
     def test_empty_word_system_on_degenerate_grid(self):
         grid = build_grid(3, 3, PT)
-        sys_ = SchreierSystem(base_col=0, r={0: ()}, r_inv={0: ()}, parent={})
+        sys_ = SchreierSystem(base_col=0, r={0: ()}, r_inv={0: ()})
         assert verify_schreier(grid, sys_) == []
 
     def test_missing_column_detected(self):
         grid = build_grid(3, 2, PT)
         sys_ = build_schreier(grid)
-        broken = SchreierSystem(sys_.base_col, {0: ()}, {0: ()}, {})
+        broken = SchreierSystem(sys_.base_col, {0: ()}, {0: ()})
         assert verify_schreier(grid, broken) != []
 
     def test_l_class_size(self):

@@ -55,7 +55,6 @@ def corrupt(grid, sys_: SchreierSystem, rng: random.Random) -> SchreierSystem:
         base_col=sys_.base_col,
         r=words if field == "r" else dict(sys_.r),
         r_inv=words if field == "r_inv" else dict(sys_.r_inv),
-        parent=dict(sys_.parent),
     )
 
 
