@@ -14,7 +14,6 @@ from .groupid import (
     CosetTable,
     IdentificationReport,
     abelian_invariants,
-    idempotent_closure,
     identify,
     perm_group_order,
     rees_hom,

@@ -54,7 +54,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", choices=("json", "text"), default="text")
     sub.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                      help="hard size cap; raise explicitly for big runs")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1, help="accepted; no effect")
     sub.add_argument("--anchor-rule", choices=ANCHOR_RULES, default="lex")
     sub.add_argument("--tie-break", choices=TIE_BREAKS, default="least")
 
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus = subs.add_parser("corpus", help="run the regression matrix")
     corpus.add_argument("--output", choices=("json", "text"), default="text")
     corpus.add_argument("--skip-slow", action="store_true", help="drop the n = 6 runs")
-    corpus.add_argument("--workers", type=int, default=1)
+    corpus.add_argument("--workers", type=int, default=1, help="accepted; no effect")
     corpus.add_argument("--max-cosets", type=int, default=10**6)
     return parser
 
@@ -196,7 +196,7 @@ def _cmd_schreier(args, out) -> int:
 def _cmd_squares(args, out) -> int:
     monoid = _validate(args)
     grid = build_grid(args.n, args.k, monoid)
-    found = enumerate_singular_squares(grid, workers=args.workers)
+    found = enumerate_singular_squares(grid)
     payload = {
         "n": args.n,
         "k": args.k,
@@ -221,8 +221,7 @@ def _cmd_squares(args, out) -> int:
 def _cmd_presentation(args, out) -> int:
     monoid = _validate(args)
     grid, _, _, singulars, pres = build_stages(
-        args.n, args.k, monoid, anchor_rule=args.anchor_rule, tie_break=args.tie_break,
-        workers=args.workers,
+        args.n, args.k, monoid, anchor_rule=args.anchor_rule, tie_break=args.tie_break
     )
     if args.eliminate_partial:
         pres = eliminate_partial_rows(pres, grid, singulars)
@@ -255,7 +254,6 @@ def _cmd_identify(args, out) -> int:
         max_cosets=args.max_cosets,
         anchor_rule=args.anchor_rule,
         tie_break=args.tie_break,
-        workers=args.workers,
         simplify=not args.raw_coset_table,
     )
     if args.output == "json":
@@ -313,9 +311,7 @@ def _cmd_corpus(args, out) -> int:
     for mon, n, k, expected in CORPUS_RUNS:
         if args.skip_slow and n >= 6:
             continue
-        report = identify(
-            n, k, MONOIDS[mon], max_cosets=args.max_cosets, workers=args.workers
-        )
+        report = identify(n, k, MONOIDS[mon], max_cosets=args.max_cosets)
         ok = report.verdict == expected
         if expected == VERDICT_SYMMETRIC:
             ok = ok and report.order == math.factorial(k)

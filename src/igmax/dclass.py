@@ -17,6 +17,7 @@ from .ptrans import (
     Monoid,
     PartialMap,
     compose,
+    compose_entries,
     idempotent_from_cell,
     kernels_of_rank,
 )
@@ -140,8 +141,8 @@ def _member_of_cell(grid: DClassGrid, m: PartialMap, row: int, col: int, what: s
 def _restrict_to_base(grid: DClassGrid, m: PartialMap) -> Permutation:
     base_im = grid.cols[grid.base[1]]
     pos = {x: idx for idx, x in enumerate(base_im)}
-    perm = tuple(pos[m.entries[x]] for x in base_im)
-    if len(set(perm)) != len(perm):
+    perm = tuple(pos.get(m.entries[x], -1) for x in base_im)
+    if set(perm) != set(range(len(perm))):
         raise StructuralError("restriction to the base image is not a bijection")
     return perm
 
@@ -158,6 +159,11 @@ def sandwich_matrix(
     row (the rank of q*t counts the kernel blocks that im q meets), and that
     is the test build_grid picked the group cells by (Clifford-Miller; Howie
     1995, Prop. 2.3.7).  So only group cells are composed.
+
+    A product x lies in the base H-class when e*x = x = x*e, for e the base
+    idempotent, and x restricts to a bijection of im e: x*e = x puts im x
+    inside im e, the bijection makes the rank k, and in one D-class e*x = x
+    and x*e = x then force x R e and x L e.
     """
     qs = []
     for c in range(len(grid.cols)):
@@ -173,9 +179,12 @@ def sandwich_matrix(
         t = compose(grid.cell(i, a), back[a])
         _member_of_cell(grid, t, i, grid.base[1], f"row representative t[{i}]")
         ts.append(t)
+    e = grid.base_idempotent.entries
     out: dict[tuple[int, int], Permutation] = {}
     for i, c in grid.group_cells:
         prod = compose(qs[c], ts[i])
-        _member_of_cell(grid, prod, grid.base[0], grid.base[1], "sandwich product")
+        x = prod.entries
+        if compose_entries(e, x) != x or compose_entries(x, e) != x:
+            raise StructuralError("sandwich product fell out of its H-class")
         out[(c, i)] = _restrict_to_base(grid, prod)
     return out

@@ -34,7 +34,7 @@ from .presentation import (
     gh_graph,
     tietze_simplify,
 )
-from .ptrans import Monoid, compose_entries, enumerate_idempotents
+from .ptrans import Monoid
 from .schreier import SchreierSystem, build_schreier, verification_failed, verify_schreier
 from .squares import SingularSquare, enumerate_singular_squares, group_square_candidates
 
@@ -432,28 +432,6 @@ def verify_hom(p: GroupPresentation, hom: dict[tuple[int, int], Permutation]) ->
 
 
 # ---------------------------------------------------------------------------
-# idempotent-generated subsemigroup (generation sanity)
-
-
-def idempotent_closure(n: int, monoid: Monoid) -> frozenset[tuple[int, ...]]:
-    """Closure of all idempotents under composition, as raw entry tuples."""
-    gens = set()
-    lo = 1 if monoid is Monoid.TOTAL else 0
-    for k in range(lo, n + 1):
-        gens.update(m.entries for m in enumerate_idempotents(n, k, monoid))
-    closed = set(gens)
-    queue = deque(closed)
-    while queue:
-        a = queue.popleft()
-        for b in list(closed):
-            for prod in (compose_entries(a, b), compose_entries(b, a)):
-                if prod not in closed:
-                    closed.add(prod)
-                    queue.append(prod)
-    return frozenset(closed)
-
-
-# ---------------------------------------------------------------------------
 # the stages every caller shares: grid, verified Schreier system, singular
 # squares, raw presentation; each is looked up in this module's globals
 
@@ -489,7 +467,6 @@ def build_stages(
     *,
     anchor_rule: str = "lex",
     tie_break: str = "least",
-    workers: int = 1,
     timings: dict[str, float] | None = None,
 ) -> Stages:
     """Run the four shared stages, recording each one's seconds in `timings`."""
@@ -500,7 +477,7 @@ def build_stages(
         anchors_map = anchors(grid, anchor_rule)
         sys = verified_schreier(grid, tie_break)
     with _timed(timings, "squares"):
-        singulars = enumerate_singular_squares(grid, workers=workers)
+        singulars = enumerate_singular_squares(grid)
     with _timed(timings, "presentation"):
         pres = build_presentation(grid, sys, anchors_map, singulars)
     return Stages(grid, anchors_map, sys, singulars, pres)
@@ -554,6 +531,7 @@ def identify(
     Edge ranks k in {0, n} short-circuit to the trivial verdict, k = n-1 is
     certified free of the Graham-Houghton cycle rank, and 1 <= k <= n-2 is
     certified symmetric via order k! plus a verified surjection onto S_k.
+    `workers` is accepted and has no effect.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
@@ -565,8 +543,7 @@ def identify(
         return IdentificationReport(n, k, monoid, timings=timings)
 
     grid, anchors_map, sys, _, raw = build_stages(
-        n, k, monoid, anchor_rule=anchor_rule, tie_break=tie_break, workers=workers,
-        timings=timings,
+        n, k, monoid, anchor_rule=anchor_rule, tie_break=tie_break, timings=timings,
     )
     counts = raw.counts_by_type()
 

@@ -8,13 +8,12 @@ undoing it, both preserving R-classes; by Green's lemma two products check it.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import StructuralError
-from .ptrans import Monoid, PartialMap, UNDEF, compose
+from .ptrans import Monoid, PartialMap, compose
 
 if TYPE_CHECKING:
     from .dclass import DClassGrid
@@ -74,20 +73,6 @@ def build_schreier(grid: "DClassGrid", tie_break: str = "least") -> SchreierSyst
         missing = sorted(set(range(ncols)) - set(r))
         raise StructuralError(f"column graph disconnected; unreachable columns {missing}")
     return SchreierSystem(base, r, r_inv)
-
-
-def l_class_elements(grid: "DClassGrid", col: int) -> list[PartialMap]:
-    """Every element of the L-class of column `col` inside the D-class."""
-    im = grid.cols[col]
-    out = []
-    for kp in grid.rows:
-        for assign in itertools.permutations(im):
-            entries = [UNDEF] * grid.n
-            for bi, b in enumerate(kp.blocks):
-                for x in b:
-                    entries[x] = assign[bi]
-            out.append(PartialMap(tuple(entries)))
-    return out
 
 
 def verify_schreier(grid: "DClassGrid", sys: SchreierSystem) -> list[str]:

@@ -9,18 +9,18 @@ singularizes it when either
 Case (a) further forces eps*f = f, eps*h = h, e*eps = e and g*eps = h*eps = g;
 those consequences are asserted whenever (a) fires.
 
-`enumerate_singular_squares` returns one `SingularSquare(rows, cols, witness,
-case)` per singular square: rows (i, j) and cols (lam, mu) oriented so that
-the cells e = (i, lam), f = (i, mu), g = (j, lam), h = (j, mu) satisfy `case`
-under the witness.  That quadruple is all the presentation needs: one type-3
-relator per record.
+`enumerate_singular_squares` decides each candidate square pointwise: the
+orientation e = (i, lam), f = (i, mu), g = (j, lam), h = (j, mu) is singular
+exactly when x.g = (x.e).g for every x in im f, which is k lookups and needs
+no search over idempotents.  It returns one `SingularSquare(rows, cols,
+witness, case)` per singular square, oriented that way, with the explicit
+witness eps = e on im f, the identity elsewhere, and case (a).  The rows and
+columns are all the presentation needs: one type-3 relator per record.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing as mp
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import StructuralError
@@ -47,7 +47,7 @@ class SingularSquare(NamedTuple):
 
     rows: tuple[int, int]  # (i, j)
     cols: tuple[int, int]  # (lam, mu)
-    witness: PartialMap  # the witness pool's own idempotent, shared across squares
+    witness: PartialMap  # e on im f, the identity elsewhere; equal witnesses share one map
     case: str
 
 
@@ -103,105 +103,49 @@ def group_square_candidates(grid: "DClassGrid") -> list[tuple[int, int, int, int
 
 
 def witness_pool(grid: "DClassGrid") -> list[PartialMap]:
-    """Witness candidates: every idempotent of rank >= k in the ambient monoid."""
+    """Every idempotent of rank >= k in the ambient monoid.
+
+    The search space of a singularizing witness; the test oracles search it,
+    and `enumerate_singular_squares` does not need it.
+    """
     pool: list[PartialMap] = []
     for r in range(grid.k, grid.n + 1):
         pool.extend(enumerate_idempotents(grid.n, r, grid.monoid))
     return pool
 
 
-def _mask(pool: list[Entries], keep) -> int:
-    """Bitmask over pool indices of the witnesses that `keep` accepts."""
-    bits = "".join("1" if keep(eps) else "0" for eps in reversed(pool))
-    return int(bits, 2) if bits else 0
+def _explicit_witness(e: Entries, im_f: tuple[int, ...]) -> Entries:
+    """e on im f, the identity elsewhere: the case-(a) witness of a square
+    whose pointwise test passed (see `enumerate_singular_squares`)."""
+    eps = list(range(len(e)))
+    for x in im_f:
+        eps[x] = e[x]
+    return tuple(eps)
 
 
-class _SquareScan:
-    """Witness search state: the pool plus one left bucket per row and one
-    right bucket per column, each an int bitmask over pool indices.
+def enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]:
+    """Every singular nondegenerate all-group square, once, with an explicit witness.
 
-    Whether eps*e = e depends only on the row (kernel) of e: eps must send each
-    point of dom e into its own kernel block and no other point into dom e.
-    Whether e*eps = e depends only on the column (image) of e: eps must fix
-    every image point.  So each bucket is computed once, against the first
-    group cell of its row or column.
+    Output order follows the canonical (i, j, lam, mu) order of the underlying
+    unordered squares.  Each is oriented by the first of (e, f, g, h),
+    (f, e, h, g), (g, h, e, f), (h, g, f, e) in which it is singular, and an
+    orientation e = (i, lam), f = (i, mu), g = (j, lam), h = (j, mu) is
+    singular exactly when x.g = (x.e).g for every x in im f:
 
-    For a candidate (i, j, lam, mu), lp = L[i] & L[j] (memoised by row pair)
-    holds the witnesses that fix both rows from the left, rp = R[lam] & R[mu]
-    (memoised by column pair) those that fix both columns from the right, and
-    lp | rp is the same in all four orientations.  Membership settles two of
-    the three equations of each case, so one product decides each witness:
-    f*eps = e for case (a) in lp, eps*g = e for case (b) in rp.  Each product
-    is evaluated for all witnesses at once, point by point, from the masks
-    takes[x][v] of the witnesses sending x to v; the lowest surviving index is
-    confirmed by the full conditions.  This is the hot loop of the package.
+      necessity: a case-(a) witness has x.eps = x.f.eps = x.e on im f, and
+        eps*g = g; a case-(b) witness fixes im f and has eps*g = e, so
+        x.g = x.e = (x.e).g, because g fixes im g = im e;
+      sufficiency: eps = e on im f and the identity elsewhere is total (im f
+        lies in dom f = dom e), idempotent, of rank >= k (e maps the
+        transversal im f onto im e) and satisfies case (a).
+
+    That eps is the witness of every record, and every record is confirmed
+    by the full case-(a) conditions.
     """
-
-    def __init__(self, grid: "DClassGrid"):
-        self.maps = witness_pool(grid)
-        self.pool = pool = [m.entries for m in self.maps]
-        self.cellmaps = cm = {cell: m.entries for cell, m in grid.group_cells.items()}
-        # takes[x][v]: witnesses eps with x.eps = v; v = UNDEF indexes the last
-        # entry, so takes[x][-1] is the witnesses undefined at x
-        self.takes = [
-            [_mask(pool, lambda eps: eps[x] == v) for v in (*range(grid.n), UNDEF)]
-            for x in range(grid.n)
-        ]
-        everything = (1 << len(pool)) - 1
-        self.lefts = [
-            self._left(c, c, everything)
-            for c in (cm[(i, cols[0])] for i, cols in enumerate(grid.cells_in_row))
-        ]
-        self.rights = [
-            self._right(c, c, everything)
-            for c in (cm[(rows[0], lam)] for lam, rows in enumerate(grid.cells_in_col))
-        ]
-        # candidates arrive sorted by row pair, so one row pair is memoised at
-        # a time; column pairs are few and all kept
-        self._row_pair: tuple[int, int] | None = None
-        self._lp = 0
-        self._rp: dict[tuple[int, int], int] = {}
-
-    def _left(self, a: Entries, b: Entries, within: int) -> int:
-        """The witnesses in `within` with eps*a = b."""
-        # x.(eps*a) = (x.eps).a, so x.eps must lie in the preimage of x.b under a
-        fibres: dict[int, list[int]] = {}
-        for v, av in enumerate((*a, UNDEF)):
-            fibres.setdefault(av, []).append(v)
-        for x, bx in enumerate(b):
-            row = self.takes[x]
-            allowed = 0
-            for v in fibres.get(bx, ()):
-                allowed |= row[v]
-            within &= allowed
-            if not within:
-                break
-        return within
-
-    def _right(self, a: Entries, b: Entries, within: int) -> int:
-        """The witnesses in `within` with a*eps = b."""
-        # x.(a*eps) = (x.a).eps, so eps must send x.a to x.b wherever a is defined
-        for ax, bx in zip(a, b):
-            if ax == UNDEF:
-                if bx != UNDEF:
-                    return 0
-                continue
-            within &= self.takes[ax][bx]
-            if not within:
-                break
-        return within
-
-    def scan(self, cand: tuple[int, int, int, int]):
-        """First witness over (orientation, pool index); None if not singular."""
-        i, j, lam, mu = cand
-        if self._row_pair != (i, j):
-            self._row_pair = (i, j)
-            self._lp = self.lefts[i] & self.lefts[j]
-        lp = self._lp
-        rp = self._rp.get((lam, mu))
-        if rp is None:
-            rp = self._rp[(lam, mu)] = self.rights[lam] & self.rights[mu]
-        cm = self.cellmaps
+    cm = {cell: m.entries for cell, m in grid.group_cells.items()}
+    witnesses: dict[Entries, PartialMap] = {}  # equal witnesses share one map
+    out = []
+    for i, j, lam, mu in group_square_candidates(grid):
         e = cm[(i, lam)]
         f = cm[(i, mu)]
         g = cm[(j, lam)]
@@ -213,69 +157,24 @@ class _SquareScan:
             ((j, i), (mu, lam), (h, g, f, e)),
         )
         for rows, cols, cells in orientations:
-            ee, ff, gg, _ = cells
-            hits = self._right(ff, ee, lp) | self._left(gg, ee, rp)
-            if hits:
-                pidx = (hits & -hits).bit_length() - 1
-                case = _singular_case(self.pool[pidx], cells)
-                if case is None:
-                    raise StructuralError(
-                        f"witness {pidx} passed the bucket test but not the "
-                        f"singularity conditions on square {cand}"
-                    )
-                return rows, cols, pidx, case
-        return None
-
-
-# Fork-shared scan state; only candidate tuples and compact hits cross the
-# process boundary.
-_SCAN: _SquareScan | None = None
-
-# Fewer candidates scan serially: the fork costs more than it saves (2 cores, PT_6
-# k=3: 0.43 s pooled, 0.36 s serial). No n = 6 class forks; T_7 k=3, 4 and PT_7 k=2-4 do.
-POOL_MIN_CANDIDATES = 30_000
-
-
-def _scan_chunk(chunk):
-    return [_SCAN.scan(c) for c in chunk]
-
-
-def _scan_all(scan: _SquareScan, cands, workers: int):
-    if workers <= 1 or len(cands) < POOL_MIN_CANDIDATES:
-        return [scan.scan(c) for c in cands]
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:
-        return [scan.scan(c) for c in cands]
-    global _SCAN
-    _SCAN = scan
-    try:
-        size = max(32, len(cands) // (workers * 8))
-        chunks = [cands[a : a + size] for a in range(0, len(cands), size)]
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
-            return [hit for part in ex.map(_scan_chunk, chunks) for hit in part]
-    finally:
-        _SCAN = None
-
-
-def enumerate_singular_squares(grid: "DClassGrid", workers: int = 1) -> tuple[SingularSquare, ...]:
-    """Every singular nondegenerate all-group square, once, with its first witness.
-
-    Output order follows the canonical (i, j, lam, mu) order of the underlying
-    unordered squares; each record carries the orientation under which its
-    witness satisfies the singularity conditions.
-    """
-    cands = group_square_candidates(grid)
-    scan = _SquareScan(grid)
-    hits = [hit for hit in _scan_all(scan, cands, workers) if hit is not None]
-    # a few hundred distinct witnesses serve thousands of squares; each is
-    # checked once, and a pool map that is not idempotent is a bug
-    for pidx in sorted({hit[2] for hit in hits}):
-        if not scan.maps[pidx].is_idempotent():
-            raise StructuralError(f"witness {pidx} of the pool is not idempotent")
-    return tuple(
-        SingularSquare(rows, cols, scan.maps[pidx], case) for rows, cols, pidx, case in hits
-    )
+            ee, _, gg, _ = cells
+            im_f = grid.cols[cols[1]]
+            if any(gg[x] != gg[ee[x]] for x in im_f):
+                continue
+            eps = _explicit_witness(ee, im_f)
+            witness = witnesses.get(eps)
+            if witness is None:
+                witness = witnesses[eps] = PartialMap(eps)
+                if not witness.is_idempotent():
+                    raise StructuralError(f"witness {witness.to_text()} is not idempotent")
+            if _singular_case(eps, cells) != CASE_A:
+                raise StructuralError(
+                    f"witness {witness.to_text()} passed the pointwise test but not "
+                    f"case (a) on square {(i, j, lam, mu)}"
+                )
+            out.append(SingularSquare(rows, cols, witness, CASE_A))
+            break
+    return tuple(out)
 
 
 def complete_to_singular_square(

@@ -13,6 +13,7 @@ from collections import Counter, deque
 from functools import lru_cache
 
 from igmax.dclass import DClassGrid
+from igmax.errors import StructuralError
 from igmax.groupid import COMPLETE, OVERFLOW, CosetTable, _Overflow, build_stages, identify
 from igmax.presentation import (
     TIETZE,
@@ -23,12 +24,8 @@ from igmax.presentation import (
     cyclically_reduce,
     invert,
 )
-from igmax.ptrans import Monoid, PartialMap, compose, compose_entries
-from igmax.schreier import (
-    SchreierSystem,
-    l_class_elements,
-    word_value,
-)
+from igmax.ptrans import UNDEF, Monoid, PartialMap, compose, compose_entries, enumerate_idempotents
+from igmax.schreier import SchreierSystem, word_value
 from igmax.squares import (
     Entries,
     _singular_case,
@@ -92,6 +89,28 @@ def green_ideals(n: int, monoid_key: str):
         lefts[a] = frozenset(left)
         twosided[a] = frozenset(two)
     return elems, rights, lefts, twosided
+
+
+# ---------------------------------------------------------------------------
+# idempotent-generated subsemigroup (generation sanity)
+
+
+def idempotent_closure(n: int, monoid: Monoid) -> frozenset[tuple[int, ...]]:
+    """Closure of all idempotents under composition, as raw entry tuples."""
+    gens = set()
+    lo = 1 if monoid is Monoid.TOTAL else 0
+    for k in range(lo, n + 1):
+        gens.update(m.entries for m in enumerate_idempotents(n, k, monoid))
+    closed = set(gens)
+    queue = deque(closed)
+    while queue:
+        a = queue.popleft()
+        for b in list(closed):
+            for prod in (compose_entries(a, b), compose_entries(b, a)):
+                if prod not in closed:
+                    closed.add(prod)
+                    queue.append(prod)
+    return frozenset(closed)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +252,20 @@ def reference_tietze_simplify(p: GroupPresentation) -> GroupPresentation:
 # slow but checks the bijection L_e -> L_col element by element.
 
 
+def l_class_elements(grid: DClassGrid, col: int) -> list[PartialMap]:
+    """Every element of the L-class of column `col` inside the D-class."""
+    im = grid.cols[col]
+    out = []
+    for kp in grid.rows:
+        for assign in itertools.permutations(im):
+            entries = [UNDEF] * grid.n
+            for bi, b in enumerate(kp.blocks):
+                for x in b:
+                    entries[x] = assign[bi]
+            out.append(PartialMap(tuple(entries)))
+    return out
+
+
 def reference_verify_schreier(grid: DClassGrid, sys: SchreierSystem) -> list[str]:
     """Exhaustively check the Schreier system; returns violations (empty = valid)."""
     bad: list[str] = []
@@ -331,6 +364,130 @@ class ReferenceSquareScan:
                 if case is not None:
                     return rows, cols, pidx, case
         return None
+
+
+# ---------------------------------------------------------------------------
+# Bucket-scan oracle: the bit-parallel pool search the pointwise square test
+# replaced.  It finds the first witness of the pool, over orientations and
+# pool indices, so its orientations are an independent check of the test.
+
+
+def _mask(pool: list[Entries], keep) -> int:
+    """Bitmask over pool indices of the witnesses that `keep` accepts."""
+    bits = "".join("1" if keep(eps) else "0" for eps in reversed(pool))
+    return int(bits, 2) if bits else 0
+
+
+class _SquareScan:
+    """Witness search state: the pool plus one left bucket per row and one
+    right bucket per column, each an int bitmask over pool indices.
+
+    Whether eps*e = e depends only on the row (kernel) of e: eps must send each
+    point of dom e into its own kernel block and no other point into dom e.
+    Whether e*eps = e depends only on the column (image) of e: eps must fix
+    every image point.  So each bucket is computed once, against the first
+    group cell of its row or column.
+
+    For a candidate (i, j, lam, mu), lp = L[i] & L[j] (memoised by row pair)
+    holds the witnesses that fix both rows from the left, rp = R[lam] & R[mu]
+    (memoised by column pair) those that fix both columns from the right, and
+    lp | rp is the same in all four orientations.  Membership settles two of
+    the three equations of each case, so one product decides each witness:
+    f*eps = e for case (a) in lp, eps*g = e for case (b) in rp.  Each product
+    is evaluated for all witnesses at once, point by point, from the masks
+    takes[x][v] of the witnesses sending x to v; the lowest surviving index is
+    confirmed by the full conditions.  This is the hot loop of the package.
+    """
+
+    def __init__(self, grid: "DClassGrid"):
+        self.maps = witness_pool(grid)
+        self.pool = pool = [m.entries for m in self.maps]
+        self.cellmaps = cm = {cell: m.entries for cell, m in grid.group_cells.items()}
+        # takes[x][v]: witnesses eps with x.eps = v; v = UNDEF indexes the last
+        # entry, so takes[x][-1] is the witnesses undefined at x
+        self.takes = [
+            [_mask(pool, lambda eps: eps[x] == v) for v in (*range(grid.n), UNDEF)]
+            for x in range(grid.n)
+        ]
+        everything = (1 << len(pool)) - 1
+        self.lefts = [
+            self._left(c, c, everything)
+            for c in (cm[(i, cols[0])] for i, cols in enumerate(grid.cells_in_row))
+        ]
+        self.rights = [
+            self._right(c, c, everything)
+            for c in (cm[(rows[0], lam)] for lam, rows in enumerate(grid.cells_in_col))
+        ]
+        # candidates arrive sorted by row pair, so one row pair is memoised at
+        # a time; column pairs are few and all kept
+        self._row_pair: tuple[int, int] | None = None
+        self._lp = 0
+        self._rp: dict[tuple[int, int], int] = {}
+
+    def _left(self, a: Entries, b: Entries, within: int) -> int:
+        """The witnesses in `within` with eps*a = b."""
+        # x.(eps*a) = (x.eps).a, so x.eps must lie in the preimage of x.b under a
+        fibres: dict[int, list[int]] = {}
+        for v, av in enumerate((*a, UNDEF)):
+            fibres.setdefault(av, []).append(v)
+        for x, bx in enumerate(b):
+            row = self.takes[x]
+            allowed = 0
+            for v in fibres.get(bx, ()):
+                allowed |= row[v]
+            within &= allowed
+            if not within:
+                break
+        return within
+
+    def _right(self, a: Entries, b: Entries, within: int) -> int:
+        """The witnesses in `within` with a*eps = b."""
+        # x.(a*eps) = (x.a).eps, so eps must send x.a to x.b wherever a is defined
+        for ax, bx in zip(a, b):
+            if ax == UNDEF:
+                if bx != UNDEF:
+                    return 0
+                continue
+            within &= self.takes[ax][bx]
+            if not within:
+                break
+        return within
+
+    def scan(self, cand: tuple[int, int, int, int]):
+        """First witness over (orientation, pool index); None if not singular."""
+        i, j, lam, mu = cand
+        if self._row_pair != (i, j):
+            self._row_pair = (i, j)
+            self._lp = self.lefts[i] & self.lefts[j]
+        lp = self._lp
+        rp = self._rp.get((lam, mu))
+        if rp is None:
+            rp = self._rp[(lam, mu)] = self.rights[lam] & self.rights[mu]
+        cm = self.cellmaps
+        e = cm[(i, lam)]
+        f = cm[(i, mu)]
+        g = cm[(j, lam)]
+        h = cm[(j, mu)]
+        orientations = (
+            ((i, j), (lam, mu), (e, f, g, h)),
+            ((i, j), (mu, lam), (f, e, h, g)),
+            ((j, i), (lam, mu), (g, h, e, f)),
+            ((j, i), (mu, lam), (h, g, f, e)),
+        )
+        for rows, cols, cells in orientations:
+            ee, ff, gg, _ = cells
+            hits = self._right(ff, ee, lp) | self._left(gg, ee, rp)
+            if hits:
+                pidx = (hits & -hits).bit_length() - 1
+                case = _singular_case(self.pool[pidx], cells)
+                if case is None:
+                    raise StructuralError(
+                        f"witness {pidx} passed the bucket test but not the "
+                        f"singularity conditions on square {cand}"
+                    )
+                return rows, cols, pidx, case
+        return None
+
 
 
 # ---------------------------------------------------------------------------

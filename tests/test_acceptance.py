@@ -17,7 +17,6 @@ from igmax.groupid import (
     VERDICT_SYMMETRIC,
     VERDICT_TRIVIAL,
     abelian_invariants,
-    idempotent_closure,
     identify,
     perm_compose,
     perm_group_order,
@@ -38,6 +37,7 @@ from igmax.squares import (
 from helpers import (
     all_maps,
     cached_identify,
+    idempotent_closure,
     minor_gcd_invariants,
     oracle_presentations,
     pipeline,

@@ -196,6 +196,25 @@ class TestSandwich:
         assert len(calls) == len(grid.cols) + len(grid.rows) + len(grid.group_cells)
 
     @pytest.mark.parametrize("key,n,k", [("pt", 4, 2), ("t", 4, 2), ("t", 5, 3)])
+    def test_product_leaving_the_base_h_class_raises(self, key, n, k, monkeypatch):
+        # left-multiply each product by the idempotent of another group cell
+        # in the base column: the kernel moves, the image and the restriction
+        # to it do not, so only the e*x = x check can see it
+        grid, am, sys_, _, _ = pipeline(key, n, k)
+        other = next(grid.cell(i, grid.base[1]) for i in grid.cells_in_col[grid.base[1]]
+                     if i != grid.base[0])
+        calls = []
+
+        def skewed(a, b):
+            calls.append(None)
+            prod = compose(a, b)
+            return compose(other, prod) if len(calls) > len(grid.cols) + len(grid.rows) else prod
+
+        monkeypatch.setattr(dclass, "compose", skewed)
+        with pytest.raises(StructuralError, match="sandwich product fell out"):
+            sandwich_matrix(grid, sys_, am)
+
+    @pytest.mark.parametrize("key,n,k", [("pt", 4, 2), ("t", 4, 2), ("t", 5, 3)])
     def test_misplaced_representatives_raise(self, key, n, k):
         grid, am, sys_, _, _ = pipeline(key, n, k)
         a, b = [c for c in sorted(sys_.r) if c != sys_.base_col][:2]

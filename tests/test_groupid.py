@@ -11,7 +11,6 @@ from igmax.groupid import (
     AbelianInvariants,
     abelian_invariants,
     dense_smith_normal_form,
-    idempotent_closure,
     identify,
     perm_compose,
     perm_group_order,
@@ -30,6 +29,7 @@ from helpers import (
     MONOIDS,
     all_maps,
     cached_identify,
+    idempotent_closure,
     letters,
     minor_gcd_invariants,
     oracle_presentations,

@@ -7,13 +7,12 @@ from igmax.schreier import (
     TIE_BREAKS,
     SchreierSystem,
     build_schreier,
-    l_class_elements,
     lift_total_schreier,
     verify_schreier,
     word_value,
 )
 
-from helpers import pipeline
+from helpers import l_class_elements, pipeline
 
 PT = Monoid.PARTIAL
 T = Monoid.TOTAL

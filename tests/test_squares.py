@@ -17,7 +17,7 @@ from igmax.squares import (
     witness_pool,
 )
 
-from helpers import pipeline, square_cells
+from helpers import MONOIDS, _SquareScan, pipeline, square_cells
 
 PT = Monoid.PARTIAL
 T = Monoid.TOTAL
@@ -168,15 +168,12 @@ class TestEnumerate:
         from igmax import squares
         from igmax.cli import main
 
-        class BrokenScan(squares._SquareScan):
-            # the scan still searches the true pool, but reports every hit
-            # with a map that is not idempotent
-            def __init__(self, grid):
-                super().__init__(grid)
-                shift = PartialMap(tuple((x + 1) % grid.n for x in range(grid.n)))
-                self.maps = [shift] * len(self.maps)
+        def broken_witness(e, im_f):
+            # the pointwise test still decides, but every hit gets a witness
+            # that is not idempotent
+            return tuple((x + 1) % len(e) for x in range(len(e)))
 
-        monkeypatch.setattr(squares, "_SquareScan", BrokenScan)
+        monkeypatch.setattr(squares, "_explicit_witness", broken_witness)
         with pytest.raises(StructuralError, match="not idempotent"):
             enumerate_singular_squares(build_grid(4, 2, PT))
         assert main(["squares", "--monoid", "pt", "--n", "4", "--k", "2"]) == 3
@@ -196,29 +193,35 @@ class TestEnumerate:
                     assert cells == square_cells(grid_t, sq.rows, sq.cols)
                     assert singularizes(sq.witness, cells) == sq.case
 
-    def test_pool_matches_serial_below_the_threshold(self, monkeypatch, capsys):
-        from igmax import squares
-        from igmax.cli import main
-
-        grid = build_grid(5, 2, PT)
-        serial = enumerate_singular_squares(grid, workers=1)
-        argv = ["squares", "--monoid", "pt", "--n", "5", "--k", "2", "--output", "json"]
-        assert main(argv) == 0
-        serial_out = capsys.readouterr().out
-        pools = []
-
-        class RecordingPool(squares.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(squares, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(squares, "POOL_MIN_CANDIDATES", 0)
-        assert enumerate_singular_squares(grid, workers=2) == serial
-        assert main([*argv, "--workers", "2"]) == 0
-        assert capsys.readouterr().out == serial_out
-        assert pools == [2, 2]
-
     def test_deterministic(self):
         grid = build_grid(4, 2, PT)
         assert enumerate_singular_squares(grid) == enumerate_singular_squares(grid)
+
+
+DIFFERENTIAL_CLASSES = [
+    (key, n, k) for key in sorted(MONOIDS) for n in range(2, 6) for k in range(1, n)
+] + [pytest.param("t", 6, 3, marks=pytest.mark.slow),
+     pytest.param("pt", 6, 2, marks=pytest.mark.slow)]
+
+
+class TestPointwiseDifferential:
+    """The pointwise test against the pool search it replaced: the same
+    squares in the same orientations, each with the explicit witness."""
+
+    @pytest.mark.parametrize("key,n,k", DIFFERENTIAL_CLASSES)
+    def test_matches_pool_scan(self, key, n, k):
+        grid = build_grid(n, k, MONOIDS[key])
+        scan = _SquareScan(grid)
+        hits = [scan.scan(cand) for cand in group_square_candidates(grid)]
+        want = [(hit[0], hit[1]) for hit in hits if hit is not None]
+        got = enumerate_singular_squares(grid)
+        assert [(sq.rows, sq.cols) for sq in got] == want
+        for sq in got:
+            (i, _), (lam, mu) = sq.rows, sq.cols
+            e, im_f = grid.cell(i, lam).entries, grid.cols[mu]
+            eps = tuple(e[x] if x in im_f else x for x in range(n))
+            assert sq.witness.entries == eps
+            assert sq.case == CASE_A
+            assert singularizes(sq.witness, square_cells(grid, sq.rows, sq.cols)) == CASE_A
+        # equal witnesses are one shared map
+        assert len({id(sq.witness) for sq in got}) == len({sq.witness for sq in got})

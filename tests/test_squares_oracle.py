@@ -13,9 +13,9 @@ import pytest
 
 from igmax.dclass import build_grid
 from igmax.ptrans import compose_entries
-from igmax.squares import _SquareScan, group_square_candidates, witness_pool
+from igmax.squares import group_square_candidates, witness_pool
 
-from helpers import MONOIDS, ReferenceSquareScan
+from helpers import MONOIDS, ReferenceSquareScan, _SquareScan
 
 SMALL_CLASSES = [(n, k) for n in range(2, 6) for k in range(1, n)]
 # every class with n <= 4, the degenerate ranks included (T_n has no rank 0)
