@@ -414,19 +414,42 @@ def rees_hom(
 
 
 def verify_hom(p: GroupPresentation, hom: dict[tuple[int, int], Permutation]) -> bool:
-    """Every relator must map to the identity permutation."""
+    """Every relator must map to the identity permutation.
+
+    Permutations are interned as ints (the identity is 0), and the product of
+    an interned prefix with a letter's image is composed the first time it is
+    met and looked up after that, so each distinct product is composed once.
+    Only the products the relators reach are built, never the k! x k! table.
+    """
     if p.cells is None:
         raise ValueError("presentation is not grid-derived")
     if not hom:
         return True
     k = len(next(iter(hom.values())))
-    ident = perm_identity(k)
-    images = [q for cell in p.cells for q in (hom[cell], perm_inverse(hom[cell]))]  # by letter
+    perms: list[Permutation] = []
+    index: dict[Permutation, int] = {}
+    products: list[dict[int, int]] = []  # products[a][b]: the index of perms[a] * perms[b]
+
+    def intern(q: Permutation) -> int:
+        at = index.get(q)
+        if at is None:
+            at = index[q] = len(perms)
+            perms.append(q)
+            products.append({})
+        return at
+
+    intern(perm_identity(k))
+    images = [intern(q) for cell in p.cells for q in (hom[cell], perm_inverse(hom[cell]))]  # by letter
     for rel in p.relators:
-        acc = ident
+        acc = 0
         for x in rel:
-            acc = perm_compose(acc, images[x])
-        if acc != ident:
+            b = images[x]
+            row = products[acc]
+            nxt = row.get(b)
+            if nxt is None:
+                nxt = row[b] = intern(perm_compose(perms[acc], perms[b]))
+            acc = nxt
+        if acc:
             return False
     return True
 

@@ -7,15 +7,21 @@ singularizes it when either
   (b) eps*g = e, e*eps = e and f*eps = f   (up-down).
 
 Case (a) further forces eps*f = f, eps*h = h, e*eps = e and g*eps = h*eps = g;
-those consequences are asserted whenever (a) fires.
+`singularizes` asserts those consequences whenever (a) fires, and serves the
+completion squares and the tests as the full check.
 
 `enumerate_singular_squares` decides each candidate square pointwise: the
 orientation e = (i, lam), f = (i, mu), g = (j, lam), h = (j, mu) is singular
 exactly when x.g = (x.e).g for every x in im f, which is k lookups and needs
 no search over idempotents.  It returns one `SingularSquare(rows, cols,
 witness, case)` per singular square, oriented that way, with the explicit
-witness eps = e on im f, the identity elsewhere, and case (a).  The rows and
-columns are all the presentation needs: one type-3 relator per record.
+witness eps = e on im f, the identity elsewhere, and case (a).  All eight
+case-(a) facts are still confirmed for every record, without a full
+composition per hit: the facts about e, f and column lam depend only on
+(i, lam, mu) and are checked once per triple, and the facts about g and h
+reduce to k lookups each, in the test's own loop (proofs in its docstring).
+The rows and columns are all the presentation needs: one type-3 relator per
+record.
 """
 
 from __future__ import annotations
@@ -123,6 +129,71 @@ def _explicit_witness(e: Entries, im_f: tuple[int, ...]) -> Entries:
     return tuple(eps)
 
 
+class _PointwiseTest:
+    """The pointwise test of one grid's oriented squares, confirming case (a).
+
+    Every orientation with top row r and column pair (a, b) has the same
+    witness and the same top-row facts, so those are checked once per
+    (r, a, b) and memoised; each hit then checks its bottom-row facts in k
+    lookups.  See `enumerate_singular_squares` for the proofs.
+    """
+
+    def __init__(self, grid: "DClassGrid") -> None:
+        self.cells = {cell: m.entries for cell, m in grid.group_cells.items()}
+        self.cols = grid.cols
+        self.witnesses: dict[Entries, PartialMap] = {}  # equal witnesses share one map
+        self.tops: dict[tuple[int, int, int], PartialMap] = {}
+
+    def witness(self, rows: tuple[int, int], cols: tuple[int, int]) -> PartialMap | None:
+        """The case-(a) witness of the oriented square, or None if it is not singular."""
+        (i, j), (a, b) = rows, cols
+        top = self.tops.get((i, a, b))
+        if top is None:
+            top = self._top_row(i, a, b)
+        eps = top.entries
+        e = self.cells[(i, a)]
+        g = self.cells[(j, a)]
+        h = self.cells[(j, b)]
+        bottom_ok = True
+        for x in self.cols[b]:
+            ex = e[x]
+            gx = g[x]
+            if g[ex] != gx:  # eps*g = g fails at x: not singular
+                return None
+            hx = h[x]
+            if h[ex] != hx or eps[hx] != gx:  # eps*h = h and h*eps = g
+                bottom_ok = False
+        if not bottom_ok:
+            raise StructuralError(
+                f"witness {top.to_text()} passed the pointwise test but fails the "
+                f"bottom-row case-(a) facts on rows {rows}, columns {cols}"
+            )
+        return top
+
+    def _top_row(self, i: int, a: int, b: int) -> PartialMap:
+        e = self.cells[(i, a)]
+        f = self.cells[(i, b)]
+        eps = _explicit_witness(e, self.cols[b])
+        witness = self.witnesses.get(eps)
+        if witness is None:
+            witness = self.witnesses[eps] = PartialMap(eps)
+            if not witness.is_idempotent():
+                raise StructuralError(f"witness {witness.to_text()} is not idempotent")
+        if not (
+            compose_entries(eps, e) == e
+            and compose_entries(f, eps) == e
+            and compose_entries(eps, f) == f
+            and compose_entries(e, eps) == e
+            and all(eps[x] == x for x in self.cols[a])  # g*eps = g for all g in column a
+        ):
+            raise StructuralError(
+                f"witness {witness.to_text()} fails the top-row case-(a) facts "
+                f"on row {i}, columns {(a, b)}"
+            )
+        self.tops[(i, a, b)] = witness
+        return witness
+
+
 def enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]:
     """Every singular nondegenerate all-group square, once, with an explicit witness.
 
@@ -140,40 +211,32 @@ def enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]
         transversal im f onto im e) and satisfies case (a).
 
     That eps is the witness of every record, and every record is confirmed
-    by the full case-(a) conditions.
+    by all eight case-(a) facts, in two parts:
+
+      top row, once per (i, lam, mu): eps depends only on e = (i, lam) and
+        im f = cols[mu], so its idempotency and eps*e = e, f*eps = e,
+        eps*f = f and e*eps = e are facts about the triple.  So is
+        g*eps = g for every g in column lam: im g = cols[lam], so
+        g*eps = g exactly when eps fixes each point of cols[lam];
+      bottom row, on each hit, over the k points x of im f: eps moves only
+        points of im f, so eps*g = g is g[e[x]] == g[x] (the test itself)
+        and eps*h = h is h[e[x]] == h[x]; g and h share a kernel of which
+        im f is a transversal, so h*eps = g holds everywhere once
+        eps[h[x]] == g[x] on im f.
     """
-    cm = {cell: m.entries for cell, m in grid.group_cells.items()}
-    witnesses: dict[Entries, PartialMap] = {}  # equal witnesses share one map
+    test = _PointwiseTest(grid)
     out = []
     for i, j, lam, mu in group_square_candidates(grid):
-        e = cm[(i, lam)]
-        f = cm[(i, mu)]
-        g = cm[(j, lam)]
-        h = cm[(j, mu)]
-        orientations = (
-            ((i, j), (lam, mu), (e, f, g, h)),
-            ((i, j), (mu, lam), (f, e, h, g)),
-            ((j, i), (lam, mu), (g, h, e, f)),
-            ((j, i), (mu, lam), (h, g, f, e)),
-        )
-        for rows, cols, cells in orientations:
-            ee, _, gg, _ = cells
-            im_f = grid.cols[cols[1]]
-            if any(gg[x] != gg[ee[x]] for x in im_f):
-                continue
-            eps = _explicit_witness(ee, im_f)
-            witness = witnesses.get(eps)
-            if witness is None:
-                witness = witnesses[eps] = PartialMap(eps)
-                if not witness.is_idempotent():
-                    raise StructuralError(f"witness {witness.to_text()} is not idempotent")
-            if _singular_case(eps, cells) != CASE_A:
-                raise StructuralError(
-                    f"witness {witness.to_text()} passed the pointwise test but not "
-                    f"case (a) on square {(i, j, lam, mu)}"
-                )
-            out.append(SingularSquare(rows, cols, witness, CASE_A))
-            break
+        for rows, cols in (
+            ((i, j), (lam, mu)),
+            ((i, j), (mu, lam)),
+            ((j, i), (lam, mu)),
+            ((j, i), (mu, lam)),
+        ):
+            witness = test.witness(rows, cols)
+            if witness is not None:
+                out.append(SingularSquare(rows, cols, witness, CASE_A))
+                break
     return tuple(out)
 
 

@@ -12,9 +12,19 @@ import math
 from collections import Counter, deque
 from functools import lru_cache
 
-from igmax.dclass import DClassGrid
+from igmax.dclass import DClassGrid, Permutation
 from igmax.errors import StructuralError
-from igmax.groupid import COMPLETE, OVERFLOW, CosetTable, _Overflow, build_stages, identify
+from igmax.groupid import (
+    COMPLETE,
+    OVERFLOW,
+    CosetTable,
+    _Overflow,
+    build_stages,
+    identify,
+    perm_compose,
+    perm_identity,
+    perm_inverse,
+)
 from igmax.presentation import (
     TIETZE,
     GroupPresentation,
@@ -524,6 +534,29 @@ def reference_sandwich_matrix(
             else:
                 out[(c, i)] = None
     return out
+
+
+# ---------------------------------------------------------------------------
+# Homomorphism oracle: the tuple loop the interned, memoised check replaced.
+# It composes the image tuples of every relator's letters from the identity.
+
+
+def reference_verify_hom(p: GroupPresentation, hom: dict[tuple[int, int], Permutation]) -> bool:
+    """Every relator must map to the identity permutation."""
+    if p.cells is None:
+        raise ValueError("presentation is not grid-derived")
+    if not hom:
+        return True
+    k = len(next(iter(hom.values())))
+    ident = perm_identity(k)
+    images = [q for cell in p.cells for q in (hom[cell], perm_inverse(hom[cell]))]  # by letter
+    for rel in p.relators:
+        acc = ident
+        for x in rel:
+            acc = perm_compose(acc, images[x])
+        if acc != ident:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from igmax.groupid import (
     VERDICT_FREE,
     VERDICT_SYMMETRIC,
     VERDICT_TRIVIAL,
+    VERDICT_UNDECIDED,
     AbelianInvariants,
     abelian_invariants,
     dense_smith_normal_form,
@@ -21,6 +22,8 @@ from igmax.groupid import (
     todd_coxeter,
     verify_hom,
 )
+from igmax.cli import CORPUS_RUNS
+from igmax.dclass import ANCHOR_RULES
 from igmax.presentation import GroupPresentation
 from igmax.ptrans import Monoid, PartialMap, compose
 from igmax.schreier import word_value
@@ -34,6 +37,7 @@ from helpers import (
     minor_gcd_invariants,
     oracle_presentations,
     pipeline,
+    reference_verify_hom,
 )
 
 PT = Monoid.PARTIAL
@@ -215,6 +219,20 @@ class TestAbelianInvariants:
         assert inv.as_list() == [0]
 
 
+# every corpus class with a sandwich homomorphism (1 <= k <= n-1)
+HOM_CLASSES = [(key, n, k) for key, n, k, _ in CORPUS_RUNS if 1 <= k < n]
+
+
+def _transposed(hom, anchors_map):
+    """hom with its first non-anchor cell sent to a transposition it was not sent to."""
+    k = len(next(iter(hom.values())))
+    swap = (1, 0, *range(2, k))
+    cell = next(
+        (i, lam) for (i, lam), q in sorted(hom.items()) if lam != anchors_map[i] and q != swap
+    )
+    return {**hom, cell: swap}
+
+
 class TestReesHom:
     def test_anchors_map_to_identity(self):
         grid, am, sys_, _, _ = pipeline("pt", 4, 2)
@@ -233,6 +251,21 @@ class TestReesHom:
         grid, am, sys_, _, pres = pipeline(key, n, k)
         hom = rees_hom(grid, sys_, am)
         assert verify_hom(pres, hom)
+
+    def test_transposed_cell_is_rejected(self):
+        grid, am, sys_, _, pres = pipeline("pt", 4, 2)
+        broken = _transposed(rees_hom(grid, sys_, am), am)
+        assert not verify_hom(pres, broken)
+        assert not reference_verify_hom(pres, broken)
+
+    @pytest.mark.parametrize("rule", ANCHOR_RULES)
+    @pytest.mark.parametrize("key,n,k", HOM_CLASSES)
+    def test_matches_reference(self, key, n, k, rule):
+        grid, am, sys_, _, pres = pipeline(key, n, k, anchor_rule=rule)
+        hom = rees_hom(grid, sys_, am)
+        assert verify_hom(pres, hom) == reference_verify_hom(pres, hom) is True
+        broken = _transposed(hom, am)
+        assert verify_hom(pres, broken) == reference_verify_hom(pres, broken)
 
     def test_matches_direct_loop_realization(self):
         # independent route: evaluate e * r[anchor] * cell * r_inv[col] directly
@@ -292,6 +325,34 @@ class TestIdentify:
     def test_raw_presentation_route_agrees(self):
         report = identify(4, 2, PT, simplify=False)
         assert report.verdict == VERDICT_SYMMETRIC and report.order == 2
+
+    @pytest.mark.parametrize(
+        "broken,hom_valid,diagnostic",
+        [
+            ("transposed", False, "sandwich homomorphism does not kill every relator"),
+            ("trivial", True, "homomorphic image has order 1, expected 2"),
+        ],
+    )
+    def test_broken_hom_is_undecided(self, monkeypatch, capsys, broken, hom_valid, diagnostic):
+        from igmax import groupid
+        from igmax.cli import main
+
+        real_rees_hom = groupid.rees_hom
+
+        def broken_rees_hom(grid, sys_, anchors_map):
+            hom = real_rees_hom(grid, sys_, anchors_map)
+            if broken == "transposed":
+                return _transposed(hom, anchors_map)
+            return {cell: perm_identity(grid.k) for cell in hom}
+
+        monkeypatch.setattr(groupid, "rees_hom", broken_rees_hom)
+        report = identify(4, 2, PT)
+        assert report.verdict == VERDICT_UNDECIDED
+        assert report.order == 2  # the coset enumeration alone cannot decide
+        assert report.hom_valid is hom_valid
+        assert report.diagnostics == [diagnostic]
+        assert main(["identify", "--monoid", "pt", "--n", "4", "--k", "2"]) == 1
+        assert capsys.readouterr().out == f"monoid=pt n=4 k=2: undecided: {diagnostic}\n"
 
     STAGES = {"grid", "schreier", "squares", "presentation"}
 

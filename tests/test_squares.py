@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -10,6 +11,8 @@ from igmax.ptrans import Monoid, PartialMap, compose, enumerate_idempotents
 from igmax.squares import (
     CASE_A,
     CASE_B,
+    _PointwiseTest,
+    _singular_case,
     enumerate_singular_squares,
     group_square_candidates,
     complete_to_singular_square,
@@ -225,3 +228,63 @@ class TestPointwiseDifferential:
             assert singularizes(sq.witness, square_cells(grid, sq.rows, sq.cols)) == CASE_A
         # equal witnesses are one shared map
         assert len({id(sq.witness) for sq in got}) == len({sq.witness for sq in got})
+
+    @pytest.mark.parametrize("key,n,k", DIFFERENTIAL_CLASSES)
+    def test_every_orientation_matches_singular_case(self, key, n, k):
+        # the fast path accepts exactly the orientations in which the explicit
+        # witness satisfies the full case-(a) check, and returns that witness
+        grid = build_grid(n, k, MONOIDS[key])
+        test = _PointwiseTest(grid)
+        accepted = 0
+        for i, j, lam, mu in group_square_candidates(grid):
+            for rows, cols in itertools.product(((i, j), (j, i)), ((lam, mu), (mu, lam))):
+                e, im_f = grid.cell(rows[0], cols[0]).entries, grid.cols[cols[1]]
+                eps = tuple(e[x] if x in im_f else x for x in range(n))
+                cells = tuple(c.entries for c in square_cells(grid, rows, cols))
+                want = _singular_case(eps, cells) == CASE_A
+                got = test.witness(rows, cols)
+                assert (got is not None) == want, (rows, cols)
+                if got is not None:
+                    assert got.entries == eps
+                    accepted += 1
+        assert accepted >= len(enumerate_singular_squares(grid))
+
+
+class TestCaseAConfirmation:
+    """Every hit is confirmed by all eight case-(a) facts: the top-row facts
+    once per (row, column pair), the bottom-row facts on each hit, in the
+    pointwise test's own loop.  Each test breaks one part and requires the
+    error that part raises, so a mutant that drops either check fails one.
+
+    A mutant that runs the loop over only k - 1 points of im f is equivalent
+    on every well-formed grid: e and g both map the transversal im f
+    bijectively onto im e, so agreement on k - 1 points forces the last
+    (ROADMAP item 1), and the bottom-row facts then hold as well.  Only a
+    broken grid tells it apart, as the identity cell below does when its
+    failing point is the one skipped."""
+
+    def test_identity_witness_fails_the_top_row(self, monkeypatch):
+        from igmax import squares
+
+        # idempotent, so only the top-row facts can reject it (f*eps = f, not e)
+        monkeypatch.setattr(squares, "_explicit_witness", lambda e, im_f: tuple(range(len(e))))
+        with pytest.raises(StructuralError, match="top-row case-\\(a\\) facts"):
+            enumerate_singular_squares(build_grid(4, 2, PT))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [(0, 1, 2, 3), (0, 0, 0, 0)],
+        ids=["identity_breaks_eps_h", "constant_breaks_h_eps"],
+    )
+    def test_broken_bottom_cell_fails_the_bottom_row(self, entries):
+        # the bottom-right cell of the first hit, replaced in a copy of the
+        # grid: the pointwise test and the memoised top row still pass
+        grid = build_grid(4, 2, PT)
+        first = enumerate_singular_squares(grid)[0]
+        cell = (first.rows[1], first.cols[1])
+        broken = dataclasses.replace(
+            grid, group_cells={**grid.group_cells, cell: PartialMap(entries)}
+        )
+        with pytest.raises(StructuralError, match="bottom-row case-\\(a\\) facts"):
+            enumerate_singular_squares(broken)
+        assert enumerate_singular_squares(grid)[0] == first  # the original is untouched
