@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 from .errors import StructuralError
 from .ptrans import (
+    UNDEF,
     KernelPartition,
     Monoid,
     PartialMap,
-    compose,
     compose_entries,
-    idempotent_from_cell,
     kernels_of_rank,
 )
 from . import schreier as _schreier
@@ -75,15 +74,24 @@ def build_grid(n: int, k: int, monoid: Monoid, base: PartialMap | None = None) -
     row_of = {kp: i for i, kp in enumerate(rows)}
     col_of = {im: c for c, im in enumerate(cols)}
 
+    # a row's group columns are its transversals: one point per block, and
+    # every block member maps to its block's point
     cells: dict[tuple[int, int], PartialMap] = {}
     in_row: list[list[int]] = [[] for _ in rows]
     in_col: list[list[int]] = [[] for _ in cols]
     for i, kp in enumerate(rows):
-        for c, im in enumerate(cols):
-            if kp.is_transversal(im):
-                cells[(i, c)] = idempotent_from_cell(n, kp, im)
-                in_row[i].append(c)
-                in_col[c].append(i)
+        row_cells = []
+        for points in itertools.product(*kp.blocks):
+            entries = [UNDEF] * n
+            for block, p in zip(kp.blocks, points):
+                for x in block:
+                    entries[x] = p
+            row_cells.append((col_of[tuple(sorted(points))], entries))
+        row_cells.sort()
+        for c, entries in row_cells:
+            cells[(i, c)] = PartialMap(tuple(entries))
+            in_row[i].append(c)
+            in_col[c].append(i)
 
     if base is None:
         base = default_base(n, k)
@@ -133,18 +141,18 @@ def anchors(grid: DClassGrid, rule: str = "lex") -> dict[int, int]:
     return out
 
 
-def _member_of_cell(grid: DClassGrid, m: PartialMap, row: int, col: int, what: str) -> None:
-    if m.kernel() != grid.rows[row] or m.image() != grid.cols[col]:
+# every sandwich product, q[col], t[row] and q[col]*t[row], is taken here
+_product = compose_entries
+
+
+def _member_of_cell(
+    grid: DClassGrid, x: tuple[int, ...], f: tuple[int, ...], col: int, what: str
+) -> None:
+    # x lies in the H-class of f's row and column col exactly when f*x = x and
+    # im x = cols[col]: f*x = x makes dom x and every kernel block of x unions
+    # of kernel blocks of f, and k blocks of x out of k of f forces ker x = ker f
+    if compose_entries(f, x) != x or tuple(sorted(set(x) - {UNDEF})) != grid.cols[col]:
         raise StructuralError(f"{what} fell out of its H-class")
-
-
-def _restrict_to_base(grid: DClassGrid, m: PartialMap) -> Permutation:
-    base_im = grid.cols[grid.base[1]]
-    pos = {x: idx for idx, x in enumerate(base_im)}
-    perm = tuple(pos.get(m.entries[x], -1) for x in base_im)
-    if set(perm) != set(range(len(perm))):
-        raise StructuralError("restriction to the base image is not a bijection")
-    return perm
 
 
 def sandwich_matrix(
@@ -158,33 +166,40 @@ def sandwich_matrix(
     rank k exactly when the image of col is a transversal of the kernel of
     row (the rank of q*t counts the kernel blocks that im q meets), and that
     is the test build_grid picked the group cells by (Clifford-Miller; Howie
-    1995, Prop. 2.3.7).  So only group cells are composed.
+    1995, Prop. 2.3.7).  So only group cells are composed.  Every map is an
+    entry tuple.
 
     A product x lies in the base H-class when e*x = x = x*e, for e the base
     idempotent, and x restricts to a bijection of im e: x*e = x puts im x
     inside im e, the bijection makes the rank k, and in one D-class e*x = x
     and x*e = x then force x R e and x L e.
     """
+    e = grid.base_idempotent.entries
     qs = []
     for c in range(len(grid.cols)):
-        q = compose(grid.base_idempotent, _schreier.word_value(grid, sys.r[c]))
-        _member_of_cell(grid, q, grid.base[0], c, f"column representative q[{c}]")
+        q = _product(e, _schreier.word_value(grid, sys.r[c]).entries)
+        _member_of_cell(grid, q, e, c, f"column representative q[{c}]")
         qs.append(q)
-    back: dict[int, PartialMap] = {}  # r_inv of each anchor column, evaluated once
+    back: dict[int, tuple[int, ...]] = {}  # r_inv of each anchor column, evaluated once
     ts = []
     for i in range(len(grid.rows)):
         a = anchors_map[i]
         if a not in back:
-            back[a] = _schreier.word_value(grid, sys.r_inv[a])
-        t = compose(grid.cell(i, a), back[a])
-        _member_of_cell(grid, t, i, grid.base[1], f"row representative t[{i}]")
+            back[a] = _schreier.word_value(grid, sys.r_inv[a]).entries
+        f = grid.cell(i, a).entries
+        t = _product(f, back[a])
+        _member_of_cell(grid, t, f, grid.base[1], f"row representative t[{i}]")
         ts.append(t)
-    e = grid.base_idempotent.entries
+    base_im = grid.cols[grid.base[1]]
+    pos = {x: idx for idx, x in enumerate(base_im)}
+    full = set(range(grid.k))
     out: dict[tuple[int, int], Permutation] = {}
     for i, c in grid.group_cells:
-        prod = compose(qs[c], ts[i])
-        x = prod.entries
+        x = _product(qs[c], ts[i])
         if compose_entries(e, x) != x or compose_entries(x, e) != x:
             raise StructuralError("sandwich product fell out of its H-class")
-        out[(c, i)] = _restrict_to_base(grid, prod)
+        perm = tuple(pos.get(x[p], -1) for p in base_im)
+        if set(perm) != full:
+            raise StructuralError("restriction to the base image is not a bijection")
+        out[(c, i)] = perm
     return out

@@ -7,6 +7,7 @@ order k! together with a verified surjection onto S_k pins the group to S_k.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from collections import deque
@@ -67,20 +68,29 @@ def perm_inverse(p: Permutation) -> Permutation:
 
 
 def perm_group_order(gens) -> int:
-    """Order of the permutation group generated by `gens` (direct closure)."""
+    """Order of the permutation group generated by `gens` (direct closure).
+
+    A generator already in the group closed so far is skipped, as it leaves
+    the group unchanged; each new one re-closes every element found so far
+    over the generators kept, which then span the group generated so far.
+    """
     gens = list(dict.fromkeys(gens))  # one per generator cell, mostly repeats
     if not gens:
         raise ValueError("need at least one permutation (group degree unknown)")
-    k = len(gens[0])
-    seen = {perm_identity(k)}
-    queue = deque(seen)
-    while queue:
-        p = queue.popleft()
-        for q in gens:
-            nxt = perm_compose(p, q)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    seen = {perm_identity(len(gens[0]))}
+    kept: list[Permutation] = []
+    for g in gens:
+        if g in seen:
+            continue
+        kept.append(g)
+        queue = deque(seen)
+        while queue:
+            p = queue.popleft()
+            for q in kept:
+                nxt = perm_compose(p, q)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
     return len(seen)
 
 
@@ -265,10 +275,16 @@ def _sparse_smith_normal_form(sparse: list[dict[int, int]]) -> list[int]:
         for j in r:
             rows_of.setdefault(j, set()).add(i)
     units = 0
-    pending = list(range(len(sparse)))  # rows that may hold a unit entry
+    # rows that may hold a unit entry, shortest first, as (length, row); an
+    # entry whose length is no longer its row's is stale, since every change
+    # to a row pushes it again
+    pending = [(len(r), i) for i, r in enumerate(sparse)]
+    heapq.heapify(pending)
     while pending:
-        i = pending.pop()
+        size, i = heapq.heappop(pending)
         piv = sparse[i]
+        if len(piv) != size:
+            continue
         unit_cols = [j for j, v in piv.items() if v in (1, -1)]
         if not unit_cols:
             continue
@@ -289,7 +305,7 @@ def _sparse_smith_normal_form(sparse: list[dict[int, int]]) -> list[int]:
                 elif j in r2:
                     del r2[j]
                     rows_of[j].discard(i2)
-            pending.append(i2)
+            heapq.heappush(pending, (len(r2), i2))
         units += 1
     residual = [r for r in sparse if r]
     cols = sorted({j for r in residual for j in r})

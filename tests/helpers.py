@@ -12,7 +12,7 @@ import math
 from collections import Counter, deque
 from functools import lru_cache
 
-from igmax.dclass import DClassGrid, Permutation
+from igmax.dclass import DClassGrid, Permutation, default_base
 from igmax.errors import StructuralError
 from igmax.groupid import (
     COMPLETE,
@@ -34,7 +34,16 @@ from igmax.presentation import (
     cyclically_reduce,
     invert,
 )
-from igmax.ptrans import UNDEF, Monoid, PartialMap, compose, compose_entries, enumerate_idempotents
+from igmax.ptrans import (
+    UNDEF,
+    Monoid,
+    PartialMap,
+    compose,
+    compose_entries,
+    enumerate_idempotents,
+    idempotent_from_cell,
+    kernels_of_rank,
+)
 from igmax.schreier import SchreierSystem, word_value
 from igmax.squares import (
     Entries,
@@ -175,6 +184,87 @@ def square_cells(grid: DClassGrid, rows: tuple[int, int], cols: tuple[int, int])
 def cached_identify(monoid_key: str, n: int, k: int, anchor_rule: str = "lex",
                     tie_break: str = "least"):
     return identify(n, k, MONOIDS[monoid_key], anchor_rule=anchor_rule, tie_break=tie_break)
+
+
+# ---------------------------------------------------------------------------
+# Grid oracle: the row x column transversal test the per-row enumeration of
+# transversals replaced.  It tests every column against every row and builds
+# each idempotent through `idempotent_from_cell`.
+
+
+def reference_build_grid(n: int, k: int, monoid: Monoid,
+                         base: PartialMap | None = None) -> DClassGrid:
+    if not 0 <= k <= n:
+        raise ValueError(f"rank {k} out of range for n={n}")
+    if monoid is Monoid.TOTAL and k == 0:
+        raise ValueError("T_n has no rank-0 class")
+
+    rows = tuple(kernels_of_rank(n, k, monoid))
+    cols = tuple(itertools.combinations(range(n), k))
+    row_of = {kp: i for i, kp in enumerate(rows)}
+    col_of = {im: c for c, im in enumerate(cols)}
+
+    cells: dict[tuple[int, int], PartialMap] = {}
+    in_row: list[list[int]] = [[] for _ in rows]
+    in_col: list[list[int]] = [[] for _ in cols]
+    for i, kp in enumerate(rows):
+        for c, im in enumerate(cols):
+            if kp.is_transversal(im):
+                cells[(i, c)] = idempotent_from_cell(n, kp, im)
+                in_row[i].append(c)
+                in_col[c].append(i)
+
+    if base is None:
+        base = default_base(n, k)
+    else:
+        if base.n != n:
+            raise ValueError("base idempotent has the wrong ground set")
+        if base.rank() != k:
+            raise ValueError(f"base idempotent has rank {base.rank()}, expected {k}")
+        if not base.is_idempotent():
+            raise ValueError("base element is not idempotent")
+        if monoid is Monoid.TOTAL and not base.is_total:
+            raise ValueError("base idempotent must be total in T_n")
+    base_cell = (row_of[base.kernel()], col_of[base.image()])
+    if base_cell not in cells:
+        raise StructuralError("base cell of an idempotent must be a group cell")
+
+    return DClassGrid(
+        n=n,
+        k=k,
+        monoid=monoid,
+        rows=rows,
+        cols=cols,
+        group_cells=cells,
+        base=base_cell,
+        row_of=row_of,
+        col_of=col_of,
+        cells_in_row=tuple(tuple(cs) for cs in in_row),
+        cells_in_col=tuple(tuple(rs) for rs in in_col),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Group-order oracle: the closure the incremental one replaced.  It closes the
+# identity over every distinct generator at once.
+
+
+def reference_perm_group_order(gens) -> int:
+    """Order of the permutation group generated by `gens` (direct closure)."""
+    gens = list(dict.fromkeys(gens))
+    if not gens:
+        raise ValueError("need at least one permutation (group degree unknown)")
+    k = len(gens[0])
+    seen = {perm_identity(k)}
+    queue = deque(seen)
+    while queue:
+        p = queue.popleft()
+        for q in gens:
+            nxt = perm_compose(p, q)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return len(seen)
 
 
 # ---------------------------------------------------------------------------

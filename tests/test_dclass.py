@@ -5,9 +5,16 @@ from igmax.cli import CORPUS_RUNS
 from igmax.dclass import ANCHOR_RULES, anchors, build_grid, default_base, sandwich_matrix
 from igmax.errors import StructuralError
 from igmax.groupid import perm_identity, verified_schreier
-from igmax.ptrans import Monoid, PartialMap, compose
+from igmax.ptrans import Monoid, PartialMap, compose, compose_entries
 from igmax.schreier import TIE_BREAKS, SchreierSystem
-from helpers import MONOIDS, all_maps, brute_idempotents, pipeline, reference_sandwich_matrix
+from helpers import (
+    MONOIDS,
+    all_maps,
+    brute_idempotents,
+    pipeline,
+    reference_build_grid,
+    reference_sandwich_matrix,
+)
 
 PT = Monoid.PARTIAL
 T = Monoid.TOTAL
@@ -105,6 +112,35 @@ class TestBuildGrid:
             build_grid(3, 0, T)
 
 
+# every class with n <= 6, both monoids, every k; three n = 7 classes under slow
+GRID_CLASSES = [
+    (key, n, k) for n in range(1, 7) for key in ("t", "pt")
+    for k in range(1 if key == "t" else 0, n + 1)
+] + [pytest.param(key, 7, k, marks=pytest.mark.slow) for key in ("t", "pt") for k in (2, 3, 4)]
+
+
+class TestGridDifferential:
+    """Per-row transversals against the row x column transversal test."""
+
+    @staticmethod
+    def assert_same(grid, ref):
+        assert grid == ref
+        assert list(grid.group_cells) == list(ref.group_cells)
+        assert grid.cells_in_row == ref.cells_in_row
+        assert grid.cells_in_col == ref.cells_in_col
+
+    @pytest.mark.parametrize("key,n,k", GRID_CLASSES)
+    def test_matches_row_by_column_oracle(self, key, n, k):
+        self.assert_same(build_grid(n, k, MONOIDS[key]), reference_build_grid(n, k, MONOIDS[key]))
+
+    def test_custom_base(self):
+        base = PartialMap.from_text("[-,2,2,4,5]")
+        grid = build_grid(5, 3, PT, base=base)
+        self.assert_same(grid, reference_build_grid(5, 3, PT, base=base))
+        assert grid.base_idempotent == base
+        assert grid.base != build_grid(5, 3, PT).base
+
+
 class TestAnchors:
     def test_lex_least_transversal_examples(self):
         grid = build_grid(3, 2, PT)
@@ -189,9 +225,9 @@ class TestSandwich:
 
         def counted(a, b):
             calls.append(None)
-            return compose(a, b)
+            return compose_entries(a, b)
 
-        monkeypatch.setattr(dclass, "compose", counted)
+        monkeypatch.setattr(dclass, "_product", counted)
         sandwich_matrix(grid, sys_, am)
         assert len(calls) == len(grid.cols) + len(grid.rows) + len(grid.group_cells)
 
@@ -207,10 +243,12 @@ class TestSandwich:
 
         def skewed(a, b):
             calls.append(None)
-            prod = compose(a, b)
-            return compose(other, prod) if len(calls) > len(grid.cols) + len(grid.rows) else prod
+            prod = compose_entries(a, b)
+            if len(calls) > len(grid.cols) + len(grid.rows):
+                return compose_entries(other.entries, prod)
+            return prod
 
-        monkeypatch.setattr(dclass, "compose", skewed)
+        monkeypatch.setattr(dclass, "_product", skewed)
         with pytest.raises(StructuralError, match="sandwich product fell out"):
             sandwich_matrix(grid, sys_, am)
 

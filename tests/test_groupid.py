@@ -37,6 +37,7 @@ from helpers import (
     minor_gcd_invariants,
     oracle_presentations,
     pipeline,
+    reference_perm_group_order,
     reference_verify_hom,
 )
 
@@ -419,6 +420,82 @@ class TestPermGroupOrderRepeats:
         images = list(rees_hom(grid, sys_, anchors_map).values())
         assert len(set(images)) < len(images)
         assert perm_group_order(images) == perm_group_order(sorted(set(images)))
+
+
+def _random_generator_lists(count: int = 200, seed: int = 1101):
+    """Seeded generator lists in S_k, k <= 5, with repeats; most open with
+    generators of a proper subgroup (a point stabiliser or a cyclic group)."""
+    rng = random.Random(seed)
+
+    def shuffled(points):
+        points = list(points)
+        rng.shuffle(points)
+        return tuple(points)
+
+    for _ in range(count):
+        k = rng.randint(1, 5)
+        style = rng.randrange(3)
+        gens = []
+        if style == 0 and k >= 2:
+            gens += [shuffled(range(k - 1)) + (k - 1,) for _ in range(rng.randint(1, 3))]
+        elif style == 1:
+            g = shuffled(range(k))
+            gens.append(g)
+            for _ in range(rng.randint(0, 2)):
+                gens.append(perm_compose(gens[-1], g))
+        gens += [shuffled(range(k)) for _ in range(rng.randint(0 if gens else 1, 3))]
+        for _ in range(rng.randint(0, 4)):
+            gens.insert(rng.randint(0, len(gens)), rng.choice(gens))
+        yield gens
+
+
+RANDOM_GENERATOR_LISTS = list(_random_generator_lists())
+
+
+class TestPermGroupOrderDifferential:
+    """The incremental closure against closing over every generator at once."""
+
+    @pytest.mark.parametrize("key,n,k", HOM_CLASSES)
+    def test_hom_images_of_corpus_classes(self, key, n, k):
+        grid, anchors_map, sys_, _, _ = pipeline(key, n, k)
+        images = list(rees_hom(grid, sys_, anchors_map).values())
+        assert perm_group_order(images) == reference_perm_group_order(images)
+
+    def test_random_generator_lists(self):
+        for gens in RANDOM_GENERATOR_LISTS:
+            assert perm_group_order(gens) == reference_perm_group_order(gens), gens
+
+    def test_random_lists_grow_past_their_first_generators(self):
+        # re-closing runs: the first generator spans a proper subgroup
+        grows = [
+            gens for gens in RANDOM_GENERATOR_LISTS
+            if reference_perm_group_order(gens[:1]) < reference_perm_group_order(gens)
+        ]
+        assert len(grows) >= 50
+        assert sum(len(set(gens)) < len(gens) for gens in RANDOM_GENERATOR_LISTS) >= 100
+
+
+class TestSparseSmithNormalFormDifferential:
+    """Shortest-row-first unit elimination against the dense routine alone.
+    TestSparseUnitElimination covers the raw relation matrices for n <= 5."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("key,n,k", [(key, n, k) for key, n, k in HOM_CLASSES if n == 6])
+    def test_raw_relation_matrices_of_corpus_classes(self, key, n, k):
+        mat = relation_matrix(pipeline(key, n, k)[4])
+        assert smith_normal_form(mat) == dense_smith_normal_form(mat)
+
+    def test_random_sparse_matrices(self):
+        rng = random.Random(3057)
+        entries = (1, -1, 1, -1, 2, -2, 3)
+        for _ in range(150):
+            m = rng.randint(1, 30)
+            n = rng.randint(1, 20)
+            mat = [[0] * n for _ in range(m)]
+            for row in mat:
+                for j in rng.sample(range(n), rng.randint(0, min(n, 4))):
+                    row[j] = rng.choice(entries)
+            assert smith_normal_form(mat) == dense_smith_normal_form(mat), mat
 
 
 class TestAbelianInvariantsOfRawPresentations:
