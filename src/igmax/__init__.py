@@ -24,7 +24,6 @@ from .presentation import (
     GHGraph,
     GroupPresentation,
     build_presentation,
-    collapse_short_relators,
     eliminate_partial_rows,
     free_rank,
     gh_graph,

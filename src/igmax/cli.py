@@ -25,7 +25,6 @@ from .groupid import (
     verified_schreier,
 )
 from .presentation import (
-    collapse_short_relators,
     eliminate_partial_rows,
     free_rank,
     gh_graph,
@@ -226,7 +225,7 @@ def _cmd_presentation(args, out) -> int:
     if args.eliminate_partial:
         pres = eliminate_partial_rows(pres, grid, singulars)
     if args.simplify:
-        pres = tietze_simplify(collapse_short_relators(pres))
+        pres = tietze_simplify(pres)
     if args.gap:
         with open(args.gap, "w") as fh:
             fh.write(to_gap(pres))

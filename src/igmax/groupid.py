@@ -30,7 +30,6 @@ from .presentation import (
     TYPE3,
     GroupPresentation,
     build_presentation,
-    collapse_short_relators,
     free_rank,
     gh_graph,
     tietze_simplify,
@@ -423,8 +422,9 @@ def rees_hom(
     Anchors therefore map to the identity permutation by construction.
     """
     matrix = sandwich_matrix(grid, sys, anchors_map)
+    inverse = {q: perm_inverse(q) for q in set(matrix.values())}  # at most k! of them
     return {
-        (i, lam): perm_compose(matrix[(anchors_map[i], i)], perm_inverse(matrix[(lam, i)]))
+        (i, lam): perm_compose(matrix[(anchors_map[i], i)], inverse[matrix[(lam, i)]])
         for i, lam in sorted(grid.group_cells)
     }
 
@@ -593,21 +593,22 @@ def identify(
             raise StructuralError("unexpected type-3 relator in the k = n-1 class")
         with _timed(timings, "free_rank"):
             rank = free_rank(gh_graph(grid), grid.base)
-            simp = tietze_simplify(collapse_short_relators(raw))
-            inv = abelian_invariants(simp)
-        if inv.torsion or inv.free_rank != rank:
+            simp = tietze_simplify(raw)
+        if simp.relators or len(simp.generators) != rank:
             raise StructuralError(
-                f"cycle rank {rank} disagrees with abelianization {inv.as_list()}"
+                f"free of cycle rank {rank} needs {rank} generators and no relators after "
+                f"simplification, not {len(simp.generators)} and {len(simp.relators)}"
             )
         outcome = dict(
             verdict=VERDICT_FREE,
             order=1 if rank == 0 else None,
             order_kind="finite" if rank == 0 else "infinite_free",
             free_rank=rank,
+            abelian_invariants=[0] * rank,
         )
     else:
         with _timed(timings, "tietze"):
-            simp = tietze_simplify(collapse_short_relators(raw)) if simplify else raw
+            simp = tietze_simplify(raw) if simplify else raw
         with _timed(timings, "coset_enumeration"):
             table = todd_coxeter(simp, max_cosets=max_cosets)
         with _timed(timings, "abelian_invariants"):
@@ -633,6 +634,7 @@ def identify(
             order_kind="finite" if table.status == COMPLETE else "overflow",
             hom_valid=hom_ok,
             image_order=image_order,
+            abelian_invariants=inv.as_list(),
             diagnostics=diagnostics,
         )
 
@@ -640,7 +642,6 @@ def identify(
         n,
         k,
         monoid,
-        abelian_invariants=inv.as_list(),
         generators=len(raw.generators),
         relator_counts=counts,
         simplified_generators=len(simp.generators),

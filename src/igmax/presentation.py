@@ -3,9 +3,9 @@
 One generator X_<row>_<col> per group cell, relators in three flavors:
 anchors equal 1 (type 1), Schreier parent edges identify generators (type 2),
 singular squares equate column transitions across rows (type 3).  Includes
-the Graham-Houghton graph, cycle rank, Tietze simplification with its
-short-relator pre-pass, and the elimination of all generators sitting in
-partial-domain rows.
+the Graham-Houghton graph, cycle rank, Tietze simplification (a short-relator
+union-find, then indexed elimination), and the elimination of all generators
+sitting in partial-domain rows.
 """
 
 from __future__ import annotations
@@ -118,7 +118,8 @@ def build_presentation(
     rels: list[Relator] = [(letter[(i, anchors_map[i])],) for i in range(len(grid.rows))]
     tags = [TYPE1] * len(rels)
 
-    # type 2: literal word equality r[lam] + e_{i,mu} == r[mu]
+    # type 2: literal word equality r[lam] + e_{i,mu} == r[mu], lam by its distinct word
+    col_of = {w: lam for lam, w in sys.r.items()}
     for mu in range(len(grid.cols)):
         w = sys.r[mu]
         if not w:
@@ -126,11 +127,10 @@ def build_presentation(
         i, target = w[-1]
         if target != mu or (i, mu) not in grid.group_cells:
             continue
-        prefix = w[:-1]
-        for lam in range(len(grid.cols)):
-            if lam != mu and sys.r[lam] == prefix and (i, lam) in grid.group_cells:
-                rels.append((letter[(i, lam)], letter[(i, mu)] ^ 1))
-                tags.append(TYPE2)
+        lam = col_of.get(w[:-1])
+        if lam is not None and (i, lam) in grid.group_cells:
+            rels.append((letter[(i, lam)], letter[(i, mu)] ^ 1))
+            tags.append(TYPE2)
 
     for (i, j), (lam, mu), _, _ in singulars:
         rels.append((letter[(i, lam)] ^ 1, letter[(i, mu)], letter[(j, mu)] ^ 1, letter[(j, lam)]))
@@ -174,109 +174,29 @@ def free_rank(g: GHGraph, root_cell: tuple[int, int]) -> int:
 
 
 def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
-    """Kill trivial relators and eliminate once-occurring generators to a fixpoint.
+    """Simplify by Tietze moves, so the presented group is unchanged.
 
-    Deterministic priority: shortest relator first, then least generator, then
-    oldest relator.  The isomorphism class of the presented group is preserved.
-
-    Cost: an index from each generator to the live relators containing it and a
-    lazy min-heap of (length, least once-occurring generator, relator id,
-    version) replace a rescan of every relator per elimination.  A relator's
-    key changes only when it is rewritten, so the heap minimum is the
-    priority's minimum at every step and the elimination order does not depend
-    on the index.  Eliminating x rewrites only the relators containing x, in
-    ascending id, so a rewrite that duplicates another keeps the same survivor.
+    A signed union-find first consumes every relator of length 1 or 2, then
+    the indexed elimination removes once-occurring generators to a fixpoint.
     """
-    rels: list[Relator | None] = []
-    canons: list[Relator | None] = []
-    tags: list[str] = []
-    canon_of: dict[Relator, int] = {}
-    for rel, tag in zip(p.relators, p.provenance):
-        rel = cyclically_reduce(rel)
-        if not rel:
-            continue
-        canon = canonical_form(rel)
-        if canon in canon_of:
-            continue
-        canon_of[canon] = len(rels)
-        rels.append(rel)
-        canons.append(canon)
-        tags.append(tag)
-
-    alive = [True] * len(p.generators)
-    occ: list[set[int]] = [set() for _ in p.generators]
-    version = [0] * len(rels)
-    heap: list[tuple[int, int, int, int]] = []
-
-    def index(rid: int, rel: Relator) -> None:
-        counts: dict[int, int] = {}
-        for y in rel:
-            g = y >> 1
-            counts[g] = counts.get(g, 0) + 1
-        once = [g for g, cnt in counts.items() if cnt == 1]
-        for g in counts:
-            occ[g].add(rid)
-        if once:
-            heapq.heappush(heap, (len(rel), min(once), rid, version[rid]))
-
-    def retire(rid: int) -> None:
-        for y in rels[rid]:
-            occ[y >> 1].discard(rid)
-        version[rid] += 1
-        rels[rid] = None
-        canons[rid] = None
-
-    for rid, rel in enumerate(rels):
-        index(rid, rel)
-
-    while heap:
-        _, x, rid, ver = heapq.heappop(heap)
-        if ver != version[rid]:
-            continue
-        rel = rels[rid]
-        idx = next(pos for pos, y in enumerate(rel) if y >> 1 == x)
-        rest = rel[idx + 1 :] + rel[:idx]
-        sub = rest if rel[idx] & 1 else invert(rest)  # now x = sub holds
-        sub_inv = invert(sub)
-        retire(rid)
-        alive[x] = False
-        for rid2 in sorted(occ[x]):
-            new: list[int] = []
-            for y in rels[rid2]:
-                if y >> 1 == x:
-                    new.extend(sub_inv if y & 1 else sub)
-                else:
-                    new.append(y)
-            retire(rid2)
-            reduced = cyclically_reduce(tuple(new))
-            if not reduced:
-                continue
-            canon = canonical_form(reduced)
-            other = canon_of.get(canon)
-            # canon_of may name a relator since rewritten or retired; canons
-            # holds the live form, so this is a duplicate of a live relator
-            if other is not None and canons[other] == canon:
-                continue
-            canon_of[canon] = rid2
-            rels[rid2] = reduced
-            canons[rid2] = canon
-            tags[rid2] = TIETZE
-            index(rid2, reduced)
-
+    alive, rels, canons, tags = _collapse_short_relators(p)
+    _eliminate(alive, rels, canons, tags)
     return _rebuild(p, alive, rels, tags)
 
 
-def collapse_short_relators(p: GroupPresentation) -> GroupPresentation:
+def _collapse_short_relators(
+    p: GroupPresentation,
+) -> tuple[list[bool], list[Relator | None], list[Relator | None], list[str]]:
     """Consume every relator of length 1 or 2 by a signed union-find, to a fixpoint.
 
     A relator g kills g's class; a relator on two distinct classes links them.
     Each round rewrites every remaining relator once through the classes and
     cyclically reduces it, consuming it at once if it became short; rounds
     repeat until one consumes nothing.  A relator on one class, such as x^2,
-    is kept.  The survivors are deduplicated by canonical form, in order, and
-    each class is renamed to its largest generator, the one `tietze_simplify`
-    keeps, with that generator's cell.  These are Tietze moves, so the
-    presented group is unchanged.
+    is kept.  Each class is renamed to its largest generator, the one the
+    elimination would keep, and the survivors are deduplicated by canonical
+    form, in order.  Returns the alive mask and the surviving relators, their
+    canonical forms and tags, in the original generator numbering.
     """
     ngen = len(p.generators)
     # image[x] is the letter that letter x equals, a letter of its class's
@@ -336,7 +256,8 @@ def collapse_short_relators(p: GroupPresentation) -> GroupPresentation:
             rename[2 * rep] = 2 * g | t
             rename[2 * rep + 1] = 2 * g | (t ^ 1)
 
-    rels: list[Relator] = []
+    rels: list[Relator | None] = []
+    canons: list[Relator | None] = []
     tags: list[str] = []
     seen: set[Relator] = set()
     for rel, tag, cur in pending:
@@ -345,8 +266,87 @@ def collapse_short_relators(p: GroupPresentation) -> GroupPresentation:
         if canon not in seen:
             seen.add(canon)
             rels.append(word)
+            canons.append(canon)
             tags.append(tag if word == rel else TIETZE)
-    return _rebuild(p, alive, rels, tags)
+    return alive, rels, canons, tags
+
+
+def _eliminate(
+    alive: list[bool], rels: list[Relator | None], canons: list[Relator | None], tags: list[str]
+) -> None:
+    """Eliminate once-occurring generators to a fixpoint, in place.
+
+    The relators come cyclically reduced, nonempty and distinct up to
+    canonical form; a retired one becomes None.  Deterministic priority:
+    shortest relator first, then least generator, then oldest relator.
+
+    Cost: an index from each generator to the live relators containing it and a
+    lazy min-heap of (length, least once-occurring generator, relator id,
+    version) replace a rescan of every relator per elimination.  A relator's
+    key changes only when it is rewritten, so the heap minimum is the
+    priority's minimum at every step and the elimination order does not depend
+    on the index.  Eliminating x rewrites only the relators containing x, in
+    ascending id, so a rewrite that duplicates another keeps the same survivor.
+    """
+    canon_of = {canon: rid for rid, canon in enumerate(canons)}
+    occ: list[set[int]] = [set() for _ in alive]
+    version = [0] * len(rels)
+    heap: list[tuple[int, int, int, int]] = []
+
+    def index(rid: int, rel: Relator) -> None:
+        counts: dict[int, int] = {}
+        for y in rel:
+            g = y >> 1
+            counts[g] = counts.get(g, 0) + 1
+        once = [g for g, cnt in counts.items() if cnt == 1]
+        for g in counts:
+            occ[g].add(rid)
+        if once:
+            heapq.heappush(heap, (len(rel), min(once), rid, version[rid]))
+
+    def retire(rid: int) -> None:
+        for y in rels[rid]:
+            occ[y >> 1].discard(rid)
+        version[rid] += 1
+        rels[rid] = None
+        canons[rid] = None
+
+    for rid, rel in enumerate(rels):
+        index(rid, rel)
+
+    while heap:
+        _, x, rid, ver = heapq.heappop(heap)
+        if ver != version[rid]:
+            continue
+        rel = rels[rid]
+        idx = next(pos for pos, y in enumerate(rel) if y >> 1 == x)
+        rest = rel[idx + 1 :] + rel[:idx]
+        sub = rest if rel[idx] & 1 else invert(rest)  # now x = sub holds
+        sub_inv = invert(sub)
+        retire(rid)
+        alive[x] = False
+        for rid2 in sorted(occ[x]):
+            new: list[int] = []
+            for y in rels[rid2]:
+                if y >> 1 == x:
+                    new.extend(sub_inv if y & 1 else sub)
+                else:
+                    new.append(y)
+            retire(rid2)
+            reduced = cyclically_reduce(tuple(new))
+            if not reduced:
+                continue
+            canon = canonical_form(reduced)
+            other = canon_of.get(canon)
+            # canon_of may name a relator since rewritten or retired; canons
+            # holds the live form, so this is a duplicate of a live relator
+            if other is not None and canons[other] == canon:
+                continue
+            canon_of[canon] = rid2
+            rels[rid2] = reduced
+            canons[rid2] = canon
+            tags[rid2] = TIETZE
+            index(rid2, reduced)
 
 
 def _rebuild(

@@ -29,6 +29,8 @@ from igmax.presentation import (
     TIETZE,
     GroupPresentation,
     Relator,
+    _collapse_short_relators,
+    _eliminate,
     _rebuild,
     canonical_form,
     cyclically_reduce,
@@ -268,7 +270,36 @@ def reference_perm_group_order(gens) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Tietze oracle: the full-rescan simplification the indexed one replaced.  It
+# The two phases of `tietze_simplify`, each on its own: the short-relator
+# union-find, and the indexed elimination on a presentation's own relators.
+
+
+def collapse_phase(p: GroupPresentation) -> GroupPresentation:
+    """The union-find phase's survivors, as the presentation Tietze starts from."""
+    alive, rels, _, tags = _collapse_short_relators(p)
+    return _rebuild(p, alive, rels, tags)
+
+
+def tietze_alone(p: GroupPresentation) -> GroupPresentation:
+    """The indexed elimination without the union-find phase, on the relators
+    cyclically reduced, nonempty and deduplicated by canonical form, in order."""
+    rels, canons, tags = [], [], []
+    seen = set()
+    for rel, tag in zip(p.relators, p.provenance):
+        rel = cyclically_reduce(rel)
+        canon = canonical_form(rel)
+        if rel and canon not in seen:
+            seen.add(canon)
+            rels.append(rel)
+            canons.append(canon)
+            tags.append(tag)
+    alive = [True] * len(p.generators)
+    _eliminate(alive, rels, canons, tags)
+    return _rebuild(p, alive, rels, tags)
+
+
+# ---------------------------------------------------------------------------
+# Tietze oracle: the full-rescan elimination the indexed one replaced.  It
 # recounts every live relator on every elimination, so it is slow but plainly
 # follows the priority (length, least once-occurring generator, relator id).
 

@@ -24,7 +24,8 @@ from igmax.groupid import (
 )
 from igmax.cli import CORPUS_RUNS
 from igmax.dclass import ANCHOR_RULES
-from igmax.presentation import GroupPresentation
+from igmax.errors import StructuralError
+from igmax.presentation import GroupPresentation, free_rank, gh_graph, tietze_simplify
 from igmax.ptrans import Monoid, PartialMap, compose
 from igmax.schreier import word_value
 
@@ -370,6 +371,29 @@ class TestIdentify:
     def test_timing_keys(self, n, k, simplify, stages):
         assert identify(n, k, PT, simplify=simplify).timings.keys() == stages
 
+    def test_simplification_runs_inside_the_traced_call(self, monkeypatch):
+        # wrapped by module attribute, as the traced benchmark wraps it: the
+        # call receives the raw presentation, so no simplification runs outside
+        from igmax import groupid
+
+        calls = {}
+
+        def recording(name, fn):
+            def wrapped(*args):
+                out = fn(*args)
+                calls.setdefault(name, []).append((args, out))
+                return out
+
+            return wrapped
+
+        for name in ("build_presentation", "tietze_simplify"):
+            monkeypatch.setattr(groupid, name, recording(name, getattr(groupid, name)))
+        identify(6, 3, T)
+        [(_, raw)] = calls["build_presentation"]
+        [((received,), _)] = calls["tietze_simplify"]
+        assert len(received.relators) == len(raw.relators)
+        assert received is raw
+
     def test_full_matrix_up_to_n5(self):
         import math
 
@@ -383,6 +407,46 @@ class TestIdentify:
                     assert report.image_order == math.factorial(k)
                     expected_inv = [2] if k >= 2 else []
                     assert report.abelian_invariants == expected_inv
+
+
+class TestFreeVerdictShape:
+    """k = n-1: simplification leaves no relators on exactly the cycle-rank
+    many generators, so the group is free of that rank."""
+
+    @pytest.mark.parametrize(
+        "key,n",
+        [(key, n) for n in range(2, 7) for key in MONOIDS]
+        + [pytest.param(key, 7, marks=pytest.mark.slow) for key in MONOIDS],
+    )
+    def test_rank_generators_and_no_relators(self, key, n):
+        grid, _, _, _, raw = pipeline(key, n, n - 1)
+        rank = free_rank(gh_graph(grid), grid.base)
+        simp = tietze_simplify(raw)
+        assert simp.relators == () and len(simp.generators) == rank
+        report = cached_identify(key, n, n - 1)
+        assert report.verdict == VERDICT_FREE and report.free_rank == rank
+        assert report.abelian_invariants == [0] * rank
+        assert (report.simplified_generators, report.simplified_relators) == (rank, 0)
+
+    @pytest.mark.parametrize(
+        "extra,counts", [("relator", "not 1 and 1"), ("generator", "not 2 and 0")]
+    )
+    def test_any_other_shape_is_structural_error(self, monkeypatch, extra, counts):
+        from igmax import groupid
+
+        real_tietze_simplify = groupid.tietze_simplify
+
+        def padded(p):
+            simp = real_tietze_simplify(p)
+            if extra == "relator":
+                return GroupPresentation(
+                    simp.generators, simp.relators + ((0, 0),), simp.provenance + ("tietze",)
+                )
+            return GroupPresentation(simp.generators + ("Y",), simp.relators, simp.provenance)
+
+        monkeypatch.setattr(groupid, "tietze_simplify", padded)
+        with pytest.raises(StructuralError, match=f"cycle rank 1 .*{counts}"):
+            identify(3, 2, PT)  # the cycle rank is 1
 
 
 class TestIdempotentClosure:

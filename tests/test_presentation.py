@@ -14,7 +14,6 @@ from igmax.presentation import (
     GroupPresentation,
     build_presentation,
     canonical_form,
-    collapse_short_relators,
     cyclically_reduce,
     eliminate_partial_rows,
     free_rank,
@@ -33,10 +32,12 @@ from igmax.squares import enumerate_singular_squares
 from helpers import (
     brute_idempotents,
     cached_identify,
+    collapse_phase,
     letters,
     pipeline,
     reference_tietze_simplify,
     square_cells,
+    tietze_alone,
 )
 
 PT = Monoid.PARTIAL
@@ -109,6 +110,24 @@ class TestBuildPresentation:
         assert counts[TYPE1] == len(grid.rows)
         assert counts[TYPE2] == len(grid.cols) - 1
         assert counts[TYPE3] == len(singulars)
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize("key,n,k", CORPUS_CLASSES)
+    def test_type2_relators_match_the_column_scan(self, key, n, k, tie_break):
+        # the parent column is looked up by its word; the scan tries every column
+        grid, _, sys_, _, pres = pipeline(key, n, k, tie_break=tie_break)
+        letter = {cell: 2 * g for g, cell in enumerate(pres.cells)}
+        want = []
+        for mu in range(len(grid.cols)):
+            w = sys_.r[mu]
+            if not w or w[-1][1] != mu or w[-1] not in grid.group_cells:
+                continue
+            i = w[-1][0]
+            for lam in range(len(grid.cols)):
+                if lam != mu and sys_.r[lam] == w[:-1] and (i, lam) in grid.group_cells:
+                    want.append((letter[(i, lam)], letter[(i, mu)] ^ 1))
+        got = [rel for rel, tag in zip(pres.relators, pres.provenance) if tag == TYPE2]
+        assert got == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -195,7 +214,8 @@ class TestTietze:
                     rels.append(rel)
             p = make([f"g{i}" for i in range(ngens)], rels)
             assert abelian_invariants(p) == abelian_invariants(tietze_simplify(p))
-            assert tietze_simplify(p) == reference_tietze_simplify(p)
+            assert tietze_simplify(p) == reference_tietze_simplify(collapse_phase(p))
+            assert tietze_alone(p) == reference_tietze_simplify(p)
 
     def test_simplified_group_order_unchanged(self):
         _, _, _, _, pres = pipeline("t", 4, 2)
@@ -224,10 +244,13 @@ class TestTietzeDifferential:
                 if pres in seen:
                     continue
                 seen.add(pres)
+                # the elimination runs on the union-find phase's survivors
                 got = tietze_simplify(pres)
-                want = reference_tietze_simplify(pres)
+                want = reference_tietze_simplify(collapse_phase(pres))
                 assert got == want, (rule, tie)
                 assert to_gap(got) == to_gap(want), (rule, tie)
+                # and, on its own, on the raw relators
+                assert tietze_alone(pres) == reference_tietze_simplify(pres), (rule, tie)
 
 
 def assert_collapsed(p: GroupPresentation) -> None:
@@ -241,7 +264,7 @@ def assert_collapsed(p: GroupPresentation) -> None:
 
 class TestCollapseShortRelators:
     def test_empty_presentation(self):
-        assert collapse_short_relators(make([], [])) == make([], [])
+        assert collapse_phase(make([], [])) == make([], [])
 
     def test_nothing_short_is_only_deduplicated(self):
         abc = letters(((0, 1), (1, 1), (2, 1)))
@@ -249,22 +272,22 @@ class TestCollapseShortRelators:
         a3 = (0, 0, 0)
         cells = ((0, 0), (0, 1), (1, 1))
         p = make("abc", [abc, a3, bca, invert(abc)], ("type3", "type2", "type1", "type3"), cells)
-        assert collapse_short_relators(p) == make("abc", [abc, a3], ("type3", "type2"), cells)
+        assert collapse_phase(p) == make("abc", [abc, a3], ("type3", "type2"), cells)
 
     def test_square_is_kept(self):
         p = make("x", [(0, 0)], ("type1",))
-        assert collapse_short_relators(p) == p
+        assert collapse_phase(p) == p
 
     def test_both_signs_leave_a_square(self):
         # a = b and a = b^-1: b is the root, and the second relator becomes b^2
         p = make("ab", [letters(((0, 1), (1, -1))), letters(((0, 1), (1, 1)))])
-        assert collapse_short_relators(p) == make("b", [(0, 0)], ("tietze",))
+        assert collapse_phase(p) == make("b", [(0, 0)], ("tietze",))
 
     def test_chain_keeps_the_sign(self):
         # a = b and b = c^-1, so a^3 = c^-3 with c renumbered to generator 0
         rels = [letters(((0, 1), (1, -1))), letters(((1, 1), (2, 1))), (0, 0, 0)]
         p = make("abc", rels, cells=((0, 0), (0, 1), (0, 2)))
-        assert collapse_short_relators(p) == make("c", [(1, 1, 1)], ("tietze",), ((0, 2),))
+        assert collapse_phase(p) == make("c", [(1, 1, 1)], ("tietze",), ((0, 2),))
 
     def test_kill_propagates_through_a_linked_class(self):
         # a = b = c, and killing a kills the class after a d^3 was rewritten
@@ -275,7 +298,7 @@ class TestCollapseShortRelators:
             letters(((0, -1),)),
         ]
         p = make("abcd", rels, cells=((0, 0), (0, 1), (0, 2), (1, 0)))
-        assert collapse_short_relators(p) == make("d", [(0, 0, 0)], ("tietze",), ((1, 0),))
+        assert collapse_phase(p) == make("d", [(0, 0, 0)], ("tietze",), ((1, 0),))
 
     def test_invariants_preserved_on_random_presentations(self):
         rng = random.Random(29)
@@ -290,7 +313,7 @@ class TestCollapseShortRelators:
                 if rel:
                     rels.append(rel)
             p = make([f"g{i}" for i in range(ngens)], rels)
-            out = collapse_short_relators(p)
+            out = collapse_phase(p)
             assert_collapsed(out)
             assert abelian_invariants(out) == abelian_invariants(p)
 
@@ -312,9 +335,12 @@ class TestCollapseShortRelators:
             anchors_map = anchors(grid, rule)
             sys_ = build_schreier(grid, tie)
             raw = build_presentation(grid, sys_, anchors_map, singulars)
-            out = collapse_short_relators(raw)
+            out = collapse_phase(raw)
             assert_collapsed(out)
-            got, want = tietze_simplify(out).cells, tietze_simplify(raw).cells
+            simp = tietze_simplify(raw)
+            # the phases in one call equal the elimination run on the phase's output
+            assert simp == tietze_alone(out), (rule, tie)
+            got, want = simp.cells, tietze_alone(raw).cells
             assert len(got) == len(want), (rule, tie)
             if (key, n, k) != ("t", 6, 4):
                 assert got == want, (rule, tie)
