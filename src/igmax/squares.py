@@ -10,23 +10,26 @@ Case (a) further forces eps*f = f, eps*h = h, e*eps = e and g*eps = h*eps = g;
 `singularizes` asserts those consequences whenever (a) fires, and serves the
 completion squares and the tests as the full check.
 
-`enumerate_singular_squares` decides each candidate square pointwise: the
-orientation e = (i, lam), f = (i, mu), g = (j, lam), h = (j, mu) is singular
-exactly when x.g = (x.e).g for every x in im f, which is k lookups and needs
-no search over idempotents.  It returns one `SingularSquare(rows, cols,
-witness, case)` per singular square, oriented that way, with the explicit
-witness eps = e on im f, the identity elsewhere, and case (a).  All eight
-case-(a) facts are still confirmed for every record, without a full
+`enumerate_singular_squares` finds the singular squares per column pair
+(lam, mu), with no search over idempotents and no visit to a non-singular
+square.  Each row r with cells in both columns matches cols[mu] to cols[lam]
+along its kernel; the square on rows i and j is singular exactly when rows i
+and j match the columns alike, in every orientation at once (proofs in its
+docstring).  So the rows are bucketed by their matching, and every pair of
+rows in one bucket is a singular square.  Each comes out once, as
+`SingularSquare(rows, cols, witness, case)` with i < j and lam < mu, the
+explicit witness eps = e on im f and the identity elsewhere, and case (a).
+All eight case-(a) facts are still confirmed for every record, without a full
 composition per hit: the facts about e, f and column lam depend only on
-(i, lam, mu) and are checked once per triple, and the facts about g and h
-reduce to k lookups each, in the test's own loop (proofs in its docstring).
-The rows and columns are all the presentation needs: one type-3 relator per
-record.
+(i, lam, mu) and are checked once per triple by lookups, and the facts about
+g and h reduce to k lookups each.  The rows and columns are all the
+presentation needs: one type-3 relator per record.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import StructuralError
@@ -121,122 +124,132 @@ def witness_pool(grid: "DClassGrid") -> list[PartialMap]:
 
 
 def _explicit_witness(e: Entries, im_f: tuple[int, ...]) -> Entries:
-    """e on im f, the identity elsewhere: the case-(a) witness of a square
-    whose pointwise test passed (see `enumerate_singular_squares`)."""
+    """e on im f, the identity elsewhere: the case-(a) witness of every
+    singular square with top-left cell e and right column im f (see
+    `enumerate_singular_squares`)."""
     eps = list(range(len(e)))
     for x in im_f:
         eps[x] = e[x]
     return tuple(eps)
 
 
-class _PointwiseTest:
-    """The pointwise test of one grid's oriented squares, confirming case (a).
+def _top_row_holds(eps: Entries, e: Entries, f: Entries, im_e: tuple[int, ...],
+                   im_f: tuple[int, ...]) -> bool:
+    """Whether eps is e on im f and the identity elsewhere, and satisfies
+    eps*e = e, eps*f = f, e*eps = e and f*eps = e.
 
-    Every orientation with top row r and column pair (a, b) has the same
-    witness and the same top-row facts, so those are checked once per
-    (r, a, b) and memoised; each hit then checks its bottom-row facts in k
-    lookups.  See `enumerate_singular_squares` for the proofs.
+    e and f are the idempotents of one row (one kernel, so one domain), with
+    images im e and im f.  One pass over the n points reads f*eps = e, x.f.eps
+    = x.e, and that eps fixes every x off im f (f is idempotent, so x lies in
+    im f exactly when x.f = x).  On im f, where x.f = x, the first makes
+    x.eps = x.e, so eps has the shape above.  Given the shape, x.(eps*a) =
+    x.a off im f for any a, and x.(eps*a) = (x.e).a on im f, so
+
+      eps*e = e  exactly when e[e[x]] == e[x] for every x in im f,
+      eps*f = f  exactly when f[e[x]] == f[x] for every x in im f;
+
+    and x.(e*eps) = (x.e).eps, so e*eps = e exactly when eps fixes im e.
     """
-
-    def __init__(self, grid: "DClassGrid") -> None:
-        self.cells = {cell: m.entries for cell, m in grid.group_cells.items()}
-        self.cols = grid.cols
-        self.witnesses: dict[Entries, PartialMap] = {}  # equal witnesses share one map
-        self.tops: dict[tuple[int, int, int], PartialMap] = {}
-
-    def witness(self, rows: tuple[int, int], cols: tuple[int, int]) -> PartialMap | None:
-        """The case-(a) witness of the oriented square, or None if it is not singular."""
-        (i, j), (a, b) = rows, cols
-        top = self.tops.get((i, a, b))
-        if top is None:
-            top = self._top_row(i, a, b)
-        eps = top.entries
-        e = self.cells[(i, a)]
-        g = self.cells[(j, a)]
-        h = self.cells[(j, b)]
-        bottom_ok = True
-        for x in self.cols[b]:
-            ex = e[x]
-            gx = g[x]
-            if g[ex] != gx:  # eps*g = g fails at x: not singular
-                return None
-            hx = h[x]
-            if h[ex] != hx or eps[hx] != gx:  # eps*h = h and h*eps = g
-                bottom_ok = False
-        if not bottom_ok:
-            raise StructuralError(
-                f"witness {top.to_text()} passed the pointwise test but fails the "
-                f"bottom-row case-(a) facts on rows {rows}, columns {cols}"
-            )
-        return top
-
-    def _top_row(self, i: int, a: int, b: int) -> PartialMap:
-        e = self.cells[(i, a)]
-        f = self.cells[(i, b)]
-        eps = _explicit_witness(e, self.cols[b])
-        witness = self.witnesses.get(eps)
-        if witness is None:
-            witness = self.witnesses[eps] = PartialMap(eps)
-            if not witness.is_idempotent():
-                raise StructuralError(f"witness {witness.to_text()} is not idempotent")
-        if not (
-            compose_entries(eps, e) == e
-            and compose_entries(f, eps) == e
-            and compose_entries(eps, f) == f
-            and compose_entries(e, eps) == e
-            and all(eps[x] == x for x in self.cols[a])  # g*eps = g for all g in column a
-        ):
-            raise StructuralError(
-                f"witness {witness.to_text()} fails the top-row case-(a) facts "
-                f"on row {i}, columns {(a, b)}"
-            )
-        self.tops[(i, a, b)] = witness
-        return witness
+    for x, fx in enumerate(f):
+        if (UNDEF if fx == UNDEF else eps[fx]) != e[x] or (fx != x and eps[x] != x):
+            return False
+    return all(eps[y] == y for y in im_e) and all(
+        e[e[x]] == e[x] and f[e[x]] == f[x] for x in im_f
+    )
 
 
 def enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]:
     """Every singular nondegenerate all-group square, once, with an explicit witness.
 
-    Output order follows the canonical (i, j, lam, mu) order of the underlying
-    unordered squares.  Each is oriented by the first of (e, f, g, h),
-    (f, e, h, g), (g, h, e, f), (h, g, f, e) in which it is singular, and an
-    orientation e = (i, lam), f = (i, mu), g = (j, lam), h = (j, mu) is
-    singular exactly when x.g = (x.e).g for every x in im f:
+    The records come in the canonical (i, j, lam, mu) order, i < j and
+    lam < mu, each oriented with e = (i, lam), f = (i, mu), g = (j, lam) and
+    h = (j, mu).  For a row r with cells in both columns, let sigma_r be the
+    tuple of x.e_{r,lam} over x in cols[mu]: both columns are transversals of
+    ker r, so sigma_r is the bijection cols[mu] -> cols[lam] along ker r.
 
-      necessity: a case-(a) witness has x.eps = x.f.eps = x.e on im f, and
-        eps*g = g; a case-(b) witness fixes im f and has eps*g = e, so
-        x.g = x.e = (x.e).g, because g fixes im g = im e;
+    The orientation above is singular exactly when sigma_i == sigma_j:
+
+      necessity: a case-(a) witness has x.eps = x.f.eps = x.e on im f and
+        eps*g = g, so x.g = (x.e).g = x.e, because g fixes im g = im e; a
+        case-(b) witness fixes im f and has eps*g = e, so x.g = x.e again;
       sufficiency: eps = e on im f and the identity elsewhere is total (im f
-        lies in dom f = dom e), idempotent, of rank >= k (e maps the
-        transversal im f onto im e) and satisfies case (a).
+        lies in dom f = dom e), idempotent (it sends im f into im e, which it
+        fixes), of rank >= k (e maps the transversal im f onto im e) and
+        satisfies case (a), as the confirmation below checks.
 
-    That eps is the witness of every record, and every record is confirmed
-    by all eight case-(a) facts, in two parts:
+    The condition is symmetric in i and j.  Swapping the columns replaces
+    each sigma_r by its inverse, the bijection cols[lam] -> cols[mu] along
+    ker r, and two bijections agree exactly when their inverses do.  So all
+    four orientations of a square agree, and every singular square is
+    singular in the orientation above.  Hence, per column pair, the rows
+    bucketed by sigma_r give the singular squares as the pairs i < j of one
+    bucket, and no other candidate square is visited.
 
-      top row, once per (i, lam, mu): eps depends only on e = (i, lam) and
-        im f = cols[mu], so its idempotency and eps*e = e, f*eps = e,
-        eps*f = f and e*eps = e are facts about the triple.  So is
-        g*eps = g for every g in column lam: im g = cols[lam], so
-        g*eps = g exactly when eps fixes each point of cols[lam];
+    Every record is confirmed by all eight case-(a) facts, in two parts:
+
+      top row, once per (i, lam, mu): eps depends only on e and im f =
+        cols[mu], so its idempotency (once per distinct witness) and
+        eps*e = e, f*eps = e, eps*f = f and e*eps = e are facts about the
+        triple (`_top_row_holds`, with its proofs).  So is g*eps = g for
+        every g in column lam: im g = cols[lam], so g*eps = g exactly when
+        eps fixes each point of cols[lam];
       bottom row, on each hit, over the k points x of im f: eps moves only
-        points of im f, so eps*g = g is g[e[x]] == g[x] (the test itself)
-        and eps*h = h is h[e[x]] == h[x]; g and h share a kernel of which
-        im f is a transversal, so h*eps = g holds everywhere once
-        eps[h[x]] == g[x] on im f.
+        points of im f, so eps*g = g is g[e[x]] == g[x] and eps*h = h is
+        h[e[x]] == h[x]; g and h share a kernel of which im f is a
+        transversal, so h*eps = g holds everywhere once eps[h[x]] == g[x]
+        on im f.
     """
-    test = _PointwiseTest(grid)
+    if grid.k == 0:
+        return ()  # one column, the empty image: no square
+    cells = {cell: m.entries for cell, m in grid.group_cells.items()}
+    cols = grid.cols
+    sigma = [operator.itemgetter(*im) for im in cols]
+    # (lam, mu, sigma_r) -> rows r, ascending
+    buckets: dict[tuple, list[int]] = {}
+    for r, row_cols in enumerate(grid.cells_in_row):
+        for lam, mu in itertools.combinations(row_cols, 2):
+            buckets.setdefault((lam, mu, sigma[mu](cells[(r, lam)])), []).append(r)
+    hits = []
+    for (lam, mu, _), rows in buckets.items():
+        if len(rows) > 1:
+            pair = (lam, mu)  # one cols tuple per bucket, shared by its records
+            hits.extend((i, j, pair) for i, j in itertools.combinations(rows, 2))
+    hits.sort()
+
+    witnesses: dict[Entries, PartialMap] = {}  # equal witnesses share one map
+    tops: dict[tuple[int, int, int], PartialMap] = {}
     out = []
-    for i, j, lam, mu in group_square_candidates(grid):
-        for rows, cols in (
-            ((i, j), (lam, mu)),
-            ((i, j), (mu, lam)),
-            ((j, i), (lam, mu)),
-            ((j, i), (mu, lam)),
-        ):
-            witness = test.witness(rows, cols)
-            if witness is not None:
-                out.append(SingularSquare(rows, cols, witness, CASE_A))
-                break
+    for i, j, pair in hits:
+        lam, mu = pair
+        e = cells[(i, lam)]
+        top = tops.get((i, lam, mu))
+        if top is None:
+            f = cells[(i, mu)]
+            eps = _explicit_witness(e, cols[mu])
+            top = witnesses.get(eps)
+            if top is None:
+                top = witnesses[eps] = PartialMap(eps)
+                if not top.is_idempotent():
+                    raise StructuralError(f"witness {top.to_text()} is not idempotent")
+            if not _top_row_holds(eps, e, f, cols[lam], cols[mu]):
+                raise StructuralError(
+                    f"witness {top.to_text()} fails the top-row case-(a) facts "
+                    f"on row {i}, columns {(lam, mu)}"
+                )
+            tops[(i, lam, mu)] = top
+        eps = top.entries
+        g = cells[(j, lam)]
+        h = cells[(j, mu)]
+        for x in cols[mu]:
+            ex = e[x]
+            gx = g[x]
+            hx = h[x]
+            if g[ex] != gx or h[ex] != hx or eps[hx] != gx:
+                raise StructuralError(
+                    f"witness {top.to_text()} fails the bottom-row case-(a) facts "
+                    f"on rows {(i, j)}, columns {(lam, mu)}"
+                )
+        out.append(SingularSquare((i, j), pair, top, CASE_A))
     return tuple(out)
 
 

@@ -48,8 +48,11 @@ from igmax.ptrans import (
 )
 from igmax.schreier import SchreierSystem, word_value
 from igmax.squares import (
+    CASE_A,
     Entries,
+    SingularSquare,
     _singular_case,
+    group_square_candidates,
     witness_pool,
 )
 
@@ -619,6 +622,108 @@ class _SquareScan:
                 return rows, cols, pidx, case
         return None
 
+
+
+# ---------------------------------------------------------------------------
+# Pointwise-test oracle: the per-orientation test the column-pair buckets
+# replaced.  It tries the four orientations of every candidate in a fixed
+# order and confirms the top-row facts of each hit by full compositions.
+
+
+def reference_witness(e: Entries, im_f: tuple[int, ...]) -> Entries:
+    """e on im f, the identity elsewhere."""
+    return tuple(e[x] if x in im_f else x for x in range(len(e)))
+
+
+def reference_top_row_holds(eps: Entries, e: Entries, f: Entries, im_e: tuple[int, ...]) -> bool:
+    """eps*e = e, f*eps = e, eps*f = f and e*eps = e by full compositions,
+    and eps fixing im e, which is g*eps = g for every g of e's column."""
+    return (
+        compose_entries(eps, e) == e
+        and compose_entries(f, eps) == e
+        and compose_entries(eps, f) == f
+        and compose_entries(e, eps) == e
+        and all(eps[x] == x for x in im_e)
+    )
+
+
+class _PointwiseTest:
+    """The pointwise test of one grid's oriented squares, confirming case (a).
+
+    The orientation e = (i, a), f = (i, b), g = (j, a), h = (j, b) is
+    singular exactly when x.g = (x.e).g for every x in im f.  Every
+    orientation with top row r and column pair (a, b) has the same witness
+    and the same top-row facts, so those are checked once per (r, a, b) and
+    memoised; each hit then checks its bottom-row facts in k lookups.
+    """
+
+    def __init__(self, grid: "DClassGrid") -> None:
+        self.cells = {cell: m.entries for cell, m in grid.group_cells.items()}
+        self.cols = grid.cols
+        self.witnesses: dict[Entries, PartialMap] = {}  # equal witnesses share one map
+        self.tops: dict[tuple[int, int, int], PartialMap] = {}
+
+    def witness(self, rows: tuple[int, int], cols: tuple[int, int]) -> PartialMap | None:
+        """The case-(a) witness of the oriented square, or None if it is not singular."""
+        (i, j), (a, b) = rows, cols
+        top = self.tops.get((i, a, b))
+        if top is None:
+            top = self._top_row(i, a, b)
+        eps = top.entries
+        e = self.cells[(i, a)]
+        g = self.cells[(j, a)]
+        h = self.cells[(j, b)]
+        bottom_ok = True
+        for x in self.cols[b]:
+            ex = e[x]
+            gx = g[x]
+            if g[ex] != gx:  # eps*g = g fails at x: not singular
+                return None
+            hx = h[x]
+            if h[ex] != hx or eps[hx] != gx:  # eps*h = h and h*eps = g
+                bottom_ok = False
+        if not bottom_ok:
+            raise StructuralError(
+                f"witness {top.to_text()} passed the pointwise test but fails the "
+                f"bottom-row case-(a) facts on rows {rows}, columns {cols}"
+            )
+        return top
+
+    def _top_row(self, i: int, a: int, b: int) -> PartialMap:
+        e = self.cells[(i, a)]
+        f = self.cells[(i, b)]
+        eps = reference_witness(e, self.cols[b])
+        witness = self.witnesses.get(eps)
+        if witness is None:
+            witness = self.witnesses[eps] = PartialMap(eps)
+            if not witness.is_idempotent():
+                raise StructuralError(f"witness {witness.to_text()} is not idempotent")
+        if not reference_top_row_holds(eps, e, f, self.cols[a]):
+            raise StructuralError(
+                f"witness {witness.to_text()} fails the top-row case-(a) facts "
+                f"on row {i}, columns {(a, b)}"
+            )
+        self.tops[(i, a, b)] = witness
+        return witness
+
+
+def reference_enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]:
+    """Every candidate square in canonical order, oriented by the first of
+    (e, f, g, h), (f, e, h, g), (g, h, e, f), (h, g, f, e) that passes."""
+    test = _PointwiseTest(grid)
+    out = []
+    for i, j, lam, mu in group_square_candidates(grid):
+        for rows, cols in (
+            ((i, j), (lam, mu)),
+            ((i, j), (mu, lam)),
+            ((j, i), (lam, mu)),
+            ((j, i), (mu, lam)),
+        ):
+            witness = test.witness(rows, cols)
+            if witness is not None:
+                out.append(SingularSquare(rows, cols, witness, CASE_A))
+                break
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

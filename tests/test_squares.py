@@ -11,8 +11,9 @@ from igmax.ptrans import Monoid, PartialMap, compose, enumerate_idempotents
 from igmax.squares import (
     CASE_A,
     CASE_B,
-    _PointwiseTest,
+    _explicit_witness,
     _singular_case,
+    _top_row_holds,
     enumerate_singular_squares,
     group_square_candidates,
     complete_to_singular_square,
@@ -20,7 +21,16 @@ from igmax.squares import (
     witness_pool,
 )
 
-from helpers import MONOIDS, _SquareScan, pipeline, square_cells
+from helpers import (
+    MONOIDS,
+    _PointwiseTest,
+    _SquareScan,
+    pipeline,
+    reference_enumerate_singular_squares,
+    reference_top_row_holds,
+    reference_witness,
+    square_cells,
+)
 
 PT = Monoid.PARTIAL
 T = Monoid.TOTAL
@@ -201,10 +211,11 @@ class TestEnumerate:
         assert enumerate_singular_squares(grid) == enumerate_singular_squares(grid)
 
 
-DIFFERENTIAL_CLASSES = [
+SMALL_CLASSES = [
     (key, n, k) for key in sorted(MONOIDS) for n in range(2, 6) for k in range(1, n)
-] + [pytest.param("t", 6, 3, marks=pytest.mark.slow),
-     pytest.param("pt", 6, 2, marks=pytest.mark.slow)]
+]
+DIFFERENTIAL_CLASSES = SMALL_CLASSES + [pytest.param("t", 6, 3, marks=pytest.mark.slow),
+                                        pytest.param("pt", 6, 2, marks=pytest.mark.slow)]
 
 
 class TestPointwiseDifferential:
@@ -250,18 +261,94 @@ class TestPointwiseDifferential:
         assert accepted >= len(enumerate_singular_squares(grid))
 
 
+ORIENTATION_CLASSES = DIFFERENTIAL_CLASSES + [pytest.param("pt", 7, 3, marks=pytest.mark.slow)]
+
+
+def sigma(grid, r, lam, mu):
+    """x.e_{r,lam} over x in cols[mu]: row r's matching of cols[mu] to cols[lam]."""
+    e = grid.cell(r, lam).entries
+    return tuple(e[x] for x in grid.cols[mu])
+
+
+def witness_labels(squares):
+    """The records' witnesses numbered by first occurrence of their id."""
+    labels = {}
+    return [labels.setdefault(id(sq.witness), len(labels)) for sq in squares]
+
+
+class TestOrientationsAgree:
+    """A square is singular in all four orientations or in none, exactly when
+    its rows match the columns alike, so the column-pair buckets find every
+    singular square in its first orientation."""
+
+    @pytest.mark.parametrize("key,n,k", ORIENTATION_CLASSES)
+    def test_four_orientations_agree_with_matchings(self, key, n, k):
+        grid = build_grid(n, k, MONOIDS[key])
+        test = _PointwiseTest(grid)
+        for i, j, lam, mu in group_square_candidates(grid):
+            verdicts = {
+                test.witness(rows, cols) is not None
+                for rows, cols in itertools.product(((i, j), (j, i)), ((lam, mu), (mu, lam)))
+            }
+            assert verdicts == {sigma(grid, i, lam, mu) == sigma(grid, j, lam, mu)}, (i, j, lam, mu)
+
+    @pytest.mark.parametrize("key,n,k", ORIENTATION_CLASSES)
+    def test_matches_four_orientation_loop(self, key, n, k):
+        grid = build_grid(n, k, MONOIDS[key])
+        want = reference_enumerate_singular_squares(grid)
+        got = enumerate_singular_squares(grid)
+        assert len(got) == len(want)
+        for new, old in zip(got, want):
+            assert new == old
+        assert witness_labels(got) == witness_labels(want)
+
+
+class TestTopRowLookups:
+    """The top-row facts by lookups against full compositions, per triple
+    (row, column pair) of every class with n <= 5.  The lookups also pin the
+    witness's shape, so any other idempotent fails them."""
+
+    @staticmethod
+    def triples(grid):
+        for i, row_cols in enumerate(grid.cells_in_row):
+            for a, b in itertools.permutations(row_cols, 2):
+                yield grid.cell(i, a).entries, grid.cell(i, b).entries, grid.cols[a], grid.cols[b]
+
+    @pytest.mark.parametrize("key,n,k", SMALL_CLASSES)
+    def test_explicit_witness(self, key, n, k):
+        grid = build_grid(n, k, MONOIDS[key])
+        for e, f, im_e, im_f in self.triples(grid):
+            eps = _explicit_witness(e, im_f)
+            assert eps == reference_witness(e, im_f)
+            assert _top_row_holds(eps, e, f, im_e, im_f)
+            assert reference_top_row_holds(eps, e, f, im_e)
+
+    @pytest.mark.parametrize("key,n,k", [("pt", 4, 2), ("t", 4, 2), ("pt", 4, 1), ("pt", 3, 1)])
+    def test_every_idempotent_of_the_pool(self, key, n, k):
+        grid = build_grid(n, k, MONOIDS[key])
+        pool = [m.entries for m in witness_pool(grid)]
+        agree = 0
+        for e, f, im_e, im_f in self.triples(grid):
+            explicit = _explicit_witness(e, im_f)
+            for eps in pool:
+                want = eps == explicit and reference_top_row_holds(eps, e, f, im_e)
+                assert _top_row_holds(eps, e, f, im_e, im_f) == want, (eps, e, f)
+                agree += want
+        assert agree  # the explicit witness is in the pool and passes
+
+
 class TestCaseAConfirmation:
     """Every hit is confirmed by all eight case-(a) facts: the top-row facts
-    once per (row, column pair), the bottom-row facts on each hit, in the
-    pointwise test's own loop.  Each test breaks one part and requires the
-    error that part raises, so a mutant that drops either check fails one.
+    once per (row, column pair), the bottom-row facts on each hit, in k
+    lookups each.  Each test breaks one part and requires the error that
+    part raises, so a mutant that drops either check fails one.
 
-    A mutant that runs the loop over only k - 1 points of im f is equivalent
-    on every well-formed grid: e and g both map the transversal im f
-    bijectively onto im e, so agreement on k - 1 points forces the last
-    (ROADMAP item 1), and the bottom-row facts then hold as well.  Only a
-    broken grid tells it apart, as the identity cell below does when its
-    failing point is the one skipped."""
+    A mutant that runs the bottom-row loop, or keys the buckets, on only
+    k - 1 points of im f is equivalent on every well-formed grid: e and g
+    both map the transversal im f bijectively onto im e, so agreement on
+    k - 1 points forces the last (ROADMAP item 1), and the bottom-row facts
+    then hold as well.  Only a broken grid tells the loop mutant apart, as
+    the identity cell below does when its failing point is the one skipped."""
 
     def test_identity_witness_fails_the_top_row(self, monkeypatch):
         from igmax import squares
