@@ -380,7 +380,9 @@ def eliminate_partial_rows(
     pair (cell(i, lam_i), cell(i, lam)) lands in a total row j and gives the
     substitution X_{i,lam} = X_{j,lam_i}^-1 * X_{j,lam}; anchor generators of
     partial rows become empty.  The singular square backing each rewrite must
-    have been enumerated, otherwise the grid data is inconsistent.
+    have rows i and j in one bucket of the enumerated star: the records
+    (r0, j) tie every row of a bucket to its least row r0, and two rows of one
+    bucket bound a singular square.  Otherwise the grid data is inconsistent.
     """
     if grid.monoid is not Monoid.PARTIAL:
         raise ValueError("only partial grids carry partial rows")
@@ -398,7 +400,9 @@ def eliminate_partial_rows(
         if i not in anchors_map:
             raise ValueError(f"presentation has no type-1 anchor relator for row {i}")
 
-    seen_squares = {(frozenset(sq.rows), frozenset(sq.cols)) for sq in singulars}
+    root: dict[tuple[int, tuple[int, int]], int] = {}  # (row, cols) -> its bucket's r0
+    for (i, j), cols, _, _ in singulars:
+        root[(j, cols)] = root.setdefault((i, cols), i)
 
     sub: dict[int, Relator] = {}
     for g, (i, lam) in enumerate(p.cells):
@@ -414,7 +418,9 @@ def eliminate_partial_rows(
         j = grid.row_of[alpha_t.kernel()]
         if j not in total:
             raise StructuralError("completion row is not total")
-        if (frozenset((i, j)), frozenset((lam_i, lam))) not in seen_squares:
+        cols = (min(lam_i, lam), max(lam_i, lam))
+        r0 = root.get((i, cols))
+        if r0 is None or r0 != root.get((j, cols)):
             raise StructuralError(
                 f"no singular square eliminates generator {p.generators[g]}"
             )

@@ -16,14 +16,18 @@ square.  Each row r with cells in both columns matches cols[mu] to cols[lam]
 along its kernel; the square on rows i and j is singular exactly when rows i
 and j match the columns alike, in every orientation at once (proofs in its
 docstring).  So the rows are bucketed by their matching, and every pair of
-rows in one bucket is a singular square.  Each comes out once, as
-`SingularSquare(rows, cols, witness, case)` with i < j and lam < mu, the
-explicit witness eps = e on im f and the identity elsewhere, and case (a).
-All eight case-(a) facts are still confirmed for every record, without a full
-composition per hit: the facts about e, f and column lam depend only on
-(i, lam, mu) and are checked once per triple by lookups, and the facts about
-g and h reduce to k lookups each.  The rows and columns are all the
-presentation needs: one type-3 relator per record.
+rows in one bucket is a singular square.  Their relators only say that the
+column transition is constant on the bucket, so the enumeration emits the
+star of each bucket, the squares on its least row r0 and each other row,
+from which every other pair's relator follows by free reduction (proof in
+its docstring).  Each record is a `SingularSquare(rows, cols, witness, case)`
+with i < j and lam < mu, the explicit witness eps = e on im f and the
+identity elsewhere, and case (a).  All eight case-(a) facts are still
+confirmed for every record, without a full composition per record: the facts
+about e, f and column lam depend only on the bucket's root (r0, lam, mu) and
+are checked once per bucket by lookups, and the facts about g and h reduce to
+k lookups each.  The rows and columns are all the presentation needs: one
+type-3 relator per record.
 """
 
 from __future__ import annotations
@@ -159,7 +163,7 @@ def _top_row_holds(eps: Entries, e: Entries, f: Entries, im_e: tuple[int, ...],
 
 
 def enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]:
-    """Every singular nondegenerate all-group square, once, with an explicit witness.
+    """The star of singular nondegenerate all-group squares, with explicit witnesses.
 
     The records come in the canonical (i, j, lam, mu) order, i < j and
     lam < mu, each oriented with e = (i, lam), f = (i, mu), g = (j, lam) and
@@ -185,17 +189,28 @@ def enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]
     bucketed by sigma_r give the singular squares as the pairs i < j of one
     bucket, and no other candidate square is visited.
 
+    Only the star of each bucket is emitted: with r0 its least row, the
+    records (r0, j) for the other rows j.  The relator of the square on rows
+    i and j is R(i, j) = X_{i,lam}^-1 X_{i,mu} X_{j,mu}^-1 X_{j,lam}, which is
+    Q_i Q_j^-1 with Q_r = X_{r,lam}^-1 X_{r,mu}.  So R(r0, i)^-1 R(r0, j) =
+    Q_i Q_r0^-1 Q_r0 Q_j^-1 freely reduces to R(i, j) letter for letter, and
+    the m - 1 star relators of a bucket of m rows present the same group as
+    its m(m-1)/2 pair relators, by a Tietze removal of consequences.  Both
+    halves of the squeeze survive: the coset bound, since the group is the
+    same, and the surjection, since a homomorphism that kills the star kills
+    every consequence of it.
+
     Every record is confirmed by all eight case-(a) facts, in two parts:
 
-      top row, once per (i, lam, mu): eps depends only on e and im f =
-        cols[mu], so its idempotency (once per distinct witness) and
+      top row, once per bucket (r0, lam, mu): eps depends only on e and
+        im f = cols[mu], so its idempotency (once per distinct witness) and
         eps*e = e, f*eps = e, eps*f = f and e*eps = e are facts about the
-        triple (`_top_row_holds`, with its proofs).  So is g*eps = g for
-        every g in column lam: im g = cols[lam], so g*eps = g exactly when
-        eps fixes each point of cols[lam];
-      bottom row, on each hit, over the k points x of im f: eps moves only
-        points of im f, so eps*g = g is g[e[x]] == g[x] and eps*h = h is
-        h[e[x]] == h[x]; g and h share a kernel of which im f is a
+        bucket's root (`_top_row_holds`, with its proofs).  So is g*eps = g
+        for every g in column lam: im g = cols[lam], so g*eps = g exactly
+        when eps fixes each point of cols[lam];
+      bottom row, on each record, over the k points x of im f: eps moves
+        only points of im f, so eps*g = g is g[e[x]] == g[x] and eps*h = h
+        is h[e[x]] == h[x]; g and h share a kernel of which im f is a
         transversal, so h*eps = g holds everywhere once eps[h[x]] == g[x]
         on im f.
     """
@@ -209,47 +224,40 @@ def enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]
     for r, row_cols in enumerate(grid.cells_in_row):
         for lam, mu in itertools.combinations(row_cols, 2):
             buckets.setdefault((lam, mu, sigma[mu](cells[(r, lam)])), []).append(r)
-    hits = []
-    for (lam, mu, _), rows in buckets.items():
-        if len(rows) > 1:
-            pair = (lam, mu)  # one cols tuple per bucket, shared by its records
-            hits.extend((i, j, pair) for i, j in itertools.combinations(rows, 2))
-    hits.sort()
 
     witnesses: dict[Entries, PartialMap] = {}  # equal witnesses share one map
-    tops: dict[tuple[int, int, int], PartialMap] = {}
     out = []
-    for i, j, pair in hits:
-        lam, mu = pair
+    for (lam, mu, _), rows in buckets.items():
+        if len(rows) < 2:
+            continue
+        i = rows[0]
+        pair = (lam, mu)  # one cols tuple per bucket, shared by its records
         e = cells[(i, lam)]
-        top = tops.get((i, lam, mu))
+        eps = _explicit_witness(e, cols[mu])
+        top = witnesses.get(eps)
         if top is None:
-            f = cells[(i, mu)]
-            eps = _explicit_witness(e, cols[mu])
-            top = witnesses.get(eps)
-            if top is None:
-                top = witnesses[eps] = PartialMap(eps)
-                if not top.is_idempotent():
-                    raise StructuralError(f"witness {top.to_text()} is not idempotent")
-            if not _top_row_holds(eps, e, f, cols[lam], cols[mu]):
-                raise StructuralError(
-                    f"witness {top.to_text()} fails the top-row case-(a) facts "
-                    f"on row {i}, columns {(lam, mu)}"
-                )
-            tops[(i, lam, mu)] = top
-        eps = top.entries
-        g = cells[(j, lam)]
-        h = cells[(j, mu)]
-        for x in cols[mu]:
-            ex = e[x]
-            gx = g[x]
-            hx = h[x]
-            if g[ex] != gx or h[ex] != hx or eps[hx] != gx:
-                raise StructuralError(
-                    f"witness {top.to_text()} fails the bottom-row case-(a) facts "
-                    f"on rows {(i, j)}, columns {(lam, mu)}"
-                )
-        out.append(SingularSquare((i, j), pair, top, CASE_A))
+            top = witnesses[eps] = PartialMap(eps)
+            if not top.is_idempotent():
+                raise StructuralError(f"witness {top.to_text()} is not idempotent")
+        if not _top_row_holds(eps, e, cells[(i, mu)], cols[lam], cols[mu]):
+            raise StructuralError(
+                f"witness {top.to_text()} fails the top-row case-(a) facts "
+                f"on row {i}, columns {pair}"
+            )
+        for j in rows[1:]:
+            g = cells[(j, lam)]
+            h = cells[(j, mu)]
+            for x in cols[mu]:
+                ex = e[x]
+                gx = g[x]
+                hx = h[x]
+                if g[ex] != gx or h[ex] != hx or eps[hx] != gx:
+                    raise StructuralError(
+                        f"witness {top.to_text()} fails the bottom-row case-(a) facts "
+                        f"on rows {(i, j)}, columns {pair}"
+                    )
+            out.append(SingularSquare((i, j), pair, top, CASE_A))
+    out.sort(key=operator.itemgetter(0, 1))  # (rows, cols): canonical order
     return tuple(out)
 
 

@@ -32,6 +32,7 @@ from igmax.presentation import (
     _collapse_short_relators,
     _eliminate,
     _rebuild,
+    build_presentation,
     canonical_form,
     cyclically_reduce,
     invert,
@@ -708,8 +709,9 @@ class _PointwiseTest:
 
 
 def reference_enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]:
-    """Every candidate square in canonical order, oriented by the first of
-    (e, f, g, h), (f, e, h, g), (g, h, e, f), (h, g, f, e) that passes."""
+    """Every singular square, one record per pair of rows, not only the star
+    of each bucket: every candidate square in canonical order, oriented by the
+    first of (e, f, g, h), (f, e, h, g), (g, h, e, f), (h, g, f, e) that passes."""
     test = _PointwiseTest(grid)
     out = []
     for i, j, lam, mu in group_square_candidates(grid):
@@ -724,6 +726,38 @@ def reference_enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSq
                 out.append(SingularSquare(rows, cols, witness, CASE_A))
                 break
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def all_pairs_pipeline(monoid_key: str, n: int, k: int, anchor_rule: str = "lex",
+                       tie_break: str = "least"):
+    """`pipeline` with a record and a relator for every singular square, not
+    only for the star of each bucket."""
+    grid, anchors_map, sys, _, _ = pipeline(monoid_key, n, k, anchor_rule, tie_break)
+    squares = reference_enumerate_singular_squares(grid)
+    return grid, anchors_map, sys, squares, build_presentation(grid, sys, anchors_map, squares)
+
+
+def star_pairs(star: tuple[SingularSquare, ...]) -> set[tuple[tuple[int, int], tuple[int, int]]]:
+    """Every (rows, cols) with rows i < j in one equivalence class of the rows
+    that the records tie together, per column pair."""
+    parent: dict[tuple[int, tuple[int, int]], tuple[int, tuple[int, int]]] = {}
+
+    def find(node):
+        while parent.setdefault(node, node) != node:
+            node = parent[node]
+        return node
+
+    for (i, j), cols, _, _ in star:
+        parent[find((j, cols))] = find((i, cols))
+    classes: dict[tuple[int, tuple[int, int]], list[int]] = {}
+    for node in parent:
+        classes.setdefault(find(node), []).append(node[0])
+    return {
+        (pair, cols)
+        for (_, cols), rows in classes.items()
+        for pair in itertools.combinations(sorted(rows), 2)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 
 from igmax import cli
 from igmax.cli import main
+from igmax.dclass import build_grid
+from igmax.ptrans import Monoid
 from igmax.schreier import SchreierSystem, build_schreier
 
 
@@ -220,6 +222,18 @@ class TestPresentation:
         else:
             assert report["simplified_generators"] == len(simp["generators"])
             assert report["simplified_relators"] == len(simp["relators"])
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(n + 1)])
+def test_eliminate_partial_lists_only_total_row_generators(capsys, n, k):
+    code, out, _ = run(
+        capsys, "presentation", "--monoid", "pt", "--n", str(n), "--k", str(k),
+        "--eliminate-partial", "--output", "json",
+    )
+    assert code == 0
+    total = {i + 1 for i in build_grid(n, k, Monoid.PARTIAL).total_rows()}
+    rows = {int(name.split("_")[1]) for name in json.loads(out)["generators"]}
+    assert rows <= total and bool(rows) == bool(total)  # k = 0 has no total row
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -38,6 +39,7 @@ from helpers import (
     minor_gcd_invariants,
     oracle_presentations,
     pipeline,
+    reference_enumerate_singular_squares,
     reference_perm_group_order,
     reference_verify_hom,
 )
@@ -447,6 +449,35 @@ class TestFreeVerdictShape:
         monkeypatch.setattr(groupid, "tietze_simplify", padded)
         with pytest.raises(StructuralError, match=f"cycle rank 1 .*{counts}"):
             identify(3, 2, PT)  # the cycle rank is 1
+
+
+STAR_DIFFERENTIAL_CLASSES = (
+    [(key, n, k) for key in sorted(MONOIDS) for n in range(3, 6) for k in range(1, n - 1)]
+    + [(key, n, k) for key, n, k, _ in CORPUS_RUNS if n == 6]
+    + [pytest.param(key, 7, k, marks=pytest.mark.slow)
+       for key, k in (("t", 3), ("t", 4), ("t", 5), ("pt", 3), ("pt", 4), ("pt", 5))]
+)
+
+
+class TestStarDifferential:
+    """identify on the star presentation against identify on the all-pairs
+    one, which has a relator for every singular square: the star relators
+    imply the others, so both decide alike."""
+
+    @pytest.mark.parametrize("key,n,k", STAR_DIFFERENTIAL_CLASSES)
+    def test_full_and_star_agree(self, monkeypatch, key, n, k):
+        from igmax import groupid
+
+        star = cached_identify(key, n, k)
+        monkeypatch.setattr(groupid, "enumerate_singular_squares", reference_enumerate_singular_squares)
+        full = identify(n, k, MONOIDS[key])
+        assert full.verdict == star.verdict == VERDICT_SYMMETRIC
+        assert full.order == star.order == math.factorial(k)
+        assert full.image_order == star.image_order
+        assert full.hom_valid is star.hom_valid is True
+        assert full.abelian_invariants == star.abelian_invariants
+        assert full.generators == star.generators
+        assert star.relator_counts["type3"] <= full.relator_counts["type3"]
 
 
 class TestIdempotentClosure:

@@ -27,9 +27,10 @@ from igmax.presentation import (
 )
 from igmax.ptrans import Monoid
 from igmax.schreier import TIE_BREAKS, build_schreier, lift_total_schreier
-from igmax.squares import enumerate_singular_squares
+from igmax.squares import complete_to_singular_square, enumerate_singular_squares
 
 from helpers import (
+    all_pairs_pipeline,
     brute_idempotents,
     cached_identify,
     collapse_phase,
@@ -324,30 +325,72 @@ class TestCollapseShortRelators:
     )
     def test_matches_tietze_on_every_pair(self, key, n, k):
         # n <= 5 runs every anchor rule and tie-break; n = 6 only the default.
-        # Tietze keeps the same generators on every n <= 5 run.  At T_6 k=4 it
-        # keeps as many but not the same: which generators survive depends on
-        # which of two duplicate relators Tietze's own dedup happened to keep.
-        grid, _, _, singulars, _ = pipeline(key, n, k)
+        # Each runs on the all-pairs presentation and on the star one.  Tietze
+        # keeps the same generators on every n <= 5 run.  At T_6 k=4 it keeps
+        # others, which depend on which of two duplicate relators Tietze's own
+        # dedup happened to keep: as many on the all-pairs presentation, fewer
+        # on the star one (2 against 3 on the default run).
+        grid, _, _, every, _ = all_pairs_pipeline(key, n, k)
+        star = pipeline(key, n, k)[3]
         pairs = [(r, t) for r in ANCHOR_RULES for t in TIE_BREAKS]
         if n > 5:
             pairs = [("lex", "least")]
         for rule, tie in pairs:
             anchors_map = anchors(grid, rule)
             sys_ = build_schreier(grid, tie)
-            raw = build_presentation(grid, sys_, anchors_map, singulars)
-            out = collapse_phase(raw)
-            assert_collapsed(out)
-            simp = tietze_simplify(raw)
-            # the phases in one call equal the elimination run on the phase's output
-            assert simp == tietze_alone(out), (rule, tie)
-            got, want = simp.cells, tietze_alone(raw).cells
-            assert len(got) == len(want), (rule, tie)
-            if (key, n, k) != ("t", 6, 4):
-                assert got == want, (rule, tie)
-            assert abelian_invariants(out) == abelian_invariants(raw), (rule, tie)
-            if k <= n - 2:
-                assert todd_coxeter(out).order == todd_coxeter(raw).order, (rule, tie)
-                assert verify_hom(out, rees_hom(grid, sys_, anchors_map)), (rule, tie)
+            for name, singulars in (("all_pairs", every), ("star", star)):
+                where = (rule, tie, name)
+                raw = build_presentation(grid, sys_, anchors_map, singulars)
+                out = collapse_phase(raw)
+                assert_collapsed(out)
+                simp = tietze_simplify(raw)
+                # the phases in one call equal the elimination run on the phase's output
+                assert simp == tietze_alone(out), where
+                got, want = simp.cells, tietze_alone(raw).cells
+                if name == "all_pairs" or (key, n, k) != ("t", 6, 4):
+                    assert len(got) == len(want), where
+                if (key, n, k) != ("t", 6, 4):
+                    assert got == want, where
+                assert abelian_invariants(out) == abelian_invariants(raw), where
+                if k <= n - 2:
+                    assert todd_coxeter(out).order == todd_coxeter(raw).order, where
+                    assert verify_hom(out, rees_hom(grid, sys_, anchors_map)), where
+
+
+STAR_CLASSES = [(key, n, k) for key, n, k, _ in CORPUS_RUNS if n <= 5 and 1 <= k <= n - 2] + [
+    pytest.param(key, n, k, marks=pytest.mark.slow) for key, n, k, _ in CORPUS_RUNS if n == 6
+]
+
+
+class TestStarRelators:
+    """With Q_r = X_{r,lam}^-1 X_{r,mu}, the square on rows i and j has the
+    relator R(i, j) = Q_i Q_j^-1, so every pair the star drops follows from
+    two star relators: R(r0, i)^-1 R(r0, j) freely reduces to R(i, j)."""
+
+    @pytest.mark.parametrize("key,n,k", STAR_CLASSES)
+    def test_dropped_pairs_follow_from_the_star(self, key, n, k):
+        _, _, _, star, pres = pipeline(key, n, k)
+        every = all_pairs_pipeline(key, n, k)[3]
+        letter = {cell: 2 * g for g, cell in enumerate(pres.cells)}
+
+        def relator(i, j, cols):
+            lam, mu = cols
+            return (letter[(i, lam)] ^ 1, letter[(i, mu)], letter[(j, mu)] ^ 1, letter[(j, lam)])
+
+        type3 = [rel for rel, tag in zip(pres.relators, pres.provenance) if tag == TYPE3]
+        assert type3 == [relator(*sq.rows, sq.cols) for sq in star]
+        root = {(j, cols): i for (i, j), cols, _, _ in star}
+        kept = {(sq.rows, sq.cols) for sq in star}
+        dropped = 0
+        for (i, j), cols, _, _ in every:
+            if ((i, j), cols) in kept:
+                continue
+            r0 = root[(i, cols)]
+            assert root[(j, cols)] == r0 < i
+            got = free_reduce(invert(relator(r0, i, cols)) + relator(r0, j, cols))
+            assert got == relator(i, j, cols), ((i, j), cols)
+            dropped += 1
+        assert dropped == len(every) - len(star)
 
 
 class TestEliminatePartialRows:
@@ -373,6 +416,32 @@ class TestEliminatePartialRows:
         grid, _, _, singulars, pres = pipeline("pt", 4, 2)
         with pytest.raises(StructuralError):
             eliminate_partial_rows(pres, grid, ())
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 3)])
+    def test_split_bucket_is_structural_error(self, n, k):
+        # dropping the star record that ties a row of a completion square to
+        # its bucket splits the bucket, so that square is no longer known
+        grid, anchors_map, _, singulars, pres = pipeline("pt", n, k)
+        total = set(grid.total_rows())
+        dropped = set()
+        for i, lam_i in anchors_map.items():
+            if i in total:
+                continue
+            for lam in grid.cells_in_row[i]:
+                if lam == lam_i:
+                    continue
+                alpha_t, _, _ = complete_to_singular_square(grid.cell(i, lam_i), grid.cell(i, lam))
+                j = grid.row_of[alpha_t.kernel()]
+                cols = (min(lam_i, lam), max(lam_i, lam))
+                idx = next(
+                    idx for idx, sq in enumerate(singulars) if sq.cols == cols and sq.rows[1] in (i, j)
+                )
+                if idx in dropped:
+                    continue
+                dropped.add(idx)
+                with pytest.raises(StructuralError, match="no singular square eliminates generator"):
+                    eliminate_partial_rows(pres, grid, singulars[:idx] + singulars[idx + 1 :])
+        assert dropped
 
     def test_requires_partial_grid(self):
         grid, _, _, singulars, pres = pipeline("t", 4, 2)

@@ -30,6 +30,7 @@ from helpers import (
     reference_top_row_holds,
     reference_witness,
     square_cells,
+    star_pairs,
 )
 
 PT = Monoid.PARTIAL
@@ -224,12 +225,16 @@ class TestPointwiseDifferential:
 
     @pytest.mark.parametrize("key,n,k", DIFFERENTIAL_CLASSES)
     def test_matches_pool_scan(self, key, n, k):
+        # the star spans exactly the squares the pool scan finds, and each
+        # star record is one of them, in the scan's orientation
         grid = build_grid(n, k, MONOIDS[key])
         scan = _SquareScan(grid)
         hits = [scan.scan(cand) for cand in group_square_candidates(grid)]
         want = [(hit[0], hit[1]) for hit in hits if hit is not None]
         got = enumerate_singular_squares(grid)
-        assert [(sq.rows, sq.cols) for sq in got] == want
+        assert star_pairs(got) == set(want)
+        keys = [(sq.rows, sq.cols) for sq in got]
+        assert keys == sorted(keys) and set(keys) <= set(want)
         for sq in got:
             (i, _), (lam, mu) = sq.rows, sq.cols
             e, im_f = grid.cell(i, lam).entries, grid.cols[mu]
@@ -294,13 +299,27 @@ class TestOrientationsAgree:
 
     @pytest.mark.parametrize("key,n,k", ORIENTATION_CLASSES)
     def test_matches_four_orientation_loop(self, key, n, k):
+        # the loop finds every pair of rows; the star spans exactly those
+        # pairs, and each star record equals the loop's, witness included
         grid = build_grid(n, k, MONOIDS[key])
-        want = reference_enumerate_singular_squares(grid)
+        every = reference_enumerate_singular_squares(grid)
         got = enumerate_singular_squares(grid)
+        by_pair = {(sq.rows, sq.cols): sq for sq in every}
+        assert star_pairs(got) == set(by_pair)
+        want = [by_pair[(sq.rows, sq.cols)] for sq in got]
         assert len(got) == len(want)
         for new, old in zip(got, want):
             assert new == old
         assert witness_labels(got) == witness_labels(want)
+
+    @pytest.mark.parametrize("key,n,k", ORIENTATION_CLASSES)
+    def test_star_roots_are_least_rows(self, key, n, k):
+        # each bucket's records share its least row, and no row is tied twice
+        got = enumerate_singular_squares(build_grid(n, k, MONOIDS[key]))
+        assert all(sq.rows[0] < sq.rows[1] for sq in got)
+        tied = {(sq.rows[1], sq.cols) for sq in got}
+        assert len(tied) == len(got)
+        assert not tied & {(sq.rows[0], sq.cols) for sq in got}
 
 
 class TestTopRowLookups:
