@@ -45,7 +45,7 @@ from .schreier import (
     word_value,
 )
 from .squares import (
-    SingularSquare,
+    SingularClass,
     enumerate_singular_squares,
     complete_to_singular_square,
     singularizes,

@@ -53,7 +53,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", choices=("json", "text"), default="text")
     sub.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                      help="hard size cap; raise explicitly for big runs")
-    sub.add_argument("--workers", type=int, default=1, help="accepted; no effect")
     sub.add_argument("--anchor-rule", choices=ANCHOR_RULES, default="lex")
     sub.add_argument("--tie-break", choices=TIE_BREAKS, default="least")
 
@@ -69,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, helptext in (
         ("grid", "build the rank-k D-class grid"),
         ("schreier", "build and verify the Schreier system"),
-        ("squares", "enumerate singular squares with witnesses"),
+        ("squares", "enumerate the singular classes of rows with witnesses"),
         ("presentation", "assemble the group presentation"),
         ("identify", "run the full pipeline and name the group"),
         ("free-rank", "cycle rank of the Graham-Houghton component"),
@@ -90,11 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--raw-coset-table", action="store_true",
                              help="enumerate on the unsimplified presentation")
             sub.add_argument("--timings", action="store_true")
+            sub.add_argument("--workers", type=int, default=1, help="accepted; no effect")
 
     corpus = subs.add_parser("corpus", help="run the regression matrix")
     corpus.add_argument("--output", choices=("json", "text"), default="text")
     corpus.add_argument("--skip-slow", action="store_true", help="drop the n = 6 runs")
-    corpus.add_argument("--workers", type=int, default=1, help="accepted; no effect")
     corpus.add_argument("--max-cosets", type=int, default=10**6)
     return parser
 
@@ -111,13 +110,7 @@ def _validate(args) -> Monoid:
         raise ValueError(f"k={args.k} out of range for n={args.n}")
     if monoid is Monoid.TOTAL and args.k == 0:
         raise ValueError("T_n has no rank-0 class")
-    _validate_workers(args)
     return monoid
-
-
-def _validate_workers(args) -> None:
-    if args.workers < 1:
-        raise ValueError("workers must be positive")
 
 
 def _grid_json(grid) -> dict:
@@ -195,35 +188,42 @@ def _cmd_schreier(args, out) -> int:
 def _cmd_squares(args, out) -> int:
     monoid = _validate(args)
     grid = build_grid(args.n, args.k, monoid)
-    found = enumerate_singular_squares(grid)
+    classes = enumerate_singular_squares(grid)
+    sizes = [len(c.rows) for c in classes]
+    counts = {
+        "classes": len(classes),
+        "singular_squares": sum(m * (m - 1) // 2 for m in sizes),
+        "star_relators": sum(sizes) - len(sizes),
+    }
     payload = {
         "n": args.n,
         "k": args.k,
         "monoid": args.monoid,
-        "count": len(found),
-        "squares": [
+        "counts": counts,
+        "classes": [
             {
-                "rows": [sq.rows[0] + 1, sq.rows[1] + 1],
-                "cols": [sq.cols[0] + 1, sq.cols[1] + 1],
-                "witness": {"map": sq.witness.to_text(), "case": sq.case},
+                "cols": [c.cols[0] + 1, c.cols[1] + 1],
+                "rows": [r + 1 for r in c.rows],
+                "witness": c.witness.to_text(),
             }
-            for sq in found
+            for c in classes
         ],
     }
     if args.output == "json":
         out.write(_dump(payload))
     else:
-        out.write(f"{len(found)} singular squares\n")
+        out.write("{classes} classes, {singular_squares} singular squares, "
+                  "{star_relators} star relators\n".format(**counts))
     return 0
 
 
 def _cmd_presentation(args, out) -> int:
     monoid = _validate(args)
-    grid, _, _, singulars, pres = build_stages(
+    grid, _, _, classes, pres = build_stages(
         args.n, args.k, monoid, anchor_rule=args.anchor_rule, tie_break=args.tie_break
     )
     if args.eliminate_partial:
-        pres = eliminate_partial_rows(pres, grid, singulars)
+        pres = eliminate_partial_rows(pres, grid, classes)
     if args.simplify:
         pres = tietze_simplify(pres)
     if args.gap:
@@ -246,6 +246,8 @@ def _cmd_presentation(args, out) -> int:
 
 def _cmd_identify(args, out) -> int:
     monoid = _validate(args)
+    if args.workers < 1:
+        raise ValueError("workers must be positive")
     report = identify(
         args.n,
         args.k,
@@ -304,7 +306,6 @@ CORPUS_RUNS: list[tuple[str, int, int, str]] = [
 
 
 def _cmd_corpus(args, out) -> int:
-    _validate_workers(args)
     runs = []
     all_ok = True
     for mon, n, k, expected in CORPUS_RUNS:

@@ -36,7 +36,7 @@ from .presentation import (
 )
 from .ptrans import Monoid
 from .schreier import SchreierSystem, build_schreier, verification_failed, verify_schreier
-from .squares import SingularSquare, enumerate_singular_squares, group_square_candidates
+from .squares import SingularClass, enumerate_singular_squares, group_square_candidates
 
 COMPLETE = "complete"
 OVERFLOW = "overflow"
@@ -472,7 +472,7 @@ def verify_hom(p: GroupPresentation, hom: dict[tuple[int, int], Permutation]) ->
 
 # ---------------------------------------------------------------------------
 # the stages every caller shares: grid, verified Schreier system, singular
-# squares, raw presentation; each is looked up in this module's globals
+# classes, raw presentation; each is looked up in this module's globals
 
 
 @contextmanager
@@ -495,7 +495,7 @@ class Stages(NamedTuple):
     grid: DClassGrid
     anchors: dict[int, int]
     sys: SchreierSystem
-    singulars: tuple[SingularSquare, ...]
+    classes: tuple[SingularClass, ...]
     presentation: GroupPresentation
 
 
@@ -516,10 +516,10 @@ def build_stages(
         anchors_map = anchors(grid, anchor_rule)
         sys = verified_schreier(grid, tie_break)
     with _timed(timings, "squares"):
-        singulars = enumerate_singular_squares(grid)
+        classes = enumerate_singular_squares(grid)
     with _timed(timings, "presentation"):
-        pres = build_presentation(grid, sys, anchors_map, singulars)
-    return Stages(grid, anchors_map, sys, singulars, pres)
+        pres = build_presentation(grid, sys, anchors_map, classes)
+    return Stages(grid, anchors_map, sys, classes, pres)
 
 
 @dataclass

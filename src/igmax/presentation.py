@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .errors import StructuralError
 from .ptrans import Monoid
-from .squares import SingularSquare, complete_to_singular_square
+from .squares import SingularClass, complete_to_singular_square
 
 if TYPE_CHECKING:
     from .dclass import DClassGrid
@@ -103,13 +103,25 @@ def build_presentation(
     grid: "DClassGrid",
     sys: "SchreierSystem",
     anchors_map: dict[int, int],
-    singulars: tuple[SingularSquare, ...],
+    classes: tuple[SingularClass, ...],
 ) -> GroupPresentation:
     """Type 1, 2 and 3 relators, reduced and pairwise distinct as built.
 
     Type 1 is one letter per row, type 2 two cells of a row in distinct
-    columns, type 3 the four distinct cells of a square, each square emitted
-    once; the three lengths differ, so no relator needs a dedup pass.
+    columns, type 3 the four distinct cells of a square; the three lengths
+    differ, so no relator needs a dedup pass.
+
+    Type 3 is the star of each singular class: with r0 its least row, the
+    squares (r0, j) on its other rows j, in the canonical (i, j, lam, mu)
+    order.  The relator of the square on rows i and j is
+    R(i, j) = X_{i,lam}^-1 X_{i,mu} X_{j,mu}^-1 X_{j,lam}, which is Q_i Q_j^-1
+    with Q_r = X_{r,lam}^-1 X_{r,mu}.  So R(r0, i)^-1 R(r0, j) =
+    Q_i Q_r0^-1 Q_r0 Q_j^-1 freely reduces to R(i, j) letter for letter, and
+    the m - 1 star relators of a class of m rows present the same group as
+    its m(m-1)/2 pair relators, by a Tietze removal of consequences.  Both
+    halves of the squeeze survive: the coset bound, since the group is the
+    same, and the surjection, since a homomorphism that kills the star kills
+    every consequence of it.
     """
     cells = tuple(sorted(grid.group_cells))
     letter = {cell: 2 * idx for idx, cell in enumerate(cells)}
@@ -132,9 +144,10 @@ def build_presentation(
             rels.append((letter[(i, lam)], letter[(i, mu)] ^ 1))
             tags.append(TYPE2)
 
-    for (i, j), (lam, mu), _, _ in singulars:
+    star = sorted((c.rows[0], j, *c.cols) for c in classes for j in c.rows[1:])
+    for i, j, lam, mu in star:
         rels.append((letter[(i, lam)] ^ 1, letter[(i, mu)], letter[(j, mu)] ^ 1, letter[(j, lam)]))
-    tags += [TYPE3] * len(singulars)
+    tags += [TYPE3] * len(star)
 
     return GroupPresentation(names, tuple(rels), tuple(tags), cells)
 
@@ -372,7 +385,7 @@ def _rebuild(
 def eliminate_partial_rows(
     p: GroupPresentation,
     grid: "DClassGrid",
-    singulars: tuple[SingularSquare, ...],
+    classes: tuple[SingularClass, ...],
 ) -> GroupPresentation:
     """Rewrite every generator in a partial-domain row through a total row.
 
@@ -380,9 +393,9 @@ def eliminate_partial_rows(
     pair (cell(i, lam_i), cell(i, lam)) lands in a total row j and gives the
     substitution X_{i,lam} = X_{j,lam_i}^-1 * X_{j,lam}; anchor generators of
     partial rows become empty.  The singular square backing each rewrite must
-    have rows i and j in one bucket of the enumerated star: the records
-    (r0, j) tie every row of a bucket to its least row r0, and two rows of one
-    bucket bound a singular square.  Otherwise the grid data is inconsistent.
+    have rows i and j in one singular class of its column pair, since two
+    rows of one class bound a singular square.  Otherwise the grid data is
+    inconsistent.
     """
     if grid.monoid is not Monoid.PARTIAL:
         raise ValueError("only partial grids carry partial rows")
@@ -400,9 +413,7 @@ def eliminate_partial_rows(
         if i not in anchors_map:
             raise ValueError(f"presentation has no type-1 anchor relator for row {i}")
 
-    root: dict[tuple[int, tuple[int, int]], int] = {}  # (row, cols) -> its bucket's r0
-    for (i, j), cols, _, _ in singulars:
-        root[(j, cols)] = root.setdefault((i, cols), i)
+    class_of = {(r, c.cols): idx for idx, c in enumerate(classes) for r in c.rows}
 
     sub: dict[int, Relator] = {}
     for g, (i, lam) in enumerate(p.cells):
@@ -419,8 +430,8 @@ def eliminate_partial_rows(
         if j not in total:
             raise StructuralError("completion row is not total")
         cols = (min(lam_i, lam), max(lam_i, lam))
-        r0 = root.get((i, cols))
-        if r0 is None or r0 != root.get((j, cols)):
+        idx = class_of.get((i, cols))
+        if idx is None or idx != class_of.get((j, cols)):
             raise StructuralError(
                 f"no singular square eliminates generator {p.generators[g]}"
             )

@@ -16,18 +16,13 @@ square.  Each row r with cells in both columns matches cols[mu] to cols[lam]
 along its kernel; the square on rows i and j is singular exactly when rows i
 and j match the columns alike, in every orientation at once (proofs in its
 docstring).  So the rows are bucketed by their matching, and every pair of
-rows in one bucket is a singular square.  Their relators only say that the
-column transition is constant on the bucket, so the enumeration emits the
-star of each bucket, the squares on its least row r0 and each other row,
-from which every other pair's relator follows by free reduction (proof in
-its docstring).  Each record is a `SingularSquare(rows, cols, witness, case)`
-with i < j and lam < mu, the explicit witness eps = e on im f and the
-identity elsewhere, and case (a).  All eight case-(a) facts are still
-confirmed for every record, without a full composition per record: the facts
-about e, f and column lam depend only on the bucket's root (r0, lam, mu) and
-are checked once per bucket by lookups, and the facts about g and h reduce to
-k lookups each.  The rows and columns are all the presentation needs: one
-type-3 relator per record.
+rows in one bucket is a singular square.  Each bucket of two or more rows is
+a `SingularClass(cols, rows, witness)`, lam < mu and rows ascending, with one
+explicit case-(a) witness for all its squares: eps = e on im f and the
+identity elsewhere.  All eight case-(a) facts are confirmed by lookups, not
+full compositions: those about e, f and column lam once per class, on its
+least row r0, and those about g and h in k lookups per other row.  The
+presentation turns each class into type-3 relators.
 """
 
 from __future__ import annotations
@@ -55,13 +50,13 @@ CASE_B = "up_down_b"
 Entries = tuple[int, ...]
 
 
-class SingularSquare(NamedTuple):
-    """A singular square, oriented so that `witness` satisfies `case`."""
+class SingularClass(NamedTuple):
+    """Rows any two of which, i < j, bound a singular square on the columns,
+    oriented e = (i, lam), f = (i, mu), g = (j, lam), h = (j, mu)."""
 
-    rows: tuple[int, int]  # (i, j)
-    cols: tuple[int, int]  # (lam, mu)
-    witness: PartialMap  # e on im f, the identity elsewhere; equal witnesses share one map
-    case: str
+    cols: tuple[int, int]  # (lam, mu), lam < mu
+    rows: tuple[int, ...]  # ascending, at least two; rows[0] is the root r0
+    witness: PartialMap  # e_{r0,lam} on cols[mu], the identity elsewhere; shared when equal
 
 
 def singularizes(
@@ -162,14 +157,14 @@ def _top_row_holds(eps: Entries, e: Entries, f: Entries, im_e: tuple[int, ...],
     )
 
 
-def enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]:
-    """The star of singular nondegenerate all-group squares, with explicit witnesses.
+def enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularClass, ...]:
+    """The singular nondegenerate all-group squares as classes of rows, sorted.
 
-    The records come in the canonical (i, j, lam, mu) order, i < j and
-    lam < mu, each oriented with e = (i, lam), f = (i, mu), g = (j, lam) and
-    h = (j, mu).  For a row r with cells in both columns, let sigma_r be the
-    tuple of x.e_{r,lam} over x in cols[mu]: both columns are transversals of
-    ker r, so sigma_r is the bijection cols[mu] -> cols[lam] along ker r.
+    Squares are oriented with e = (i, lam), f = (i, mu), g = (j, lam) and
+    h = (j, mu), i < j and lam < mu.  For a row r with cells in both columns,
+    let sigma_r be the tuple of x.e_{r,lam} over x in cols[mu]: both columns
+    are transversals of ker r, so sigma_r is the bijection cols[mu] -> cols[lam]
+    along ker r.
 
     The orientation above is singular exactly when sigma_i == sigma_j:
 
@@ -187,31 +182,23 @@ def enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]
     four orientations of a square agree, and every singular square is
     singular in the orientation above.  Hence, per column pair, the rows
     bucketed by sigma_r give the singular squares as the pairs i < j of one
-    bucket, and no other candidate square is visited.
+    bucket, and no other candidate square is visited.  The witness is e on
+    cols[mu], which is sigma_r there, so one witness serves the whole bucket.
 
-    Only the star of each bucket is emitted: with r0 its least row, the
-    records (r0, j) for the other rows j.  The relator of the square on rows
-    i and j is R(i, j) = X_{i,lam}^-1 X_{i,mu} X_{j,mu}^-1 X_{j,lam}, which is
-    Q_i Q_j^-1 with Q_r = X_{r,lam}^-1 X_{r,mu}.  So R(r0, i)^-1 R(r0, j) =
-    Q_i Q_r0^-1 Q_r0 Q_j^-1 freely reduces to R(i, j) letter for letter, and
-    the m - 1 star relators of a bucket of m rows present the same group as
-    its m(m-1)/2 pair relators, by a Tietze removal of consequences.  Both
-    halves of the squeeze survive: the coset bound, since the group is the
-    same, and the surjection, since a homomorphism that kills the star kills
-    every consequence of it.
+    Each class, least row r0, is confirmed by all eight case-(a) facts on
+    its squares (r0, j), whose relators the presentation builds (the other
+    pairs are singular by sufficiency, with the same witness), in two parts:
 
-    Every record is confirmed by all eight case-(a) facts, in two parts:
-
-      top row, once per bucket (r0, lam, mu): eps depends only on e and
-        im f = cols[mu], so its idempotency (once per distinct witness) and
-        eps*e = e, f*eps = e, eps*f = f and e*eps = e are facts about the
-        bucket's root (`_top_row_holds`, with its proofs).  So is g*eps = g
-        for every g in column lam: im g = cols[lam], so g*eps = g exactly
-        when eps fixes each point of cols[lam];
-      bottom row, on each record, over the k points x of im f: eps moves
-        only points of im f, so eps*g = g is g[e[x]] == g[x] and eps*h = h
-        is h[e[x]] == h[x]; g and h share a kernel of which im f is a
-        transversal, so h*eps = g holds everywhere once eps[h[x]] == g[x]
+      top row, once per class: eps depends only on e and im f = cols[mu], so
+        its idempotency (once per distinct witness) and eps*e = e,
+        f*eps = e, eps*f = f and e*eps = e are facts about the root
+        (`_top_row_holds`, with its proofs).  So is g*eps = g for every g in
+        column lam: im g = cols[lam], so g*eps = g exactly when eps fixes
+        each point of cols[lam];
+      bottom row, once per other row j, over the k points x of im f: eps
+        moves only points of im f, so eps*g = g is g[e[x]] == g[x] and
+        eps*h = h is h[e[x]] == h[x]; g and h share a kernel of which im f is
+        a transversal, so h*eps = g holds everywhere once eps[h[x]] == g[x]
         on im f.
     """
     if grid.k == 0:
@@ -231,7 +218,7 @@ def enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]
         if len(rows) < 2:
             continue
         i = rows[0]
-        pair = (lam, mu)  # one cols tuple per bucket, shared by its records
+        pair = (lam, mu)
         e = cells[(i, lam)]
         eps = _explicit_witness(e, cols[mu])
         top = witnesses.get(eps)
@@ -256,8 +243,8 @@ def enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]
                         f"witness {top.to_text()} fails the bottom-row case-(a) facts "
                         f"on rows {(i, j)}, columns {pair}"
                     )
-            out.append(SingularSquare((i, j), pair, top, CASE_A))
-    out.sort(key=operator.itemgetter(0, 1))  # (rows, cols): canonical order
+        out.append(SingularClass(pair, tuple(rows), top))
+    out.sort(key=operator.itemgetter(0, 1))  # (cols, rows); no two classes tie
     return tuple(out)
 
 

@@ -11,6 +11,7 @@ import itertools
 import math
 from collections import Counter, deque
 from functools import lru_cache
+from typing import NamedTuple
 
 from igmax.dclass import DClassGrid, Permutation, default_base
 from igmax.errors import StructuralError
@@ -27,6 +28,7 @@ from igmax.groupid import (
 )
 from igmax.presentation import (
     TIETZE,
+    TYPE3,
     GroupPresentation,
     Relator,
     _collapse_short_relators,
@@ -49,9 +51,8 @@ from igmax.ptrans import (
 )
 from igmax.schreier import SchreierSystem, word_value
 from igmax.squares import (
-    CASE_A,
     Entries,
-    SingularSquare,
+    SingularClass,
     _singular_case,
     group_square_candidates,
     witness_pool,
@@ -176,7 +177,7 @@ def _det(matrix: list[list[int]]) -> int:
 
 @lru_cache(maxsize=None)
 def pipeline(monoid_key: str, n: int, k: int, anchor_rule: str = "lex", tie_break: str = "least"):
-    """(grid, anchors, sys, singulars, presentation) of the shared stages."""
+    """(grid, anchors, sys, classes, presentation) of the shared stages."""
     return build_stages(n, k, MONOIDS[monoid_key], anchor_rule=anchor_rule, tie_break=tie_break)
 
 
@@ -708,10 +709,18 @@ class _PointwiseTest:
         return witness
 
 
-def reference_enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSquare, ...]:
-    """Every singular square, one record per pair of rows, not only the star
-    of each bucket: every candidate square in canonical order, oriented by the
-    first of (e, f, g, h), (f, e, h, g), (g, h, e, f), (h, g, f, e) that passes."""
+class SquareRecord(NamedTuple):
+    """One singular square, oriented so that `witness` satisfies case (a)."""
+
+    rows: tuple[int, int]  # (i, j)
+    cols: tuple[int, int]  # (lam, mu)
+    witness: PartialMap
+
+
+def reference_enumerate_singular_squares(grid: "DClassGrid") -> tuple[SquareRecord, ...]:
+    """Every singular square, one record per pair of rows: every candidate
+    square in canonical order, oriented by the first of (e, f, g, h),
+    (f, e, h, g), (g, h, e, f), (h, g, f, e) that passes."""
     test = _PointwiseTest(grid)
     out = []
     for i, j, lam, mu in group_square_candidates(grid):
@@ -723,41 +732,46 @@ def reference_enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularSq
         ):
             witness = test.witness(rows, cols)
             if witness is not None:
-                out.append(SingularSquare(rows, cols, witness, CASE_A))
+                out.append(SquareRecord(rows, cols, witness))
                 break
     return tuple(out)
+
+
+def class_squares(classes: tuple[SingularClass, ...]) -> list[SquareRecord]:
+    """Every square the classes hold, one per pair i < j of rows of a class,
+    with the class's witness, in canonical (i, j, lam, mu) order."""
+    out = [
+        SquareRecord(rows, c.cols, c.witness)
+        for c in classes
+        for rows in itertools.combinations(c.rows, 2)
+    ]
+    out.sort(key=lambda sq: (sq.rows, sq.cols))
+    return out
+
+
+def all_pairs_presentation(grid, sys, anchors_map, classes=None) -> GroupPresentation:
+    """`build_presentation` with a type-3 relator for every singular square
+    the oracle finds, in its order, not only for the star of each class.
+    `classes` is ignored, so this can stand in for `build_presentation`."""
+    p = build_presentation(grid, sys, anchors_map, ())
+    letter = {cell: 2 * g for g, cell in enumerate(p.cells)}
+    type3 = tuple(
+        (letter[(i, lam)] ^ 1, letter[(i, mu)], letter[(j, mu)] ^ 1, letter[(j, lam)])
+        for (i, j), (lam, mu), _ in reference_enumerate_singular_squares(grid)
+    )
+    return GroupPresentation(
+        p.generators, p.relators + type3, p.provenance + (TYPE3,) * len(type3), p.cells
+    )
 
 
 @lru_cache(maxsize=None)
 def all_pairs_pipeline(monoid_key: str, n: int, k: int, anchor_rule: str = "lex",
                        tie_break: str = "least"):
     """`pipeline` with a record and a relator for every singular square, not
-    only for the star of each bucket."""
+    only for the star of each class."""
     grid, anchors_map, sys, _, _ = pipeline(monoid_key, n, k, anchor_rule, tie_break)
     squares = reference_enumerate_singular_squares(grid)
-    return grid, anchors_map, sys, squares, build_presentation(grid, sys, anchors_map, squares)
-
-
-def star_pairs(star: tuple[SingularSquare, ...]) -> set[tuple[tuple[int, int], tuple[int, int]]]:
-    """Every (rows, cols) with rows i < j in one equivalence class of the rows
-    that the records tie together, per column pair."""
-    parent: dict[tuple[int, tuple[int, int]], tuple[int, tuple[int, int]]] = {}
-
-    def find(node):
-        while parent.setdefault(node, node) != node:
-            node = parent[node]
-        return node
-
-    for (i, j), cols, _, _ in star:
-        parent[find((j, cols))] = find((i, cols))
-    classes: dict[tuple[int, tuple[int, int]], list[int]] = {}
-    for node in parent:
-        classes.setdefault(find(node), []).append(node[0])
-    return {
-        (pair, cols)
-        for (_, cols), rows in classes.items()
-        for pair in itertools.combinations(sorted(rows), 2)
-    }
+    return grid, anchors_map, sys, squares, all_pairs_presentation(grid, sys, anchors_map)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from igmax.presentation import TYPE3, free_rank, gh_graph
 from igmax.ptrans import Monoid, PartialMap, compose, enumerate_idempotents
 from igmax.schreier import lift_total_schreier, verify_schreier
 from igmax.squares import (
+    CASE_A,
     enumerate_singular_squares,
     group_square_candidates,
     complete_to_singular_square,
@@ -82,8 +83,8 @@ def test_criterion_03_boundary_free():
     for n, k in [(3, 2), (4, 3)]:
         grid = build_grid(n, k, PT)
         assert group_square_candidates(grid) == [], (n, k)
-        _, _, _, singulars, pres = pipeline("pt", n, k)
-        assert singulars == ()
+        _, _, _, classes, pres = pipeline("pt", n, k)
+        assert classes == ()
         assert pres.counts_by_type()[TYPE3] == 0
         report = cached_identify("pt", n, k)
         assert report.verdict == VERDICT_FREE
@@ -146,10 +147,11 @@ def test_criterion_06_total_squares_stay_singular():
             grid_t = build_grid(n, k, T)
             grid_pt = build_grid(n, k, PT)
             row_map = {i: grid_pt.row_of[kp] for i, kp in enumerate(grid_t.rows)}
-            for sq in enumerate_singular_squares(grid_t):
-                mapped = square_cells(grid_pt, tuple(row_map[r] for r in sq.rows), sq.cols)
-                assert singularizes(sq.witness, mapped) == sq.case
-                revalidated += 1
+            for c in enumerate_singular_squares(grid_t):
+                for j in c.rows[1:]:
+                    mapped = square_cells(grid_pt, (row_map[c.rows[0]], row_map[j]), c.cols)
+                    assert singularizes(c.witness, mapped) == CASE_A
+                    revalidated += 1
     assert revalidated > 0
     report_line(6, f"{revalidated} total-grid singular squares revalidate in the "
                    "partial grid with the same witness")

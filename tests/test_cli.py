@@ -9,6 +9,17 @@ from igmax.dclass import build_grid
 from igmax.ptrans import Monoid
 from igmax.schreier import SchreierSystem, build_schreier
 
+from helpers import pipeline, reference_enumerate_singular_squares
+
+
+# every class with n <= 5 of both monoids; T_n has no rank-0 class
+SQUARE_COUNT_CLASSES = [
+    (key, n, k)
+    for key in ("pt", "t")
+    for n in range(1, 6)
+    for k in range(0 if key == "pt" else 1, n + 1)
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -181,7 +192,29 @@ class TestSquares:
             "--output", "json",
         )
         assert code == 0
-        assert json.loads(out)["count"] == 0
+        assert json.loads(out)["counts"] == {
+            "classes": 0, "singular_squares": 0, "star_relators": 0,
+        }
+
+    def test_text_counts(self, capsys):
+        code, out, _ = run(capsys, "squares", "--monoid", "pt", "--n", "4", "--k", "2")
+        assert code == 0
+        assert out == "12 classes, 36 singular squares, 24 star relators\n"
+
+    @pytest.mark.parametrize("key,n,k", SQUARE_COUNT_CLASSES)
+    def test_counts_match_the_oracle_and_the_presentation(self, capsys, key, n, k):
+        # every pair of rows of a class is a singular square, and the star of
+        # each class is the presentation's type-3 relators
+        code, out, _ = run(
+            capsys, "squares", "--monoid", key, "--n", str(n), "--k", str(k), "--output", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        counts = data["counts"]
+        grid, _, _, _, pres = pipeline(key, n, k)
+        assert counts["classes"] == len(data["classes"])
+        assert counts["singular_squares"] == len(reference_enumerate_singular_squares(grid))
+        assert counts["star_relators"] == pres.counts_by_type()["type3"]
 
 
 class TestPresentation:
@@ -244,7 +277,7 @@ class TestDeterminism:
         assert first == second
 
     def test_worker_count_does_not_change_output(self, capsys):
-        base = ["squares", "--monoid", "pt", "--n", "5", "--k", "2", "--output", "json"]
+        base = ["identify", "--monoid", "pt", "--n", "5", "--k", "2", "--output", "json"]
         _, one, _ = run(capsys, *base, "--workers", "1")
         _, two, _ = run(capsys, *base, "--workers", "2")
         assert one == two
@@ -270,7 +303,11 @@ class TestErrors:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "argv", [["corpus"], ["identify", "--monoid", "pt", "--n", "3", "--k", "2"]]
+        "argv",
+        [
+            ["identify", "--monoid", "t", "--n", "3", "--k", "2"],
+            ["identify", "--monoid", "pt", "--n", "3", "--k", "2"],
+        ],
     )
     def test_nonpositive_workers_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--workers", "0")

@@ -33,13 +33,13 @@ from igmax.schreier import word_value
 from helpers import (
     MONOIDS,
     all_maps,
+    all_pairs_presentation,
     cached_identify,
     idempotent_closure,
     letters,
     minor_gcd_invariants,
     oracle_presentations,
     pipeline,
-    reference_enumerate_singular_squares,
     reference_perm_group_order,
     reference_verify_hom,
 )
@@ -469,7 +469,7 @@ class TestStarDifferential:
         from igmax import groupid
 
         star = cached_identify(key, n, k)
-        monkeypatch.setattr(groupid, "enumerate_singular_squares", reference_enumerate_singular_squares)
+        monkeypatch.setattr(groupid, "build_presentation", all_pairs_presentation)
         full = identify(n, k, MONOIDS[key])
         assert full.verdict == star.verdict == VERDICT_SYMMETRIC
         assert full.order == star.order == math.factorial(k)

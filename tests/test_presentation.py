@@ -31,8 +31,10 @@ from igmax.squares import complete_to_singular_square, enumerate_singular_square
 
 from helpers import (
     all_pairs_pipeline,
+    all_pairs_presentation,
     brute_idempotents,
     cached_identify,
+    class_squares,
     collapse_phase,
     letters,
     pipeline,
@@ -87,20 +89,20 @@ class TestBuildPresentation:
         assert pres.counts_by_type()[TYPE3] == 0
 
     def test_type3_squares_revalidate(self):
-        from igmax.squares import singularizes
+        from igmax.squares import CASE_A, singularizes
 
-        grid, _, _, singulars, pres = pipeline("pt", 4, 2)
-        assert pres.counts_by_type()[TYPE3] == len(singulars)
-        for sq in singulars:
+        grid, _, _, classes, pres = pipeline("pt", 4, 2)
+        assert pres.counts_by_type()[TYPE3] == sum(len(c.rows) - 1 for c in classes)
+        for sq in class_squares(classes):
             cells = square_cells(grid, sq.rows, sq.cols)
-            assert singularizes(sq.witness, cells) == sq.case
+            assert singularizes(sq.witness, cells) == CASE_A
 
     @pytest.mark.parametrize("tie_break", TIE_BREAKS)
     @pytest.mark.parametrize("anchor_rule", ANCHOR_RULES)
     @pytest.mark.parametrize("key,n,k", CORPUS_CLASSES)
     def test_relators_reduced_and_distinct(self, key, n, k, anchor_rule, tie_break):
         # build_presentation runs no dedup pass: this is the invariant it rests on
-        grid, _, _, singulars, pres = pipeline(key, n, k, anchor_rule, tie_break)
+        grid, _, _, classes, pres = pipeline(key, n, k, anchor_rule, tie_break)
         seen = set()
         for rel in pres.relators:
             assert free_reduce(rel) == rel
@@ -110,7 +112,7 @@ class TestBuildPresentation:
         counts = pres.counts_by_type()
         assert counts[TYPE1] == len(grid.rows)
         assert counts[TYPE2] == len(grid.cols) - 1
-        assert counts[TYPE3] == len(singulars)
+        assert counts[TYPE3] == sum(len(c.rows) - 1 for c in classes)
 
     @pytest.mark.parametrize("tie_break", TIE_BREAKS)
     @pytest.mark.parametrize("key,n,k", CORPUS_CLASSES)
@@ -236,12 +238,12 @@ class TestTietzeDifferential:
                          for key, k in [("t", 3), ("pt", 4)]],
     )
     def test_matches_full_rescan_oracle(self, key, n, k):
-        grid, _, _, singulars, _ = pipeline(key, n, k)
+        grid, _, _, classes, _ = pipeline(key, n, k)
         seen = set()  # on total grids "two-step" picks the same anchors as "lex"
         for rule in ANCHOR_RULES:
             anchors_map = anchors(grid, rule)
             for tie in TIE_BREAKS:
-                pres = build_presentation(grid, build_schreier(grid, tie), anchors_map, singulars)
+                pres = build_presentation(grid, build_schreier(grid, tie), anchors_map, classes)
                 if pres in seen:
                     continue
                 seen.add(pres)
@@ -330,17 +332,18 @@ class TestCollapseShortRelators:
         # others, which depend on which of two duplicate relators Tietze's own
         # dedup happened to keep: as many on the all-pairs presentation, fewer
         # on the star one (2 against 3 on the default run).
-        grid, _, _, every, _ = all_pairs_pipeline(key, n, k)
-        star = pipeline(key, n, k)[3]
+        grid, _, _, classes, _ = pipeline(key, n, k)
         pairs = [(r, t) for r in ANCHOR_RULES for t in TIE_BREAKS]
         if n > 5:
             pairs = [("lex", "least")]
         for rule, tie in pairs:
             anchors_map = anchors(grid, rule)
             sys_ = build_schreier(grid, tie)
-            for name, singulars in (("all_pairs", every), ("star", star)):
+            for name, raw in (
+                ("all_pairs", all_pairs_presentation(grid, sys_, anchors_map)),
+                ("star", build_presentation(grid, sys_, anchors_map, classes)),
+            ):
                 where = (rule, tie, name)
-                raw = build_presentation(grid, sys_, anchors_map, singulars)
                 out = collapse_phase(raw)
                 assert_collapsed(out)
                 simp = tietze_simplify(raw)
@@ -369,7 +372,7 @@ class TestStarRelators:
 
     @pytest.mark.parametrize("key,n,k", STAR_CLASSES)
     def test_dropped_pairs_follow_from_the_star(self, key, n, k):
-        _, _, _, star, pres = pipeline(key, n, k)
+        _, _, _, classes, pres = pipeline(key, n, k)
         every = all_pairs_pipeline(key, n, k)[3]
         letter = {cell: 2 * g for g, cell in enumerate(pres.cells)}
 
@@ -377,12 +380,13 @@ class TestStarRelators:
             lam, mu = cols
             return (letter[(i, lam)] ^ 1, letter[(i, mu)], letter[(j, mu)] ^ 1, letter[(j, lam)])
 
+        star = sorted(((c.rows[0], j), c.cols) for c in classes for j in c.rows[1:])
         type3 = [rel for rel, tag in zip(pres.relators, pres.provenance) if tag == TYPE3]
-        assert type3 == [relator(*sq.rows, sq.cols) for sq in star]
-        root = {(j, cols): i for (i, j), cols, _, _ in star}
-        kept = {(sq.rows, sq.cols) for sq in star}
+        assert type3 == [relator(*rows, cols) for rows, cols in star]
+        root = {(j, c.cols): c.rows[0] for c in classes for j in c.rows}
+        kept = set(star)
         dropped = 0
-        for (i, j), cols, _, _ in every:
+        for (i, j), cols, _ in every:
             if ((i, j), cols) in kept:
                 continue
             r0 = root[(i, cols)]
@@ -395,33 +399,33 @@ class TestStarRelators:
 
 class TestEliminatePartialRows:
     def test_pt4_k2_survivors(self):
-        grid, _, _, singulars, pres = pipeline("pt", 4, 2)
-        out = eliminate_partial_rows(pres, grid, singulars)
+        grid, _, _, classes, pres = pipeline("pt", 4, 2)
+        out = eliminate_partial_rows(pres, grid, classes)
         assert len(out.generators) == 24
         total = set(grid.total_rows())
         assert all(cell[0] in total for cell in out.cells)
 
     def test_pt5_k3_survivors(self):
-        grid, _, _, singulars, pres = pipeline("pt", 5, 3)
-        out = eliminate_partial_rows(pres, grid, singulars)
+        grid, _, _, classes, pres = pipeline("pt", 5, 3)
+        out = eliminate_partial_rows(pres, grid, classes)
         assert len(out.generators) == 90  # C(5,3) * 3^2 total idempotents
         assert len(out.generators) == len(brute_idempotents(5, 3, T))
 
     def test_group_order_preserved(self):
-        grid, _, _, singulars, pres = pipeline("pt", 4, 2)
-        out = eliminate_partial_rows(pres, grid, singulars)
+        grid, _, _, classes, pres = pipeline("pt", 4, 2)
+        out = eliminate_partial_rows(pres, grid, classes)
         assert todd_coxeter(pres).order == todd_coxeter(out).order == 2
 
     def test_missing_square_is_structural_error(self):
-        grid, _, _, singulars, pres = pipeline("pt", 4, 2)
+        grid, _, _, classes, pres = pipeline("pt", 4, 2)
         with pytest.raises(StructuralError):
             eliminate_partial_rows(pres, grid, ())
 
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 3)])
     def test_split_bucket_is_structural_error(self, n, k):
-        # dropping the star record that ties a row of a completion square to
-        # its bucket splits the bucket, so that square is no longer known
-        grid, anchors_map, _, singulars, pres = pipeline("pt", n, k)
+        # dropping a partial row of a completion square from its class splits
+        # the class, so that square is no longer known
+        grid, anchors_map, _, classes, pres = pipeline("pt", n, k)
         total = set(grid.total_rows())
         dropped = set()
         for i, lam_i in anchors_map.items():
@@ -433,20 +437,20 @@ class TestEliminatePartialRows:
                 alpha_t, _, _ = complete_to_singular_square(grid.cell(i, lam_i), grid.cell(i, lam))
                 j = grid.row_of[alpha_t.kernel()]
                 cols = (min(lam_i, lam), max(lam_i, lam))
-                idx = next(
-                    idx for idx, sq in enumerate(singulars) if sq.cols == cols and sq.rows[1] in (i, j)
-                )
-                if idx in dropped:
+                idx = next(idx for idx, c in enumerate(classes) if c.cols == cols and i in c.rows)
+                assert j in classes[idx].rows
+                if (idx, i) in dropped:
                     continue
-                dropped.add(idx)
+                dropped.add((idx, i))
+                split = classes[idx]._replace(rows=tuple(r for r in classes[idx].rows if r != i))
                 with pytest.raises(StructuralError, match="no singular square eliminates generator"):
-                    eliminate_partial_rows(pres, grid, singulars[:idx] + singulars[idx + 1 :])
+                    eliminate_partial_rows(pres, grid, classes[:idx] + (split,) + classes[idx + 1 :])
         assert dropped
 
     def test_requires_partial_grid(self):
-        grid, _, _, singulars, pres = pipeline("t", 4, 2)
+        grid, _, _, classes, pres = pipeline("t", 4, 2)
         with pytest.raises(ValueError):
-            eliminate_partial_rows(pres, grid, singulars)
+            eliminate_partial_rows(pres, grid, classes)
 
 
 class TestInvariance:

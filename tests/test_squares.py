@@ -25,12 +25,12 @@ from helpers import (
     MONOIDS,
     _PointwiseTest,
     _SquareScan,
+    class_squares,
     pipeline,
     reference_enumerate_singular_squares,
     reference_top_row_holds,
     reference_witness,
     square_cells,
-    star_pairs,
 )
 
 PT = Monoid.PARTIAL
@@ -154,28 +154,30 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("key,n,k", SQUARE_CLASSES)
     def test_records_revalidate(self, key, n, k):
-        grid, _, _, singulars, _ = pipeline(key, n, k)
-        assert singulars
+        # every pair of rows of a class, not only the star, with the class's witness
+        grid, _, _, classes, _ = pipeline(key, n, k)
+        assert classes
+        squares = class_squares(classes)
         keys = set()
-        for rows, cols, witness, case in singulars:
-            assert rows[0] != rows[1] and cols[0] != cols[1]
+        for rows, cols, witness in squares:
+            assert rows[0] < rows[1] and cols[0] < cols[1]
             keys.add((frozenset(rows), frozenset(cols)))
             cells = square_cells(grid, rows, cols)
-            assert singularizes(witness, cells) == case
-            assert raw_case(witness, *cells) == case
+            assert singularizes(witness, cells) == CASE_A
+            assert raw_case(witness, *cells) == CASE_A
             assert witness.rank() >= k
-        assert len(keys) == len(singulars)  # once per unordered square
+        assert len(keys) == len(squares)  # once per unordered square
 
     def test_pt4_k2_nonempty_and_sound(self):
-        grid, _, _, singulars, _ = pipeline("pt", 4, 2)
-        assert singulars
-        for sq in singulars:
-            assert singularizes(sq.witness, square_cells(grid, sq.rows, sq.cols)) == sq.case
+        grid, _, _, classes, _ = pipeline("pt", 4, 2)
+        assert classes
+        for sq in class_squares(classes):
+            assert singularizes(sq.witness, square_cells(grid, sq.rows, sq.cols)) == CASE_A
             assert sq.witness.rank() >= 4 - 2
 
     def test_emitted_once_per_unordered_square(self):
-        _, _, _, singulars, _ = pipeline("pt", 4, 2)
-        keys = [(frozenset(sq.rows), frozenset(sq.cols)) for sq in singulars]
+        _, _, _, classes, _ = pipeline("pt", 4, 2)
+        keys = [(frozenset(sq.rows), frozenset(sq.cols)) for sq in class_squares(classes)]
         assert len(keys) == len(set(keys))
 
     def test_non_idempotent_witness_is_a_structural_error(self, monkeypatch, capsys):
@@ -202,10 +204,10 @@ class TestEnumerate:
                 grid_t = build_grid(n, k, T)
                 grid_pt = build_grid(n, k, PT)
                 row_map = {i: grid_pt.row_of[kp] for i, kp in enumerate(grid_t.rows)}
-                for sq in enumerate_singular_squares(grid_t):
+                for sq in class_squares(enumerate_singular_squares(grid_t)):
                     cells = square_cells(grid_pt, tuple(row_map[r] for r in sq.rows), sq.cols)
                     assert cells == square_cells(grid_t, sq.rows, sq.cols)
-                    assert singularizes(sq.witness, cells) == sq.case
+                    assert singularizes(sq.witness, cells) == CASE_A
 
     def test_deterministic(self):
         grid = build_grid(4, 2, PT)
@@ -225,25 +227,24 @@ class TestPointwiseDifferential:
 
     @pytest.mark.parametrize("key,n,k", DIFFERENTIAL_CLASSES)
     def test_matches_pool_scan(self, key, n, k):
-        # the star spans exactly the squares the pool scan finds, and each
-        # star record is one of them, in the scan's orientation
+        # the pairs inside the classes are exactly the squares the pool scan
+        # finds, in the scan's orientation and order
         grid = build_grid(n, k, MONOIDS[key])
         scan = _SquareScan(grid)
         hits = [scan.scan(cand) for cand in group_square_candidates(grid)]
         want = [(hit[0], hit[1]) for hit in hits if hit is not None]
         got = enumerate_singular_squares(grid)
-        assert star_pairs(got) == set(want)
-        keys = [(sq.rows, sq.cols) for sq in got]
-        assert keys == sorted(keys) and set(keys) <= set(want)
-        for sq in got:
-            (i, _), (lam, mu) = sq.rows, sq.cols
-            e, im_f = grid.cell(i, lam).entries, grid.cols[mu]
+        assert [(sq.rows, sq.cols) for sq in class_squares(got)] == want
+        assert list(got) == sorted(got, key=lambda c: (c.cols, c.rows))
+        for c in got:
+            assert len(c.rows) >= 2 and list(c.rows) == sorted(c.rows)
+            e, im_f = grid.cell(c.rows[0], c.cols[0]).entries, grid.cols[c.cols[1]]
             eps = tuple(e[x] if x in im_f else x for x in range(n))
-            assert sq.witness.entries == eps
-            assert sq.case == CASE_A
+            assert c.witness.entries == eps
+        for sq in class_squares(got):
             assert singularizes(sq.witness, square_cells(grid, sq.rows, sq.cols)) == CASE_A
         # equal witnesses are one shared map
-        assert len({id(sq.witness) for sq in got}) == len({sq.witness for sq in got})
+        assert len({id(c.witness) for c in got}) == len({c.witness for c in got})
 
     @pytest.mark.parametrize("key,n,k", DIFFERENTIAL_CLASSES)
     def test_every_orientation_matches_singular_case(self, key, n, k):
@@ -263,7 +264,7 @@ class TestPointwiseDifferential:
                 if got is not None:
                     assert got.entries == eps
                     accepted += 1
-        assert accepted >= len(enumerate_singular_squares(grid))
+        assert accepted >= len(class_squares(enumerate_singular_squares(grid)))
 
 
 ORIENTATION_CLASSES = DIFFERENTIAL_CLASSES + [pytest.param("pt", 7, 3, marks=pytest.mark.slow)]
@@ -299,27 +300,23 @@ class TestOrientationsAgree:
 
     @pytest.mark.parametrize("key,n,k", ORIENTATION_CLASSES)
     def test_matches_four_orientation_loop(self, key, n, k):
-        # the loop finds every pair of rows; the star spans exactly those
-        # pairs, and each star record equals the loop's, witness included
+        # the loop finds every pair of rows; the pairs inside the classes are
+        # exactly those, each with the loop's witness, shared alike
         grid = build_grid(n, k, MONOIDS[key])
         every = reference_enumerate_singular_squares(grid)
-        got = enumerate_singular_squares(grid)
-        by_pair = {(sq.rows, sq.cols): sq for sq in every}
-        assert star_pairs(got) == set(by_pair)
-        want = [by_pair[(sq.rows, sq.cols)] for sq in got]
-        assert len(got) == len(want)
-        for new, old in zip(got, want):
-            assert new == old
-        assert witness_labels(got) == witness_labels(want)
+        got = class_squares(enumerate_singular_squares(grid))
+        assert got == list(every)
+        assert witness_labels(got) == witness_labels(every)
 
     @pytest.mark.parametrize("key,n,k", ORIENTATION_CLASSES)
     def test_star_roots_are_least_rows(self, key, n, k):
-        # each bucket's records share its least row, and no row is tied twice
+        # each class lists its rows ascending from its root, and no row lies
+        # in two classes of one column pair
         got = enumerate_singular_squares(build_grid(n, k, MONOIDS[key]))
-        assert all(sq.rows[0] < sq.rows[1] for sq in got)
-        tied = {(sq.rows[1], sq.cols) for sq in got}
-        assert len(tied) == len(got)
-        assert not tied & {(sq.rows[0], sq.cols) for sq in got}
+        assert all(len(c.rows) >= 2 and c.rows[0] == min(c.rows) for c in got)
+        assert all(list(c.rows) == sorted(set(c.rows)) for c in got)
+        tied = {(r, c.cols) for c in got for r in c.rows}
+        assert len(tied) == sum(len(c.rows) for c in got)
 
 
 class TestTopRowLookups:
