@@ -2,8 +2,9 @@
 
 Every subcommand is deterministic for a fixed set of flags; JSON output is
 byte-identical across runs (timings are opt-in because they are not).
-Exit codes: 0 success, 1 undecided verdict or failed corpus, 2 usage error,
-3 structural error.
+Each subcommand takes only the flags it reads.  Exit codes: 0 success, 1
+undecided verdict or failed corpus, 2 usage error or unwritable file, 3
+structural error.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", choices=("json", "text"), default="text")
     sub.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                      help="hard size cap; raise explicitly for big runs")
-    sub.add_argument("--anchor-rule", choices=ANCHOR_RULES, default="lex")
-    sub.add_argument("--tie-break", choices=TIE_BREAKS, default="least")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,19 +64,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("grid", "build the rank-k D-class grid"),
-        ("schreier", "build and verify the Schreier system"),
-        ("squares", "enumerate the singular classes of rows with witnesses"),
-        ("presentation", "assemble the group presentation"),
-        ("identify", "run the full pipeline and name the group"),
-        ("free-rank", "cycle rank of the Graham-Houghton component"),
+    for name, helptext, run in (
+        ("grid", "build the rank-k D-class grid", _cmd_grid),
+        ("schreier", "build and verify the Schreier system", _cmd_schreier),
+        ("squares", "enumerate the singular classes of rows with witnesses", _cmd_squares),
+        ("presentation", "assemble the group presentation", _cmd_presentation),
+        ("identify", "run the full pipeline and name the group", _cmd_identify),
+        ("free-rank", "cycle rank of the Graham-Houghton component", _cmd_free_rank),
     ):
         sub = subs.add_parser(name, help=helptext)
+        sub.set_defaults(run=run)
         _add_common(sub)
         if name == "schreier":
-            sub.add_argument("--lift", action="store_true",
-                             help="lift the total grid's system onto the partial grid")
+            # no default, or argparse lets `--lift --tie-break least` through
+            lift = sub.add_mutually_exclusive_group()
+            lift.add_argument("--tie-break", choices=TIE_BREAKS, help="default: least")
+            lift.add_argument("--lift", action="store_true",
+                              help="lift the total grid's least system onto the partial grid")
+        if name in ("presentation", "identify"):
+            sub.add_argument("--anchor-rule", choices=ANCHOR_RULES, default="lex")
+            sub.add_argument("--tie-break", choices=TIE_BREAKS, default="least")
         if name == "presentation":
             sub.add_argument("--gap", metavar="PATH", help="write a GAP-compatible file")
             sub.add_argument("--dot", metavar="PATH", help="write the bipartite graph as DOT")
@@ -88,10 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--max-cosets", type=int, default=10**6)
             sub.add_argument("--raw-coset-table", action="store_true",
                              help="enumerate on the unsimplified presentation")
-            sub.add_argument("--timings", action="store_true")
+            sub.add_argument("--timings", action="store_true", help="needs --output json")
             sub.add_argument("--workers", type=int, default=1, help="accepted; no effect")
 
     corpus = subs.add_parser("corpus", help="run the regression matrix")
+    corpus.set_defaults(run=_cmd_corpus)
     corpus.add_argument("--output", choices=("json", "text"), default="text")
     corpus.add_argument("--skip-slow", action="store_true", help="drop the n = 6 runs")
     corpus.add_argument("--max-cosets", type=int, default=10**6)
@@ -159,7 +166,7 @@ def _cmd_schreier(args, out) -> int:
     if args.lift and not grid.degenerate:
         sys_ = lift_total_schreier(build_grid(args.n, args.k, Monoid.TOTAL), grid)
     else:
-        sys_ = verified_schreier(grid, args.tie_break)
+        sys_ = verified_schreier(grid, args.tie_break or "least")
     payload = {
         "n": args.n,
         "k": args.k,
@@ -248,6 +255,8 @@ def _cmd_identify(args, out) -> int:
     monoid = _validate(args)
     if args.workers < 1:
         raise ValueError("workers must be positive")
+    if args.timings and args.output != "json":
+        raise ValueError("--timings needs --output json")
     report = identify(
         args.n,
         args.k,
@@ -344,26 +353,15 @@ def _cmd_corpus(args, out) -> int:
     return 0 if all_ok else 1
 
 
-_COMMANDS = {
-    "grid": _cmd_grid,
-    "schreier": _cmd_schreier,
-    "squares": _cmd_squares,
-    "presentation": _cmd_presentation,
-    "identify": _cmd_identify,
-    "free-rank": _cmd_free_rank,
-    "corpus": _cmd_corpus,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        return args.run(args, sys.stdout)
     except StructuralError as exc:
         sys.stderr.write(_dump({"error": "structural", "message": str(exc)}))
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

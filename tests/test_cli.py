@@ -320,6 +320,58 @@ class TestErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--gap", "--dot"])
+    def test_unwritable_export_is_usage_error(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / "x.g"
+        code, out, err = run(
+            capsys, "presentation", "--monoid", "pt", "--n", "3", "--k", "2", flag, str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err
+
+
+CLASS_FLAGS = ["--monoid", "pt", "--n", "4", "--k", "2"]
+
+
+class TestFlags:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([command, flag, value]
+              for command in ("grid", "squares", "free-rank")
+              for flag, value in (("--anchor-rule", "lex"), ("--tie-break", "least"))),
+            ["schreier", "--anchor-rule", "lex"],
+            ["schreier", "--lift", "--tie-break", "least"],
+            ["identify", "--timings", "--output", "text"],
+        ],
+        ids=" ".join,
+    )
+    def test_ignored_flag_is_usage_error(self, capsys, argv):
+        try:
+            code = main([argv[0], *CLASS_FLAGS, *argv[1:]])
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == (2, "")
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("schreier", "--tie-break", "greatest"),
+            ("presentation", "--tie-break", "greatest"),
+            ("presentation", "--anchor-rule", "lexmax"),
+            ("identify", "--tie-break", "greatest"),
+            ("identify", "--anchor-rule", "lexmax"),
+        ],
+    )
+    def test_kept_flag_changes_some_corpus_output(self, capsys, command, flag, value):
+        for mon, n, k, _ in cli.CORPUS_RUNS:
+            argv = [command, "--monoid", mon, "--n", str(n), "--k", str(k), "--output", "json"]
+            if run(capsys, *argv) != run(capsys, *argv, flag, value):
+                return
+        pytest.fail(f"{command} {flag} {value} changes no corpus output")
+
 
 class TestCorpus:
     def test_free_rank_is_checked(self, capsys, monkeypatch):

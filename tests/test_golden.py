@@ -1,12 +1,15 @@
 """Golden digests of the default CLI output.
 
 Every byte of default output is kept unless a change says what moved and
-why.  `golden_digests.json` holds, for each subcommand variant, anchor rule,
-tie-break and `n <= 5` class of `CORPUS_RUNS`, the sha256 of the exit code
-and stdout, followed by the written file for the `--gap` variants.  The
-default anchor rule and tie-break run in tier 1, the rest of the 3 x 2 matrix
-under `slow`.  After a deliberate output change, rewrite the digests of the
-variants that changed, and only those, from the root of a checkout with
+why.  `golden_digests.json` holds, for each subcommand variant, each `n <= 5`
+class of `CORPUS_RUNS` and each combination of the anchor rules and
+tie-breaks the variant crosses, the sha256 of the exit code and stdout,
+followed by the written file for the `--gap` variants.  A variant crosses
+exactly the flags its subcommand accepts, which `build_parser` alone decides;
+a flag it does not cross sits at its default in the key.  The default
+combination runs in tier 1, the rest under `slow`.  After a deliberate output
+change, rewrite the digests of the variants that changed, and only those,
+from the root of a checkout with
 
     PYTHONPATH=src python3 tests/test_golden.py VARIANT [VARIANT ...]
 
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from igmax.cli import CORPUS_RUNS, main
+from igmax.cli import CORPUS_RUNS, build_parser, main
 from igmax.dclass import ANCHOR_RULES
 from igmax.schreier import TIE_BREAKS
 
@@ -33,25 +36,38 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 
 CLASSES = [(mon, n, k) for mon, n, k, _ in CORPUS_RUNS if n <= 5]
 
-# variant -> (argv after the class flags, partial monoid only)
+# flag -> its values, the default first
+FLAGS = {"--anchor-rule": ANCHOR_RULES, "--tie-break": TIE_BREAKS}
+BOTH = tuple(FLAGS)
+DEFAULT = tuple(values[0] for values in FLAGS.values())
+
+# variant -> (argv after the class flags, partial monoid only, flags crossed)
 VARIANTS = {
-    "identify-json": (["identify", "--output", "json"], False),
-    "identify-text": (["identify", "--output", "text"], False),
-    "identify-raw": (["identify", "--raw-coset-table", "--output", "json"], False),
-    "squares": (["squares", "--output", "json"], False),
-    "grid": (["grid", "--output", "json"], False),
-    "free-rank": (["free-rank", "--output", "json"], False),
-    "schreier": (["schreier", "--output", "json"], False),
-    "presentation": (["presentation", "--output", "json"], False),
-    "presentation-simplify": (["presentation", "--simplify", "--output", "json"], False),
-    "schreier-lift": (["schreier", "--lift", "--output", "json"], True),
-    "presentation-eliminate": (["presentation", "--eliminate-partial", "--output", "json"], True),
-    "presentation-gap": (["presentation", "--output", "text", "--gap"], False),
+    "identify-json": (["identify", "--output", "json"], False, BOTH),
+    "identify-text": (["identify", "--output", "text"], False, BOTH),
+    "identify-raw": (["identify", "--raw-coset-table", "--output", "json"], False, BOTH),
+    "squares": (["squares", "--output", "json"], False, ()),
+    "grid": (["grid", "--output", "json"], False, ()),
+    "free-rank": (["free-rank", "--output", "json"], False, ()),
+    "schreier": (["schreier", "--output", "json"], False, ("--tie-break",)),
+    "presentation": (["presentation", "--output", "json"], False, BOTH),
+    "presentation-simplify": (
+        ["presentation", "--simplify", "--output", "json"], False, BOTH),
+    "schreier-lift": (["schreier", "--lift", "--output", "json"], True, ()),
+    "presentation-eliminate": (
+        ["presentation", "--eliminate-partial", "--output", "json"], True, BOTH),
+    "presentation-gap": (["presentation", "--output", "text", "--gap"], False, BOTH),
     "presentation-simplify-gap": (
-        ["presentation", "--simplify", "--output", "text", "--gap"], False),
+        ["presentation", "--simplify", "--output", "text", "--gap"], False, BOTH),
 }
 
-DEFAULT = ("lex", "least")
+
+def combinations(variant: str) -> list[tuple[str, str]]:
+    """The (anchor rule, tie-break) pairs a variant runs; an uncrossed flag
+    stays at its default."""
+    crossed = VARIANTS[variant][2]
+    anchors, ties = (FLAGS[f] if f in crossed else FLAGS[f][:1] for f in FLAGS)
+    return [(a, t) for a in anchors for t in ties]
 
 
 def run_digest(argv: list[str]) -> str:
@@ -72,14 +88,15 @@ def run_digest(argv: list[str]) -> str:
 
 
 def digests(variant: str, anchor_rule: str, tie_break: str) -> dict[str, str]:
-    argv, partial_only = VARIANTS[variant]
+    argv, partial_only, crossed = VARIANTS[variant]
+    values = dict(zip(FLAGS, (anchor_rule, tie_break)))
+    flags = [x for f in crossed for x in (f, values[f])]
     out = {}
     for mon, n, k in CLASSES:
         if partial_only and mon != "pt":
             continue
         out[f"{mon}-{n}-{k}"] = run_digest(
-            [argv[0], "--monoid", mon, "--n", str(n), "--k", str(k),
-             "--anchor-rule", anchor_rule, "--tie-break", tie_break, *argv[1:]]
+            [argv[0], "--monoid", mon, "--n", str(n), "--k", str(k), *flags, *argv[1:]]
         )
     return out
 
@@ -91,9 +108,28 @@ def key(variant: str, anchor_rule: str, tie_break: str) -> str:
 MATRIX = [
     pytest.param(v, a, t, marks=() if (a, t) == DEFAULT else pytest.mark.slow)
     for v in VARIANTS
-    for a in ANCHOR_RULES
-    for t in TIE_BREAKS
+    for a, t in combinations(v)
 ]
+
+
+def accepts(argv: list[str]) -> bool:
+    """Whether `build_parser` parses `argv` without a usage error."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_crossed_flags_are_the_accepted_ones(variant):
+    argv, _, crossed = VARIANTS[variant]
+    head = [argv[0], "--monoid", "pt", "--n", "4", "--k", "2"]
+    tail = [*argv[1:], "x.g"] if argv[-1] == "--gap" else argv[1:]
+    assert accepts([*head, *tail])
+    for flag, values in FLAGS.items():
+        assert {accepts([*head, flag, value, *tail]) for value in values} == {flag in crossed}
 
 
 @pytest.fixture(scope="module")
@@ -118,11 +154,11 @@ def regenerate(variants: list[str]) -> int:
         )
         return 2
     table = json.loads(DIGESTS.read_text()) if variants else {}
+    table = {k: d for k, d in table.items() if k.split()[0] not in variants}
     fresh = {
         key(v, a, t): digests(v, a, t)
         for v in variants or VARIANTS
-        for a in ANCHOR_RULES
-        for t in TIE_BREAKS
+        for a, t in combinations(v)
     }
     table.update(fresh)
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
