@@ -344,7 +344,10 @@ def _cmd_corpus(args, out) -> int:
     else:
         for r in runs:
             status = "ok " if r["ok"] else "FAIL"
-            order = r["order"] if r["order"] is not None else f"free({r['free_rank']})"
+            if r["verdict"] == VERDICT_FREE:
+                order = f"free({r['free_rank']})"
+            else:
+                order = "unknown" if r["order"] is None else r["order"]
             out.write(
                 f"{status} {r['monoid']:>2} n={r['n']} k={r['k']} "
                 f"verdict={r['verdict']} order={order}\n"

@@ -141,7 +141,7 @@ def anchors(grid: DClassGrid, rule: str = "lex") -> dict[int, int]:
     return out
 
 
-# every sandwich product, q[col], t[row] and q[col]*t[row], is taken here
+# every sandwich representative, q[col] and t[row], is composed here
 _product = compose_entries
 
 
@@ -166,13 +166,17 @@ def sandwich_matrix(
     rank k exactly when the image of col is a transversal of the kernel of
     row (the rank of q*t counts the kernel blocks that im q meets), and that
     is the test build_grid picked the group cells by (Clifford-Miller; Howie
-    1995, Prop. 2.3.7).  So only group cells are composed.  Every map is an
+    1995, Prop. 2.3.7).  So only group cells get an entry.  Every map is an
     entry tuple.
 
     A product x lies in the base H-class when e*x = x = x*e, for e the base
     idempotent, and x restricts to a bijection of im e: x*e = x puts im x
     inside im e, the bijection makes the rank k, and in one D-class e*x = x
-    and x*e = x then force x R e and x L e.
+    and x*e = x then force x R e and x L e.  For x = q*t the first two hold
+    already: e*q = q gives e*(q*t) = q*t, and im t = im e, which e fixes,
+    gives (q*t)*e = q*t.  So q*t is never composed; each entry reads it on
+    im e as t[q[b]] (im e lies in dom e = dom q), and the bijection is the
+    one check left per cell.
     """
     e = grid.base_idempotent.entries
     qs = []
@@ -195,10 +199,8 @@ def sandwich_matrix(
     full = set(range(grid.k))
     out: dict[tuple[int, int], Permutation] = {}
     for i, c in grid.group_cells:
-        x = _product(qs[c], ts[i])
-        if compose_entries(e, x) != x or compose_entries(x, e) != x:
-            raise StructuralError("sandwich product fell out of its H-class")
-        perm = tuple(pos.get(x[p], -1) for p in base_im)
+        q, t = qs[c], ts[i]
+        perm = tuple(pos.get(t[q[b]], -1) for b in base_im)
         if set(perm) != full:
             raise StructuralError("restriction to the base image is not a bijection")
         out[(c, i)] = perm

@@ -258,11 +258,23 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
 def smith_normal_form(rows: list[list[int]]) -> list[int]:
     """Nonzero diagonal invariant factors d1 | d2 | ... of an integer matrix.
 
-    Relation matrices are sparse and reduce mostly by unit pivots.  Each unit
-    (+-1) entry is eliminated over sparse rows, splitting off a direct summand
-    [1], so it contributes one invariant factor 1; the dense routine finishes
-    the residual matrix.  The invariant factors are unique, so the result is
-    the dense routine's on the whole matrix.
+    Relation matrices are sparse and reduce mostly by unit pivots, so rows are
+    kept sparse and each +-1 entry is eliminated as soon as some row holds
+    one: it splits off a direct summand [1].  Only when no row holds a unit
+    does a step pivot on an entry p of least absolute value.  Row operations
+    r2 -= (r2[c] // p) * row leave each other entry of column c a remainder
+    of absolute value below |p|.  Once the column holds the pivot row alone,
+    the column operations col_j -= (row[j] // p) * col_c change that one row
+    only, since every other row is zero in column c, and reduce it modulo p.
+    A row left with a remainder is queued again.  So the step ends either with
+    p split off as a summand [|p|] or with a nonzero remainder below |p|,
+    which lowers the least absolute value of the matrix.  Every split, unit or
+    not, removes a nonzero row and no step adds one, so the pair (nonzero
+    rows, least absolute value) falls lexicographically and the elimination
+    ends.  The split summands form a diagonal matrix, and (d_a, d_b) <-
+    (gcd, lcm) for a < b, which keeps it equivalent, orders it into
+    d1 | d2 | ...  The invariant factors are unique, so any pivot order gives
+    the same result.
     """
     return _sparse_smith_normal_form([{j: v for j, v in enumerate(r) if v} for r in rows])
 
@@ -274,28 +286,43 @@ def _sparse_smith_normal_form(sparse: list[dict[int, int]]) -> list[int]:
         for j in r:
             rows_of.setdefault(j, set()).add(i)
     units = 0
+    diag: list[int] = []
     # rows that may hold a unit entry, shortest first, as (length, row); an
     # entry whose length is no longer its row's is stale, since every change
     # to a row pushes it again
     pending = [(len(r), i) for i, r in enumerate(sparse)]
     heapq.heapify(pending)
-    while pending:
-        size, i = heapq.heappop(pending)
-        piv = sparse[i]
-        if len(piv) != size:
-            continue
-        unit_cols = [j for j, v in piv.items() if v in (1, -1)]
-        if not unit_cols:
-            continue
-        # the unit whose column meets the fewest other rows fills in least
-        c = min(unit_cols, key=lambda j: (len(rows_of[j]), j))
-        p = piv.pop(c)
-        sparse[i] = {}
-        for j in piv:
-            rows_of[j].discard(i)
-        for i2 in rows_of.pop(c) - {i}:
+    while True:
+        c = None
+        while pending:
+            size, i = heapq.heappop(pending)
+            piv = sparse[i]
+            if len(piv) != size:
+                continue
+            unit_cols = [j for j, v in piv.items() if v in (1, -1)]
+            if unit_cols:
+                # the unit whose column meets the fewest other rows fills in least
+                c = min(unit_cols, key=lambda j: (len(rows_of[j]), j))
+                break
+        if c is None:
+            # no row holds a unit: pivot on an entry of least absolute value
+            entries = [(abs(sparse[i][j]), i, j) for j, rs in rows_of.items() for i in rs]
+            if not entries:
+                break
+            _, i, c = min(entries)
+            piv = sparse[i]
+        p = piv[c]
+        unit = p in (1, -1)
+        if unit:
+            del piv[c]
+            sparse[i] = {}
+            for j in piv:
+                rows_of[j].discard(i)
+        for i2 in (rows_of.pop(c) if unit else rows_of[c]) - {i}:
             r2 = sparse[i2]
-            q = r2.pop(c) * p  # r2 -= q * (row i) clears column c, as p * p = 1
+            # r2 -= q * (row i) clears column c when p * p = 1, and otherwise
+            # leaves there a remainder of absolute value below |p|
+            q = r2.pop(c) * p if unit else r2[c] // p
             for j, v in piv.items():
                 w = r2.get(j, 0) - q * v
                 if w:
@@ -305,81 +332,30 @@ def _sparse_smith_normal_form(sparse: list[dict[int, int]]) -> list[int]:
                     del r2[j]
                     rows_of[j].discard(i2)
             heapq.heappush(pending, (len(r2), i2))
-        units += 1
-    residual = [r for r in sparse if r]
-    cols = sorted({j for r in residual for j in r})
-    dense = [[r.get(j, 0) for j in cols] for r in residual]
-    return [1] * units + dense_smith_normal_form(dense)
-
-
-def dense_smith_normal_form(rows: list[list[int]]) -> list[int]:
-    """Invariant factors by repeated least-pivot elimination on a dense matrix."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag: list[int] = []
-    t = 0
-    while True:
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v and (piv is None or abs(v) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        if a[t][t] < 0:
-            a[t] = [-v for v in a[t]]
-        while True:
-            # clear the pivot column, shrinking the pivot by gcd steps
-            moved = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        if a[t][t] < 0:
-                            a[t] = [-v for v in a[t]]
-                        moved = True
-                        break
-            if moved:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        if a[t][t] < 0:
-                            a[t] = [-v for v in a[t]]
-                        moved = True
-                        break
-            if moved:
-                continue
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-        diag.append(a[t][t])
-        t += 1
-    return diag
+        if unit:
+            units += 1
+            continue
+        if rows_of[c] != {i}:
+            continue
+        # column c holds row i alone, so column operations reduce row i mod p
+        for j in [j for j in piv if j != c]:
+            w = piv[j] % p
+            if w:
+                piv[j] = w
+            else:
+                del piv[j]
+                rows_of[j].discard(i)
+        if len(piv) > 1:
+            heapq.heappush(pending, (len(piv), i))
+            continue
+        sparse[i] = {}
+        del rows_of[c]
+        diag.append(abs(p))
+    for a in range(len(diag)):
+        for b in range(a + 1, len(diag)):
+            g = math.gcd(diag[a], diag[b])
+            diag[a], diag[b] = g, diag[a] // g * diag[b]
+    return [1] * units + diag
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,81 @@ def idempotent_closure(n: int, monoid: Monoid) -> frozenset[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# Smith normal form oracle: dense least-pivot elimination with its own
+# divisibility repair, sharing no code with the sparse elimination.
+
+
+def reference_smith_normal_form(rows: list[list[int]]) -> list[int]:
+    """Invariant factors by repeated least-pivot elimination on a dense matrix."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    diag: list[int] = []
+    t = 0
+    while True:
+        piv = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = a[i][j]
+                if v and (piv is None or abs(v) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        pi, pj = piv
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+        if a[t][t] < 0:
+            a[t] = [-v for v in a[t]]
+        while True:
+            # clear the pivot column, shrinking the pivot by gcd steps
+            moved = False
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        if a[t][t] < 0:
+                            a[t] = [-v for v in a[t]]
+                        moved = True
+                        break
+            if moved:
+                continue
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        for row in a:
+                            row[j] -= q * row[t]
+                    if a[t][j]:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+                        if a[t][t] < 0:
+                            a[t] = [-v for v in a[t]]
+                        moved = True
+                        break
+            if moved:
+                continue
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % a[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+        diag.append(a[t][t])
+        t += 1
+    return diag
+
+
+# ---------------------------------------------------------------------------
 # determinantal divisors: an independent oracle for Smith normal form
 
 

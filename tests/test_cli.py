@@ -390,6 +390,16 @@ class TestCorpus:
         assert data["all_ok"] is False
         assert [(r["n"], r["k"]) for r in data["runs"] if not r["ok"]] == [(3, 2), (4, 3)]
 
+    def test_text_prints_a_free_rank_only_for_the_free_verdict(self, capsys):
+        # a cap of one coset leaves every S_k class undecided, without an order
+        code, out, _ = run(capsys, "corpus", "--skip-slow", "--max-cosets", "1")
+        assert code == 1
+        lines = out.splitlines()
+        assert "FAIL pt n=4 k=2 verdict=undecided order=unknown" in lines
+        assert "ok  pt n=3 k=2 verdict=free_of_rank order=free(1)" in lines
+        for line in lines[:-1]:
+            assert ("order=free(" in line) == ("verdict=free_of_rank" in line), line
+
     def test_fast_subset_passes(self, capsys):
         code, out, _ = run(capsys, "corpus", "--skip-slow", "--output", "json")
         assert code == 0

@@ -12,7 +12,7 @@ from igmax.groupid import (
     VERDICT_UNDECIDED,
     AbelianInvariants,
     abelian_invariants,
-    dense_smith_normal_form,
+    build_stages,
     identify,
     perm_compose,
     perm_group_order,
@@ -41,6 +41,7 @@ from helpers import (
     oracle_presentations,
     pipeline,
     reference_perm_group_order,
+    reference_smith_normal_form,
     reference_verify_hom,
 )
 
@@ -140,25 +141,50 @@ class TestToddCoxeter:
         assert a.table == b.table and a.status == b.status
 
 
+def _unit_free_matrices():
+    """Matrices with no +-1 entry: smith_normal_form pivots on a least entry,
+    reduces the pivot row modulo it, and orders the diagonal by gcd and lcm."""
+    mats = [
+        [[4, 0, 0], [0, 6, 0], [0, 0, 10]],
+        [[2, 3]],
+        [[6, 10, 15]],
+        [[4, 6], [6, 9]],
+        [[-6, 4], [4, -2]],
+        [[0, 12, 0], [18, 0, 0], [0, 0, 8]],
+    ]
+    rng = random.Random(1201)
+    entries = (0, 0, 2, -2, 3, -3, 4, 6, -9, 12)
+    for _ in range(150):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        mats.append([[rng.choice(entries) for _ in range(n)] for _ in range(m)])
+    return mats
+
+
+UNIT_FREE_MATRICES = _unit_free_matrices()
+
+
 class TestSmithNormalForm:
     def test_known_diagonal(self):
         assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
         assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
         assert smith_normal_form([[0, 0], [0, 0]]) == []
+        assert smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == [2, 2, 60]
 
     def test_against_minor_gcd_oracle(self):
         rng = random.Random(99)
+        mats = []
         for _ in range(60):
             m = rng.randint(1, 4)
             n = rng.randint(1, 4)
-            mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+            mats.append([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
+        for mat in mats + UNIT_FREE_MATRICES:
             got = smith_normal_form(mat)
             assert got == minor_gcd_invariants(mat), mat
 
     def test_divisibility_chain(self):
         rng = random.Random(4)
-        for _ in range(40):
-            mat = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
+        mats = [[[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)] for _ in range(40)]
+        for mat in mats + UNIT_FREE_MATRICES:
             diag = smith_normal_form(mat)
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0
@@ -175,8 +201,8 @@ def relation_matrix(pres):
 
 
 class TestSparseUnitElimination:
-    """smith_normal_form eliminates unit pivots over sparse rows before the
-    dense routine; on any matrix it must equal the dense routine alone."""
+    """smith_normal_form eliminates over sparse rows, unit pivots first; on
+    any matrix it must equal the dense reference elimination."""
 
     def test_matches_dense_on_random_matrices(self):
         rng = random.Random(2011)
@@ -189,7 +215,7 @@ class TestSparseUnitElimination:
                 [rng.choice(entries) if rng.random() < density else 0 for _ in range(n)]
                 for _ in range(m)
             ]
-            assert smith_normal_form(mat) == dense_smith_normal_form(mat), mat
+            assert smith_normal_form(mat) == reference_smith_normal_form(mat), mat
 
     def test_input_is_not_modified(self):
         mat = [[1, 2, 0], [3, 1, -1], [0, 0, 2]]
@@ -201,7 +227,7 @@ class TestSparseUnitElimination:
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6) for k in range(1, n)])
     def test_matches_dense_on_raw_relation_matrices(self, n, k, key):
         mat = relation_matrix(pipeline(key, n, k)[4])
-        assert smith_normal_form(mat) == dense_smith_normal_form(mat)
+        assert smith_normal_form(mat) == reference_smith_normal_form(mat)
 
 
 class TestAbelianInvariants:
@@ -571,14 +597,14 @@ class TestPermGroupOrderDifferential:
 
 
 class TestSparseSmithNormalFormDifferential:
-    """Shortest-row-first unit elimination against the dense routine alone.
+    """The sparse elimination against the dense reference on larger matrices.
     TestSparseUnitElimination covers the raw relation matrices for n <= 5."""
 
     @pytest.mark.slow
     @pytest.mark.parametrize("key,n,k", [(key, n, k) for key, n, k in HOM_CLASSES if n == 6])
     def test_raw_relation_matrices_of_corpus_classes(self, key, n, k):
         mat = relation_matrix(pipeline(key, n, k)[4])
-        assert smith_normal_form(mat) == dense_smith_normal_form(mat)
+        assert smith_normal_form(mat) == reference_smith_normal_form(mat)
 
     def test_random_sparse_matrices(self):
         rng = random.Random(3057)
@@ -590,7 +616,7 @@ class TestSparseSmithNormalFormDifferential:
             for row in mat:
                 for j in rng.sample(range(n), rng.randint(0, min(n, 4))):
                     row[j] = rng.choice(entries)
-            assert smith_normal_form(mat) == dense_smith_normal_form(mat), mat
+            assert smith_normal_form(mat) == reference_smith_normal_form(mat), mat
 
 
 class TestAbelianInvariantsOfRawPresentations:
@@ -612,3 +638,32 @@ class TestAbelianInvariantsOfRawPresentations:
         inv = abelian_invariants(pres)
         assert inv.torsion == tuple(d for d in diag if d > 1)
         assert inv.free_rank == ngens - len(diag)
+
+
+def _all_classes(ns):
+    return [(key, n, k) for n in ns for key in sorted(MONOIDS)
+            for k in range(0 if key == "pt" else 1, n + 1)]
+
+
+class TestAbelianInvariantsAgainstReference:
+    """abelian_invariants of every raw presentation and of its Tietze
+    simplification against the dense reference on the simplified relation
+    matrix.  Tietze moves keep the group, so both abelianizations equal that
+    one; the raw matrices of n = 6 (PT_6, k=2 is 2 595 x 1 215) are too large
+    for the dense reference itself."""
+
+    @pytest.mark.parametrize(
+        "key,n,k",
+        _all_classes(range(1, 7))
+        + [pytest.param(*c, marks=pytest.mark.slow) for c in _all_classes([7])],
+    )
+    def test_raw_and_simplified_presentations(self, key, n, k):
+        raw = build_stages(n, k, MONOIDS[key]).presentation
+        simplified = tietze_simplify(raw)
+        diag = reference_smith_normal_form(relation_matrix(simplified))
+        expected = AbelianInvariants(
+            torsion=tuple(d for d in diag if d > 1),
+            free_rank=len(simplified.generators) - len(diag),
+        )
+        assert abelian_invariants(raw) == expected
+        assert abelian_invariants(simplified) == expected
