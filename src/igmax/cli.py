@@ -38,7 +38,7 @@ from .ptrans import Monoid
 from .schreier import TIE_BREAKS, lift_total_schreier
 from .squares import enumerate_singular_squares
 
-DEFAULT_MAX_N = 7
+DEFAULT_MAX_N = 8
 
 MONOIDS = {"pt": Monoid.PARTIAL, "t": Monoid.TOTAL}
 

@@ -12,7 +12,6 @@ import math
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .dclass import (
@@ -97,8 +96,7 @@ def perm_group_order(gens) -> int:
 # Todd-Coxeter coset enumeration (HLT with coincidence handling)
 
 
-@dataclass
-class CosetTable:
+class CosetTable(NamedTuple):
     """Compacted coset table; column x is relator letter x (see Relator)."""
 
     ngens: int
@@ -358,8 +356,7 @@ def _sparse_smith_normal_form(sparse: list[dict[int, int]]) -> list[int]:
     return [1] * units + diag
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     torsion: tuple[int, ...]
     free_rank: int
 
@@ -498,31 +495,64 @@ def build_stages(
     return Stages(grid, anchors_map, sys, classes, pres)
 
 
-@dataclass
-class IdentificationReport:
-    """What identify found; the field defaults are the trivial verdict's."""
-
+class _ReportFields(NamedTuple):
     n: int
     k: int
     monoid: Monoid
-    verdict: str = VERDICT_TRIVIAL
-    order: int | None = 1
-    order_kind: str = "finite"  # finite | infinite_free | overflow
-    free_rank: int | None = None
-    abelian_invariants: list[int] = field(default_factory=list)
-    hom_valid: bool | None = None
-    image_order: int | None = None
-    generators: int = 1
-    relator_counts: dict[str, int] = field(
-        default_factory=lambda: {TYPE1: 1, TYPE2: 0, TYPE3: 0, TIETZE: 0}
-    )
-    simplified_generators: int | None = None
-    simplified_relators: int | None = None
-    diagnostics: list[str] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
+    verdict: str
+    order: int | None
+    order_kind: str  # finite | infinite_free | overflow
+    free_rank: int | None
+    abelian_invariants: list[int]
+    hom_valid: bool | None
+    image_order: int | None
+    generators: int
+    relator_counts: dict[str, int]
+    simplified_generators: int | None
+    simplified_relators: int | None
+    diagnostics: list[str]
+    timings: dict[str, float]
+
+
+class IdentificationReport(_ReportFields):
+    """What identify found; the parameter defaults are the trivial verdict's.
+
+    A list or dict left out is made new for this report alone, so no two
+    reports share one.  `_replace` makes a changed copy.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n: int,
+        k: int,
+        monoid: Monoid,
+        verdict: str = VERDICT_TRIVIAL,
+        order: int | None = 1,
+        order_kind: str = "finite",
+        free_rank: int | None = None,
+        abelian_invariants: list[int] | None = None,
+        hom_valid: bool | None = None,
+        image_order: int | None = None,
+        generators: int = 1,
+        relator_counts: dict[str, int] | None = None,
+        simplified_generators: int | None = None,
+        simplified_relators: int | None = None,
+        diagnostics: list[str] | None = None,
+        timings: dict[str, float] | None = None,
+    ) -> IdentificationReport:
+        if relator_counts is None:
+            relator_counts = {TYPE1: 1, TYPE2: 0, TYPE3: 0, TIETZE: 0}
+        return super().__new__(
+            cls, n, k, monoid, verdict, order, order_kind, free_rank,
+            [] if abelian_invariants is None else abelian_invariants, hom_valid, image_order,
+            generators, relator_counts, simplified_generators, simplified_relators,
+            [] if diagnostics is None else diagnostics, {} if timings is None else timings,
+        )
 
     def to_json(self, include_timings: bool = False) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = self._asdict()
         out["monoid"] = self.monoid.value
         out["relators"] = out.pop("relator_counts")
         if not include_timings:

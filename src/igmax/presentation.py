@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import StructuralError
-from .ptrans import Monoid
+from .ptrans import Frozen, Monoid
 from .squares import SingularClass, complete_to_singular_square
 
 if TYPE_CHECKING:
@@ -33,15 +32,23 @@ TYPE3 = "type3"
 TIETZE = "tietze"
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Frozen):
+    __slots__ = _fields = ("generators", "relators", "provenance", "cells")
     generators: tuple[str, ...]
     relators: tuple[Relator, ...]
     provenance: tuple[str, ...]
     # grid cell per generator when the presentation came from a grid
-    cells: tuple[tuple[int, int], ...] | None = None
+    cells: tuple[tuple[int, int], ...] | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        generators: tuple[str, ...],
+        relators: tuple[Relator, ...],
+        provenance: tuple[str, ...],
+        cells: tuple[tuple[int, int], ...] | None = None,
+    ) -> None:
+        for name, value in zip(self._fields, (generators, relators, provenance, cells)):
+            object.__setattr__(self, name, value)
         if len(self.relators) != len(self.provenance):
             raise ValueError("one provenance tag per relator required")
         if self.cells is not None and len(self.cells) != len(self.generators):
@@ -55,6 +62,17 @@ class GroupPresentation:
             for a, b in zip(rel, rel[1:]):
                 if a ^ 1 == b:
                     raise ValueError("relator is not freely reduced")
+
+    def _key(self) -> tuple:
+        return self.generators, self.relators, self.provenance, self.cells
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def counts_by_type(self) -> dict[str, int]:
         counts = Counter(self.provenance)
@@ -152,8 +170,7 @@ def build_presentation(
     return GroupPresentation(names, tuple(rels), tuple(tags), cells)
 
 
-@dataclass(frozen=True)
-class GHGraph:
+class GHGraph(NamedTuple):
     """Bipartite 1-skeleton: row and column vertices, one edge per group cell."""
 
     n_rows: int

@@ -7,10 +7,39 @@ arguments.  Points are 0-based internally; all text and JSON I/O is 1-based.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
 UNDEF = -1
+
+# looked up once: build_grid constructs a PartialMap per group cell
+_set_field = object.__setattr__
+
+
+class Frozen:
+    """Base of the validated values, in place of frozen dataclasses, whose
+    import costs more than the rest of `import igmax`.
+
+    `_fields` names the slots, which `__init__` sets once through
+    `object.__setattr__`; each subclass defines `__eq__` (same class, equal
+    fields) and `__hash__` over its fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, so the checks run again
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 class Monoid(Enum):
@@ -20,19 +49,28 @@ class Monoid(Enum):
     PARTIAL = "pt"
 
 
-@dataclass(frozen=True, slots=True)
-class PartialMap:
+class PartialMap(Frozen):
     """A partial self-map of an n-element set; UNDEF marks an undefined point."""
 
+    __slots__ = _fields = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        _set_field(self, "entries", entries)
+        n = len(entries)
         if n == 0:
             raise ValueError("ground set must be nonempty")
-        for v in self.entries:
+        for v in entries:
             if v != UNDEF and not 0 <= v < n:
                 raise ValueError(f"entry {v} out of range for n={n}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     @property
     def n(self) -> int:
@@ -93,20 +131,21 @@ class PartialMap:
         return "[" + ",".join("-" if v == UNDEF else str(v + 1) for v in self.entries) + "]"
 
 
-@dataclass(frozen=True, slots=True)
-class KernelPartition:
+class KernelPartition(Frozen):
     """A partition of a subset of the ground set.
 
     Blocks are sorted tuples, listed in order of their minimum element, which
     makes equality and ordering structural.
     """
 
+    __slots__ = _fields = ("blocks",)
     blocks: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]) -> None:
+        _set_field(self, "blocks", blocks)
         seen: set[int] = set()
         prev_min = -1
-        for b in self.blocks:
+        for b in blocks:
             if not b or list(b) != sorted(b):
                 raise ValueError("blocks must be nonempty and sorted")
             if b[0] <= prev_min:
@@ -116,6 +155,14 @@ class KernelPartition:
                 if x in seen:
                     raise ValueError("blocks must be disjoint")
                 seen.add(x)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.blocks,))
 
     @property
     def domain(self) -> tuple[int, ...]:

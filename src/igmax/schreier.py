@@ -9,8 +9,7 @@ undoing it, both preserving R-classes; by Green's lemma two products check it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import StructuralError
 from .ptrans import Monoid, PartialMap, compose
@@ -24,8 +23,7 @@ EWord = tuple[Cell, ...]
 TIE_BREAKS = ("least", "greatest")
 
 
-@dataclass
-class SchreierSystem:
+class SchreierSystem(NamedTuple):
     base_col: int
     r: dict[int, EWord]
     r_inv: dict[int, EWord]

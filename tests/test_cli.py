@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -298,6 +297,12 @@ class TestErrors:
         )
         assert code == 0
 
+    def test_default_cap_admits_n_8(self, capsys):
+        code, out, _ = run(capsys, "grid", "--monoid", "pt", "--n", "8", "--k", "7",
+                           "--output", "json")
+        assert code == 0
+        assert json.loads(out)["n"] == 8
+
     def test_total_rank_zero_rejected(self, capsys):
         code, _, err = run(capsys, "grid", "--monoid", "t", "--n", "3", "--k", "0")
         assert code == 2
@@ -380,7 +385,7 @@ class TestCorpus:
         def off_by_one(n, k, monoid, **kwargs):
             report = real_identify(n, k, monoid, **kwargs)
             if report.verdict == "free_of_rank":
-                report = dataclasses.replace(report, free_rank=report.free_rank + 1)
+                report = report._replace(free_rank=report.free_rank + 1)
             return report
 
         monkeypatch.setattr(cli, "identify", off_by_one)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from igmax import dclass
@@ -240,9 +238,7 @@ class TestSandwich:
         grid, am, sys_, _, _ = pipeline(key, n, k)
         cell = next((i, c) for i in range(len(grid.rows)) for c in range(len(grid.cols))
                     if (i, c) not in grid.group_cells)
-        widened = dataclasses.replace(
-            grid, group_cells={**grid.group_cells, cell: grid.base_idempotent}
-        )
+        widened = grid._replace(group_cells={**grid.group_cells, cell: grid.base_idempotent})
         with pytest.raises(StructuralError, match="not a bijection"):
             sandwich_matrix(widened, sys_, am)
 

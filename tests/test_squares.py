@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -385,9 +384,7 @@ class TestCaseAConfirmation:
         grid = build_grid(4, 2, PT)
         first = enumerate_singular_squares(grid)[0]
         cell = (first.rows[1], first.cols[1])
-        broken = dataclasses.replace(
-            grid, group_cells={**grid.group_cells, cell: PartialMap(entries)}
-        )
+        broken = grid._replace(group_cells={**grid.group_cells, cell: PartialMap(entries)})
         with pytest.raises(StructuralError, match="bottom-row case-\\(a\\) facts"):
             enumerate_singular_squares(broken)
         assert enumerate_singular_squares(grid)[0] == first  # the original is untouched
