@@ -27,7 +27,9 @@ ANCHOR_RULES = ("lex", "lexmax", "two-step")
 Permutation = tuple[int, ...]
 
 
-class _GridFields(NamedTuple):
+class DClassGrid(NamedTuple):
+    """The grid as an immutable record; `_replace` makes a changed copy."""
+
     n: int
     k: int
     monoid: Monoid
@@ -39,35 +41,6 @@ class _GridFields(NamedTuple):
     col_of: dict[tuple[int, ...], int]
     cells_in_row: tuple[tuple[int, ...], ...]
     cells_in_col: tuple[tuple[int, ...], ...]
-
-
-class DClassGrid(_GridFields):
-    """The grid as an immutable record; `_replace` makes a changed copy.
-
-    A lookup dict left out is made empty for this grid alone.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        n: int,
-        k: int,
-        monoid: Monoid,
-        rows: tuple[KernelPartition, ...],
-        cols: tuple[tuple[int, ...], ...],
-        group_cells: dict[tuple[int, int], PartialMap],
-        base: tuple[int, int],
-        row_of: dict[KernelPartition, int] | None = None,
-        col_of: dict[tuple[int, ...], int] | None = None,
-        cells_in_row: tuple[tuple[int, ...], ...] = (),
-        cells_in_col: tuple[tuple[int, ...], ...] = (),
-    ) -> DClassGrid:
-        return super().__new__(
-            cls, n, k, monoid, rows, cols, group_cells, base,
-            {} if row_of is None else row_of, {} if col_of is None else col_of,
-            cells_in_row, cells_in_col,
-        )
 
     @property
     def degenerate(self) -> bool:

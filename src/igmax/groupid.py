@@ -126,12 +126,20 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
 
     HLT strategy: scan every relator at every live coset, filling gaps, with a
     queue-based coincidence routine merging colliding cosets.  Hitting the
-    coset cap is reported as status OVERFLOW, not an error.
+    coset cap is reported as status OVERFLOW, not an error; the cap counts
+    every coset ever defined, coincided ones included.
 
     Each row is a dict {column: coset} holding only the defined entries, as a
     raw presentation has hundreds of generators and most of a row stays
     undefined; a dead coset's row is visited over its keys, in ascending
-    column order.  The result is compacted to dense rows.
+    column order.  The table keeps c.x = d exactly when d.x^-1 = c, so that
+    visit, which deletes the inverse of every entry of the dead row, deletes
+    every entry pointing into it.  New entries join live cosets only, so
+    nothing reaches the row again, and it is dropped once visited; a raw
+    presentation coincides almost every coset it defines.  Outside a
+    coincidence every entry joins two live cosets: a coset is live exactly
+    when it is its own union-find parent, and the result is compacted to
+    dense rows without following parents.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
@@ -142,9 +150,8 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
     if ngens == 0:
         return CosetTable(0, [[]], COMPLETE)
 
-    table: list[dict[int, int]] = [{}]
+    table: list[dict[int, int] | None] = [{}]
     parent = [0]
-    pending: deque[int] = deque()
 
     def rep(c: int) -> int:
         while parent[c] != c:
@@ -152,100 +159,108 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
             c = parent[c]
         return c
 
-    def merge(a: int, b: int) -> None:
-        a, b = rep(a), rep(b)
-        if a != b:
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            pending.append(b)
-
     def coincidence(a: int, b: int) -> None:
-        merge(a, b)
+        """Merge the live cosets a and b, then every pair the merge forces equal."""
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        pending = deque((b,))
         while pending:
             dead = pending.popleft()
             row = table[dead]
             for x in sorted(row):
-                # a self-loop at dead clears its inverse entry during the visit
+                # a self-loop at dead deletes its inverse entry during the visit
                 if x not in row:
                     continue
                 target = row[x]
-                table[target].pop(x ^ 1, None)
+                del table[target][x ^ 1]
                 mu, nu = rep(dead), rep(target)
                 mrow, nrow = table[mu], table[nu]
                 if x in mrow:
-                    merge(nu, mrow[x])
+                    a, b = nu, rep(mrow[x])
                 elif x ^ 1 in nrow:
-                    merge(mu, nrow[x ^ 1])
+                    a, b = mu, rep(nrow[x ^ 1])
                 else:
                     mrow[x] = nu
                     nrow[x ^ 1] = mu
-
-    def define(c: int, x: int) -> None:
-        if len(table) >= max_cosets:
-            raise _Overflow
-        d = len(table)
-        table.append({x ^ 1: c})
-        parent.append(d)
-        table[c][x] = d
-
-    def scan_and_fill(c: int, word: tuple[int, ...]) -> None:
-        f, i = c, 0
-        b, j = c, len(word) - 1
-        while True:
-            while i <= j:
-                row = table[f]
-                w = word[i]
-                if w not in row:
-                    break
-                f = row[w]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i:
-                row = table[b]
-                w = word[j] ^ 1
-                if w not in row:
-                    break
-                b = row[w]
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if i == j:
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
-                return
-            define(f, word[i])
+                    continue
+                if a != b:
+                    if a > b:
+                        a, b = b, a
+                    parent[b] = a
+                    pending.append(b)
+            table[dead] = None
 
     status = COMPLETE
     try:
         alpha = 0
         while alpha < len(table):
-            if rep(alpha) != alpha:
+            if parent[alpha] != alpha:
                 alpha += 1
                 continue
             for word in rel_words:
-                scan_and_fill(alpha, word)
-                if rep(alpha) != alpha:
+                # scan word at alpha from both ends, defining a coset at the
+                # forward gap until the scan closes or one letter is left
+                f, i = alpha, 0
+                b, j = alpha, len(word) - 1
+                while True:
+                    while i <= j:
+                        row = table[f]
+                        w = word[i]
+                        if w not in row:
+                            break
+                        f = row[w]
+                        i += 1
+                    if i > j:
+                        coincidence(f, b)
+                        break
+                    while j >= i:
+                        row = table[b]
+                        w = word[j] ^ 1
+                        if w not in row:
+                            break
+                        b = row[w]
+                        j -= 1
+                    if j < i:
+                        coincidence(f, b)
+                        break
+                    w = word[i]
+                    if i == j:
+                        table[f][w] = b
+                        table[b][w ^ 1] = f
+                        break
+                    d = len(table)
+                    if d >= max_cosets:
+                        raise _Overflow
+                    table.append({w ^ 1: f})
+                    parent.append(d)
+                    table[f][w] = d
+                if parent[alpha] != alpha:
                     break
-            if rep(alpha) == alpha:
+            else:
                 row = table[alpha]
                 for x in range(ncols):
                     if x not in row:
-                        define(alpha, x)
+                        d = len(table)
+                        if d >= max_cosets:
+                            raise _Overflow
+                        table.append({x ^ 1: alpha})
+                        parent.append(d)
+                        row[x] = d
             alpha += 1
     except _Overflow:
         status = OVERFLOW
 
-    live = [c for c in range(len(table)) if rep(c) == c]
+    live = [c for c in range(len(table)) if parent[c] == c]
     index = {c: i for i, c in enumerate(live)}
     compact = []
     for c in live:
-        row = table[c]
-        compact.append([index[rep(row[x])] if x in row else None for x in range(ncols)])
+        dense: list[int | None] = [None] * ncols
+        for x, d in table[c].items():
+            dense[x] = index[d]
+        compact.append(dense)
     return CosetTable(ngens, compact, status)
 
 

@@ -101,15 +101,22 @@ def invert(rel: Relator) -> Relator:
 
 
 def canonical_form(rel: Relator) -> Relator:
-    """Least rotation of the relator or its inverse; the dedup key."""
+    """Least rotation of the relator or its inverse; the dedup key.
+
+    The least rotation starts with the least letter of the two words, so
+    only the rotations that start at an occurrence of it are compared.
+    """
     if not rel:
         return ()
+    inv = invert(rel)
+    least = min(min(rel), min(inv))
     best = None
-    for w in (rel, invert(rel)):
-        for s in range(len(w)):
-            rot = w[s:] + w[:s]
-            if best is None or rot < best:
-                best = rot
+    for w in (rel, inv):
+        for s, x in enumerate(w):
+            if x == least:
+                rot = w[s:] + w[:s]
+                if best is None or rot < best:
+                    best = rot
     return best
 
 

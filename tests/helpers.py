@@ -384,6 +384,13 @@ def tietze_alone(p: GroupPresentation) -> GroupPresentation:
 # follows the priority (length, least once-occurring generator, relator id).
 
 
+def reference_canonical_form(rel: Relator) -> Relator:
+    """Least of every rotation of the relator and of its inverse."""
+    if not rel:
+        return ()
+    return min(w[s:] + w[:s] for w in (rel, invert(rel)) for s in range(len(w)))
+
+
 def reference_tietze_simplify(p: GroupPresentation) -> GroupPresentation:
     """Kill trivial relators and eliminate once-occurring generators to a fixpoint.
 
@@ -397,7 +404,7 @@ def reference_tietze_simplify(p: GroupPresentation) -> GroupPresentation:
         rel = cyclically_reduce(rel)
         if not rel:
             continue
-        canon = canonical_form(rel)
+        canon = reference_canonical_form(rel)
         if canon in canon_of:
             continue
         canon_of[canon] = len(rels)
@@ -440,13 +447,13 @@ def reference_tietze_simplify(p: GroupPresentation) -> GroupPresentation:
             if not reduced:
                 rels[rid2] = None
                 continue
-            canon = canonical_form(reduced)
+            canon = reference_canonical_form(reduced)
             other = canon_of.get(canon)
             if (
                 other is not None
                 and other != rid2
                 and rels[other] is not None
-                and canonical_form(rels[other]) == canon
+                and reference_canonical_form(rels[other]) == canon
             ):
                 rels[rid2] = None
                 continue

@@ -38,6 +38,7 @@ from helpers import (
     collapse_phase,
     letters,
     pipeline,
+    reference_canonical_form,
     reference_tietze_simplify,
     square_cells,
     tietze_alone,
@@ -66,8 +67,59 @@ class TestWordOps:
         forms.add(canonical_form(invert(rel)))
         assert len(forms) == 1
 
+    def test_canonical_form_matches_all_rotations_on_random_words(self):
+        # few generators repeat the least letter often; powers of a word tie
+        # several rotations at the least one
+        rng = random.Random(20261019)
+        for _ in range(400):
+            ngens = rng.randint(2, 5)
+            word: list[int] = []
+            for _ in range(rng.randint(1, 400)):
+                x = rng.randrange(2 * ngens)
+                while word and x == word[-1] ^ 1:
+                    x = rng.randrange(2 * ngens)
+                word.append(x)
+            rel = tuple(word)
+            for w in (rel, free_reduce(rel[: rng.randint(1, 20)] * rng.randint(2, 6))):
+                assert canonical_form(w) == reference_canonical_form(w), w
+
 
 CORPUS_CLASSES = [(mon, n, k) for mon, n, k, _ in CORPUS_RUNS if n <= 5]
+
+
+class TestCanonicalFormOnEmittedRelators:
+    """The keys Tietze and the partial-row rewrite dedup by, and the relators
+    they emit, against the all-rotations form."""
+
+    @pytest.fixture
+    def keyed(self, monkeypatch):
+        words = []
+
+        def checked(rel):
+            got = canonical_form(rel)
+            assert got == reference_canonical_form(rel), rel
+            words.append(rel)
+            return got
+
+        monkeypatch.setattr("igmax.presentation.canonical_form", checked)
+        return words
+
+    @pytest.mark.parametrize("key,n,k", [(key, n, k) for key, n, k, _ in CORPUS_RUNS])
+    def test_tietze_simplify(self, keyed, key, n, k):
+        raw = pipeline(key, n, k)[-1]
+        out = tietze_simplify(raw)
+        assert len(keyed) >= len(out.relators)
+        for rel in out.relators:
+            assert canonical_form(rel) == reference_canonical_form(rel), rel
+
+    @pytest.mark.parametrize("key,n,k", [(key, n, k) for key, n, k, _ in CORPUS_RUNS
+                                         if key == "pt" and 1 <= k < n])
+    def test_eliminate_partial_rows(self, keyed, key, n, k):
+        grid, _, _, classes, pres = pipeline(key, n, k)
+        out = eliminate_partial_rows(pres, grid, classes)
+        assert len(keyed) >= len(out.relators) > 0
+        for rel in out.relators:
+            assert canonical_form(rel) == reference_canonical_form(rel), rel
 
 
 class TestBuildPresentation:
