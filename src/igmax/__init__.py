@@ -40,7 +40,6 @@ from .ptrans import (
 from .schreier import (
     SchreierSystem,
     build_schreier,
-    lift_total_schreier,
     verify_schreier,
     word_value,
 )

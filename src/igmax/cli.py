@@ -35,7 +35,7 @@ from .presentation import (
     to_gap,
 )
 from .ptrans import Monoid
-from .schreier import TIE_BREAKS, lift_total_schreier
+from .schreier import TIE_BREAKS
 from .squares import enumerate_singular_squares
 
 DEFAULT_MAX_N = 8
@@ -75,14 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=helptext)
         sub.set_defaults(run=run)
         _add_common(sub)
-        if name == "schreier":
-            # no default, or argparse lets `--lift --tie-break least` through
-            lift = sub.add_mutually_exclusive_group()
-            lift.add_argument("--tie-break", choices=TIE_BREAKS, help="default: least")
-            lift.add_argument("--lift", action="store_true",
-                              help="lift the total grid's least system onto the partial grid")
         if name in ("presentation", "identify"):
             sub.add_argument("--anchor-rule", choices=ANCHOR_RULES, default="lex")
+        if name in ("schreier", "presentation", "identify"):
             sub.add_argument("--tie-break", choices=TIE_BREAKS, default="least")
         if name == "presentation":
             sub.add_argument("--gap", metavar="PATH", help="write a GAP-compatible file")
@@ -159,14 +154,7 @@ def _cmd_grid(args, out) -> int:
 
 
 def _cmd_schreier(args, out) -> int:
-    monoid = _validate(args)
-    if args.lift and monoid is not Monoid.PARTIAL:
-        raise ValueError("--lift needs --monoid pt")
-    grid = build_grid(args.n, args.k, monoid)
-    if args.lift and not grid.degenerate:
-        sys_ = lift_total_schreier(build_grid(args.n, args.k, Monoid.TOTAL), grid)
-    else:
-        sys_ = verified_schreier(grid, args.tie_break or "least")
+    sys_ = verified_schreier(build_grid(args.n, args.k, _validate(args)), args.tie_break)
     payload = {
         "n": args.n,
         "k": args.k,

@@ -34,7 +34,7 @@ from .presentation import (
     tietze_simplify,
 )
 from .ptrans import Monoid
-from .schreier import SchreierSystem, build_schreier, verification_failed, verify_schreier
+from .schreier import SchreierSystem, build_schreier, verify_schreier
 from .squares import SingularClass, enumerate_singular_squares, group_square_candidates
 
 COMPLETE = "complete"
@@ -475,7 +475,9 @@ def verified_schreier(grid: DClassGrid, tie_break: str = "least") -> SchreierSys
     sys = build_schreier(grid, tie_break)
     violations = verify_schreier(grid, sys)
     if violations:
-        raise verification_failed(violations)
+        raise StructuralError(
+            "Schreier system failed verification: " + "; ".join(violations[:10])
+        )
     return sys
 
 
@@ -510,7 +512,9 @@ def build_stages(
     return Stages(grid, anchors_map, sys, classes, pres)
 
 
-class _ReportFields(NamedTuple):
+class IdentificationReport(NamedTuple):
+    """What identify found; `_replace` makes a changed copy."""
+
     n: int
     k: int
     monoid: Monoid
@@ -527,44 +531,6 @@ class _ReportFields(NamedTuple):
     simplified_relators: int | None
     diagnostics: list[str]
     timings: dict[str, float]
-
-
-class IdentificationReport(_ReportFields):
-    """What identify found; the parameter defaults are the trivial verdict's.
-
-    A list or dict left out is made new for this report alone, so no two
-    reports share one.  `_replace` makes a changed copy.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        n: int,
-        k: int,
-        monoid: Monoid,
-        verdict: str = VERDICT_TRIVIAL,
-        order: int | None = 1,
-        order_kind: str = "finite",
-        free_rank: int | None = None,
-        abelian_invariants: list[int] | None = None,
-        hom_valid: bool | None = None,
-        image_order: int | None = None,
-        generators: int = 1,
-        relator_counts: dict[str, int] | None = None,
-        simplified_generators: int | None = None,
-        simplified_relators: int | None = None,
-        diagnostics: list[str] | None = None,
-        timings: dict[str, float] | None = None,
-    ) -> IdentificationReport:
-        if relator_counts is None:
-            relator_counts = {TYPE1: 1, TYPE2: 0, TYPE3: 0, TIETZE: 0}
-        return super().__new__(
-            cls, n, k, monoid, verdict, order, order_kind, free_rank,
-            [] if abelian_invariants is None else abelian_invariants, hom_valid, image_order,
-            generators, relator_counts, simplified_generators, simplified_relators,
-            [] if diagnostics is None else diagnostics, {} if timings is None else timings,
-        )
 
     def to_json(self, include_timings: bool = False) -> dict:
         out = self._asdict()
@@ -600,7 +566,13 @@ def identify(
     if k in (0, n):
         with _timed(timings, "grid"):
             build_grid(n, k, monoid)
-        return IdentificationReport(n, k, monoid, timings=timings)
+        return IdentificationReport(
+            n, k, monoid, verdict=VERDICT_TRIVIAL, order=1, order_kind="finite", free_rank=None,
+            abelian_invariants=[], hom_valid=None, image_order=None, generators=1,
+            relator_counts={TYPE1: 1, TYPE2: 0, TYPE3: 0, TIETZE: 0},
+            simplified_generators=None, simplified_relators=None, diagnostics=[],
+            timings=timings,
+        )
 
     grid, anchors_map, sys, _, raw = build_stages(
         n, k, monoid, anchor_rule=anchor_rule, tie_break=tie_break, timings=timings,
@@ -626,6 +598,9 @@ def identify(
             order_kind="finite" if rank == 0 else "infinite_free",
             free_rank=rank,
             abelian_invariants=[0] * rank,
+            hom_valid=None,
+            image_order=None,
+            diagnostics=[],
         )
     else:
         with _timed(timings, "tietze"):
@@ -653,6 +628,7 @@ def identify(
             verdict=VERDICT_SYMMETRIC if not diagnostics else VERDICT_UNDECIDED,
             order=table.order,
             order_kind="finite" if table.status == COMPLETE else "overflow",
+            free_rank=None,
             hom_valid=hom_ok,
             image_order=image_order,
             abelian_invariants=inv.as_list(),

@@ -12,7 +12,7 @@ from collections import deque
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import StructuralError
-from .ptrans import Monoid, PartialMap, compose
+from .ptrans import PartialMap, compose
 
 if TYPE_CHECKING:
     from .dclass import DClassGrid
@@ -44,6 +44,15 @@ def build_schreier(grid: "DClassGrid", tie_break: str = "least") -> SchreierSyst
     words r[mu] = r[lam] + e_{i,mu} and r_inv[mu] = e_{i,lam} + r_inv[lam] are
     mutually inverse because e_{i,mu} and e_{i,lam} are R-related idempotents.
     A degenerate grid (k in {0, n}) has one column, whose words are empty.
+
+    With tie_break "least" the PT_n system is the T_n system, so the paper's
+    reduction to T_n needs no separate lift: the total rows sort first (domain
+    size descending), at T_n's row indices; the columns and the total base
+    are the same; and a partial row with transversals lam and mu stays one
+    when the points outside its domain join any block, so two columns share
+    a row exactly when they share a total row, and min(shared) is total.
+    The walk thus meets the same columns in the same order with the same
+    letters.  "greatest" may pick partial rows.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
@@ -111,38 +120,3 @@ def verify_schreier(grid: "DClassGrid", sys: SchreierSystem) -> list[str]:
         elif compose(q, word_value(grid, sys.r_inv[col])) != e:
             bad.append(f"column {col}: r_inv[{col}] does not invert r[{col}] on the base L-class")
     return bad
-
-
-def verification_failed(violations: list[str]) -> StructuralError:
-    """The one error every verifying path raises: its first 10 violations."""
-    return StructuralError("Schreier system failed verification: " + "; ".join(violations[:10]))
-
-
-def lift_total_schreier(grid_t: "DClassGrid", grid_pt: "DClassGrid") -> SchreierSystem:
-    """Reuse the total grid's Schreier system for the partial grid.
-
-    All letters come from total rows; the lifted system is re-verified against
-    the partial grid before it is returned.
-    """
-    if (grid_t.n, grid_t.k) != (grid_pt.n, grid_pt.k):
-        raise ValueError("grids must share n and k")
-    if grid_t.monoid is not Monoid.TOTAL or grid_pt.monoid is not Monoid.PARTIAL:
-        raise ValueError("expected a total grid and a partial grid")
-    if grid_t.cols != grid_pt.cols:
-        raise StructuralError("column index sets of the two grids disagree")
-
-    sys_t = build_schreier(grid_t)
-    row_map = {i: grid_pt.row_of[kp] for i, kp in enumerate(grid_t.rows)}
-
-    def conv(word: EWord) -> EWord:
-        return tuple((row_map[i], c) for i, c in word)
-
-    lifted = SchreierSystem(
-        base_col=sys_t.base_col,
-        r={c: conv(w) for c, w in sys_t.r.items()},
-        r_inv={c: conv(w) for c, w in sys_t.r_inv.items()},
-    )
-    violations = verify_schreier(grid_pt, lifted)
-    if violations:
-        raise verification_failed(violations)
-    return lifted

@@ -49,7 +49,7 @@ from igmax.ptrans import (
     idempotent_from_cell,
     kernels_of_rank,
 )
-from igmax.schreier import SchreierSystem, word_value
+from igmax.schreier import SchreierSystem, build_schreier, word_value
 from igmax.squares import (
     Entries,
     SingularClass,
@@ -524,6 +524,23 @@ def reference_verify_schreier(grid: DClassGrid, sys: SchreierSystem) -> list[str
             if compose(y, back) != x:
                 bad.append(f"column {col}: r_inv does not invert r on {x.to_text()}")
     return bad
+
+
+def reference_lift(grid_t: DClassGrid, grid_pt: DClassGrid) -> SchreierSystem:
+    """The T_n grid's least Schreier system, its rows renamed to PT_n rows.
+
+    This is the paper's reduction to T_n done by hand: every letter lies in a
+    total row, looked up by kernel in the partial grid.
+    """
+    assert (grid_t.monoid, grid_pt.monoid) == (Monoid.TOTAL, Monoid.PARTIAL)
+    assert (grid_t.n, grid_t.k, grid_t.cols) == (grid_pt.n, grid_pt.k, grid_pt.cols)
+    sys_t = build_schreier(grid_t)
+    row_map = {i: grid_pt.row_of[kp] for i, kp in enumerate(grid_t.rows)}
+
+    def conv(words: dict) -> dict:
+        return {c: tuple((row_map[i], col) for i, col in w) for c, w in words.items()}
+
+    return SchreierSystem(sys_t.base_col, conv(sys_t.r), conv(sys_t.r_inv))
 
 
 # ---------------------------------------------------------------------------

@@ -91,12 +91,13 @@ class TestSchreier:
         assert data["verified"] is True
         assert any(w["r"] == [] for w in data["words"])
 
-    def test_lift(self, capsys):
-        code, out, _ = run(
-            capsys, "schreier", "--monoid", "pt", "--n", "4", "--k", "2", "--lift"
-        )
-        assert code == 0
-        assert "verified" in out
+    def test_lift_is_usage_error(self, capsys):
+        # the partial grid's default system already is the total grid's, lifted
+        with pytest.raises(SystemExit) as exc:
+            main(["schreier", "--monoid", "pt", "--n", "4", "--k", "2", "--lift"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "--lift" in captured.err
 
 
 class TestSchreierFailure:
@@ -131,21 +132,6 @@ class TestSchreierFailure:
             assert (code, out) == (3, "")
             assert json.loads(err) == {"error": "structural", "message": message}
 
-    def test_lift_same_message_format(self, capsys, monkeypatch):
-        from igmax import schreier
-
-        # lift_total_schreier builds the total grid's system through this name
-        monkeypatch.setattr(schreier, "build_schreier", self.swap_two_columns)
-        code, out, err = run(
-            capsys, "schreier", "--monoid", "pt", "--n", "4", "--k", "2", "--lift"
-        )
-        assert (code, out) == (3, "")
-        payload = json.loads(err)
-        assert payload["error"] == "structural"
-        message = payload["message"]
-        assert message.startswith("Schreier system failed verification: column ")
-        assert 1 <= message.count("; ") <= 9
-
 
 DEGENERATE = [("pt", 4, 0), ("pt", 4, 4), ("t", 3, 3), ("pt", 1, 1)]
 
@@ -162,8 +148,6 @@ class TestDegenerate:
         assert data["verified"] is True
         assert data["base_col"] == 1
         assert data["words"] == [{"col": 1, "r": [], "r_inv": []}]
-        if monoid == "pt":
-            assert run(capsys, *argv, "--lift") == (0, out, "")
 
     @pytest.mark.parametrize("monoid,n,k", DEGENERATE)
     def test_presentation_matches_identify_counts(self, capsys, monoid, n, k):
@@ -348,7 +332,6 @@ class TestFlags:
               for command in ("grid", "squares", "free-rank")
               for flag, value in (("--anchor-rule", "lex"), ("--tie-break", "least"))),
             ["schreier", "--anchor-rule", "lex"],
-            ["schreier", "--lift", "--tie-break", "least"],
             ["identify", "--timings", "--output", "text"],
         ],
         ids=" ".join,

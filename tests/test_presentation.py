@@ -3,7 +3,7 @@ import random
 import pytest
 
 from igmax.cli import CORPUS_RUNS
-from igmax.dclass import ANCHOR_RULES, anchors, build_grid
+from igmax.dclass import ANCHOR_RULES, anchors
 from igmax.errors import StructuralError
 from igmax.groupid import abelian_invariants, rees_hom, todd_coxeter, verify_hom
 from igmax.presentation import (
@@ -26,8 +26,8 @@ from igmax.presentation import (
     to_gap,
 )
 from igmax.ptrans import Monoid
-from igmax.schreier import TIE_BREAKS, build_schreier, lift_total_schreier
-from igmax.squares import complete_to_singular_square, enumerate_singular_squares
+from igmax.schreier import TIE_BREAKS, build_schreier
+from igmax.squares import complete_to_singular_square
 
 from helpers import (
     all_pairs_pipeline,
@@ -517,37 +517,26 @@ class TestInvariance:
             assert other.verdict == base.verdict
 
 
+CONTAINMENT_CLASSES = [
+    pytest.param(n, k, marks=pytest.mark.slow if n == 7 else ())
+    for n in range(2, 8)
+    for k in range(1, n)
+]
+
+
 class TestTotalPartialContainment:
-    def test_total_presentation_embeds_in_partial_pipeline(self):
-        n, k = 4, 2
-        grid_t, am_t, sys_t, sing_t, pres_t = pipeline("t", n, k)
-        grid_pt = build_grid(n, k, PT)
-        sys_lift = lift_total_schreier(grid_t, grid_pt)
-        am_pt = anchors(grid_pt, "two-step")
-        sing_pt = enumerate_singular_squares(grid_pt)
-        pres_pt = build_presentation(grid_pt, sys_lift, am_pt, sing_pt)
+    """The paper's containment: T_n's raw presentation is a literal
+    sub-presentation of PT_n's, since the total rows come first."""
 
-        row_map = {i: grid_pt.row_of[kp] for i, kp in enumerate(grid_t.rows)}
-        pt_cells = {cell: idx for idx, cell in enumerate(pres_pt.cells)}
-
-        def rename(rel, cells):
-            # each total letter becomes the partial letter of the same cell
-            return tuple(
-                2 * pt_cells[(row_map[cells[x >> 1][0]], cells[x >> 1][1])] | x & 1
-                for x in rel
-            )
-
-        pt_rels = {
-            canonical_form(rel): tag for rel, tag in zip(pres_pt.relators, pres_pt.provenance)
-        }
-        # every total relator appears in the partial presentation with its type
-        for rel, tag in zip(pres_t.relators, pres_t.provenance):
-            renamed = canonical_form(rename(rel, pres_t.cells))
-            assert renamed in pt_rels, (rel, tag)
-            assert pt_rels[renamed] == tag
-        # generators embed
-        for cell in pres_t.cells:
-            assert (row_map[cell[0]], cell[1]) in pt_cells
+    @pytest.mark.parametrize("anchor_rule", ["lex", "lexmax"])
+    @pytest.mark.parametrize("n,k", CONTAINMENT_CLASSES)
+    def test_total_presentation_is_a_sub_presentation(self, n, k, anchor_rule):
+        pres_t = pipeline("t", n, k, anchor_rule).presentation
+        pres_pt = pipeline("pt", n, k, anchor_rule).presentation
+        m = len(pres_t.generators)
+        assert (pres_pt.generators[:m], pres_pt.cells[:m]) == (pres_t.generators, pres_t.cells)
+        pt_rels = set(zip(pres_pt.relators, pres_pt.provenance))
+        assert [r for r in zip(pres_t.relators, pres_t.provenance) if r not in pt_rels] == []
 
 
 class TestExports:

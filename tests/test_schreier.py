@@ -7,12 +7,11 @@ from igmax.schreier import (
     TIE_BREAKS,
     SchreierSystem,
     build_schreier,
-    lift_total_schreier,
     verify_schreier,
     word_value,
 )
 
-from helpers import l_class_elements, pipeline
+from helpers import l_class_elements, pipeline, reference_lift
 
 PT = Monoid.PARTIAL
 T = Monoid.TOTAL
@@ -112,24 +111,11 @@ class TestVerify:
 
 
 class TestLift:
-    @pytest.mark.parametrize("n,k", [(4, 2), (5, 3)])
-    def test_lift_verifies_on_partial_grid(self, n, k):
+    """With tie-break least the PT_n system is the T_n system lifted."""
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 8) for k in range(1, n)])
+    def test_partial_system_is_the_lifted_total_one(self, n, k):
         grid_t = build_grid(n, k, T)
         grid_pt = build_grid(n, k, PT)
-        lifted = lift_total_schreier(grid_t, grid_pt)
-        assert verify_schreier(grid_pt, lifted) == []
-
-    def test_lift_letters_live_in_total_rows(self):
-        grid_t = build_grid(4, 2, T)
-        grid_pt = build_grid(4, 2, PT)
-        lifted = lift_total_schreier(grid_t, grid_pt)
-        total = set(grid_pt.total_rows())
-        for col in lifted.r:
-            for i, _ in lifted.r[col] + lifted.r_inv[col]:
-                assert i in total
-
-    def test_lift_rejects_mismatched_grids(self):
-        with pytest.raises(ValueError):
-            lift_total_schreier(build_grid(4, 2, T), build_grid(5, 2, PT))
-        with pytest.raises(ValueError):
-            lift_total_schreier(build_grid(4, 2, PT), build_grid(4, 2, PT))
+        assert grid_pt.rows[: len(grid_t.rows)] == grid_t.rows
+        assert build_schreier(grid_pt) == build_schreier(grid_t) == reference_lift(grid_t, grid_pt)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from igmax.groupid import IdentificationReport, identify
+from igmax.groupid import identify
 from igmax.presentation import GroupPresentation
 from igmax.ptrans import KernelPartition, Monoid, PartialMap
 
@@ -119,15 +119,15 @@ def test_validation_raises_value_error(build):
 
 
 def test_trivial_reports_share_no_list_or_dict():
-    made = [IdentificationReport(3, 3, Monoid.PARTIAL), IdentificationReport(3, 3, Monoid.PARTIAL),
-            identify(3, 0, Monoid.PARTIAL), identify(3, 3, Monoid.TOTAL)]
+    made = [identify(3, 0, Monoid.PARTIAL), identify(3, 0, Monoid.PARTIAL),
+            identify(3, 3, Monoid.PARTIAL), identify(3, 3, Monoid.TOTAL)]
     for name in ("abelian_invariants", "relator_counts", "diagnostics", "timings"):
         values = [getattr(r, name) for r in made]
         assert all(isinstance(v, (list, dict)) for v in values)
         assert len({id(v) for v in values}) == len(values), name
     made[0].relator_counts["type1"] = 5
     made[0].diagnostics.append("changed")
-    assert IdentificationReport(3, 3, Monoid.PARTIAL).to_json() == made[1].to_json()
+    assert identify(3, 0, Monoid.PARTIAL).to_json() == made[1].to_json()
 
 
 def test_importing_igmax_loads_no_dataclasses_or_inspect():
