@@ -86,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--eliminate-partial", action="store_true",
                              help="rewrite partial-row generators through total rows")
         if name == "identify":
-            sub.add_argument("--max-cosets", type=int, default=10**6)
+            sub.add_argument("--max-cosets", type=int, default=10**6,
+                             help="cap on the cosets defined, counted on the columns "
+                                  "left once relators of length 1 or 2 merge columns")
             sub.add_argument("--raw-coset-table", action="store_true",
                              help="enumerate on the unsimplified presentation")
             sub.add_argument("--timings", action="store_true", help="needs --output json")

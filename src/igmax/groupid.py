@@ -28,6 +28,8 @@ from .presentation import (
     TYPE2,
     TYPE3,
     GroupPresentation,
+    _collapse_short_relators,
+    _rebuild,
     build_presentation,
     free_rank,
     gh_graph,
@@ -124,31 +126,62 @@ class _Overflow(Exception):
 def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
     """Enumerate cosets of the trivial subgroup; order = live cosets when complete.
 
+    When some relator has length 1, or length 2 on two generators, the
+    short-relator union-find of Tietze's first phase
+    (`_collapse_short_relators`) first reads each such relator as a column
+    identity, to a fixpoint, and HLT enumerates the class presentation p' of
+    the survivors on the columns of the surviving classes.  Otherwise, as on
+    every Tietze-simplified presentation, HLT enumerates p itself.
+
+    The collapse loses nothing.  Every merge and kill is read off a relator
+    of p, so x = phi(x) holds in G(p) for the letter map phi.  Hence the
+    relators of p' hold in G(p) and the class generators generate it, so
+    G(p) is a quotient of G(p') and |G(p)| <= N for a complete table of N
+    cosets for p'.  (phi also kills every relator of p, so the two groups are
+    isomorphic and N is the order.)  The table of p' is written back over
+    all 2 * ngens columns of p: a killed column is a self-loop, and any other
+    column copies the column of its image, inverted where the image is an
+    inverse letter, so every relator of p closes wherever its image under
+    phi does.  The coset cap counts the cosets defined on the class columns.
+    """
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be positive")
+    ngens = len(p.generators)
+    if not any(len(rel) == 1 or len(rel) == 2 and rel[0] >> 1 != rel[1] >> 1
+               for rel in p.relators):
+        return CosetTable(ngens, *_enumerate(p, max_cosets))
+    alive, rels, _, tags, letter_map = _collapse_short_relators(p)
+    classes, status = _enumerate(_rebuild(p, alive, rels, tags), max_cosets)
+    column = {g: 2 * i for i, g in enumerate(g for g in range(ngens) if alive[g])}
+    cols = [-1 if y < 0 else column[y >> 1] | (y & 1) for y in letter_map]
+    table = [[c if y < 0 else row[y] for y in cols] for c, row in enumerate(classes)]
+    return CosetTable(ngens, table, status)
+
+
+def _enumerate(p: GroupPresentation, max_cosets: int) -> tuple[list[list[int | None]], str]:
+    """HLT on p's columns: the compacted dense rows and the status.
+
     HLT strategy: scan every relator at every live coset, filling gaps, with a
     queue-based coincidence routine merging colliding cosets.  Hitting the
     coset cap is reported as status OVERFLOW, not an error; the cap counts
     every coset ever defined, coincided ones included.
 
     Each row is a dict {column: coset} holding only the defined entries, as a
-    raw presentation has hundreds of generators and most of a row stays
-    undefined; a dead coset's row is visited over its keys, in ascending
-    column order.  The table keeps c.x = d exactly when d.x^-1 = c, so that
-    visit, which deletes the inverse of every entry of the dead row, deletes
-    every entry pointing into it.  New entries join live cosets only, so
-    nothing reaches the row again, and it is dropped once visited; a raw
-    presentation coincides almost every coset it defines.  Outside a
-    coincidence every entry joins two live cosets: a coset is live exactly
-    when it is its own union-find parent, and the result is compacted to
-    dense rows without following parents.
+    row may stay mostly undefined; a dead coset's row is visited over its
+    keys, in ascending column order.  The table keeps c.x = d exactly when
+    d.x^-1 = c, so that visit, which deletes the inverse of every entry of
+    the dead row, deletes every entry pointing into it.  New entries join
+    live cosets only, so nothing reaches the row again, and it is dropped
+    once visited.  Outside a coincidence every entry joins two live cosets: a
+    coset is live exactly when it is its own union-find parent, and the
+    result is compacted to dense rows without following parents.
     """
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be positive")
     ngens = len(p.generators)
     # letters were validated when the presentation was constructed
     rel_words = [rel for rel in p.relators if rel]
     ncols = 2 * ngens
     if ngens == 0:
-        return CosetTable(0, [[]], COMPLETE)
+        return [[]], COMPLETE
 
     table: list[dict[int, int] | None] = [{}]
     parent = [0]
@@ -261,7 +294,7 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
         for x, d in table[c].items():
             dense[x] = index[d]
         compact.append(dense)
-    return CosetTable(ngens, compact, status)
+    return compact, status
 
 
 # ---------------------------------------------------------------------------

@@ -356,7 +356,7 @@ def reference_perm_group_order(gens) -> int:
 
 def collapse_phase(p: GroupPresentation) -> GroupPresentation:
     """The union-find phase's survivors, as the presentation Tietze starts from."""
-    alive, rels, _, tags = _collapse_short_relators(p)
+    alive, rels, _, tags, _ = _collapse_short_relators(p)
     return _rebuild(p, alive, rels, tags)
 
 

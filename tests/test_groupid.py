@@ -103,15 +103,28 @@ class TestToddCoxeter:
         table = todd_coxeter(make([], []))
         assert table.status == COMPLETE and table.order == 1
 
-    def test_complete_table_action_is_consistent_and_transitive(self):
-        name, pres, _ = ORACLE_PRESENTATIONS[8]  # d4
+    @pytest.mark.parametrize(
+        "case",
+        ["d4"] + [(key, n, k) for key, n, k, verdict in CORPUS_RUNS
+                  if n <= 5 and verdict != VERDICT_FREE],
+    )
+    def test_complete_table_action_is_consistent_and_transitive(self, case):
+        # the raw corpus presentations collapse most columns before HLT, so
+        # this checks the columns written back as well as the ones enumerated
+        if case == "d4":
+            name, pres, _ = ORACLE_PRESENTATIONS[8]
+            assert name == case
+        else:
+            pres = pipeline(*case)[-1]
         table = todd_coxeter(pres)
-        ncols = 2 * table.ngens
+        assert table.status == COMPLETE
+        assert table.ngens == len(pres.generators)
         for row in table.table:
+            assert len(row) == 2 * table.ngens
             assert all(v is not None for v in row)
         for rel in pres.relators:
             for c in range(table.order):
-                assert table.trace(c, rel) == c
+                assert table.trace(c, rel) == c, (case, rel, c)
         seen = {0}
         frontier = [0]
         while frontier:
