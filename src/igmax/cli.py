@@ -88,9 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "identify":
             sub.add_argument("--max-cosets", type=int, default=10**6,
                              help="cap on the cosets defined, counted on the columns "
-                                  "left once relators of length 1 or 2 merge columns")
+                                  "enumerated: the Tietze-simplified presentation's, or "
+                                  "with --raw-coset-table the short-relator class "
+                                  "presentation's")
             sub.add_argument("--raw-coset-table", action="store_true",
-                             help="enumerate on the unsimplified presentation")
+                             help="skip Tietze's elimination: enumerate and abelianize once "
+                                  "relators of length 1 or 2 have merged generators")
             sub.add_argument("--timings", action="store_true", help="needs --output json")
             sub.add_argument("--workers", type=int, default=1, help="accepted; no effect")
 

@@ -28,9 +28,8 @@ from .presentation import (
     TYPE2,
     TYPE3,
     GroupPresentation,
-    _collapse_short_relators,
-    _rebuild,
     build_presentation,
+    collapse_short_relators,
     free_rank,
     gh_graph,
     tietze_simplify,
@@ -126,45 +125,11 @@ class _Overflow(Exception):
 def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
     """Enumerate cosets of the trivial subgroup; order = live cosets when complete.
 
-    When some relator has length 1, or length 2 on two generators, the
-    short-relator union-find of Tietze's first phase
-    (`_collapse_short_relators`) first reads each such relator as a column
-    identity, to a fixpoint, and HLT enumerates the class presentation p' of
-    the survivors on the columns of the surviving classes.  Otherwise, as on
-    every Tietze-simplified presentation, HLT enumerates p itself.
-
-    The collapse loses nothing.  Every merge and kill is read off a relator
-    of p, so x = phi(x) holds in G(p) for the letter map phi.  Hence the
-    relators of p' hold in G(p) and the class generators generate it, so
-    G(p) is a quotient of G(p') and |G(p)| <= N for a complete table of N
-    cosets for p'.  (phi also kills every relator of p, so the two groups are
-    isomorphic and N is the order.)  The table of p' is written back over
-    all 2 * ngens columns of p: a killed column is a self-loop, and any other
-    column copies the column of its image, inverted where the image is an
-    inverse letter, so every relator of p closes wherever its image under
-    phi does.  The coset cap counts the cosets defined on the class columns.
-    """
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be positive")
-    ngens = len(p.generators)
-    if not any(len(rel) == 1 or len(rel) == 2 and rel[0] >> 1 != rel[1] >> 1
-               for rel in p.relators):
-        return CosetTable(ngens, *_enumerate(p, max_cosets))
-    alive, rels, _, tags, letter_map = _collapse_short_relators(p)
-    classes, status = _enumerate(_rebuild(p, alive, rels, tags), max_cosets)
-    column = {g: 2 * i for i, g in enumerate(g for g in range(ngens) if alive[g])}
-    cols = [-1 if y < 0 else column[y >> 1] | (y & 1) for y in letter_map]
-    table = [[c if y < 0 else row[y] for y in cols] for c, row in enumerate(classes)]
-    return CosetTable(ngens, table, status)
-
-
-def _enumerate(p: GroupPresentation, max_cosets: int) -> tuple[list[list[int | None]], str]:
-    """HLT on p's columns: the compacted dense rows and the status.
-
     HLT strategy: scan every relator at every live coset, filling gaps, with a
     queue-based coincidence routine merging colliding cosets.  Hitting the
     coset cap is reported as status OVERFLOW, not an error; the cap counts
-    every coset ever defined, coincided ones included.
+    every coset ever defined, coincided ones included.  p is enumerated as
+    given, on its own 2 * ngens columns.
 
     Each row is a dict {column: coset} holding only the defined entries, as a
     row may stay mostly undefined; a dead coset's row is visited over its
@@ -176,12 +141,14 @@ def _enumerate(p: GroupPresentation, max_cosets: int) -> tuple[list[list[int | N
     coset is live exactly when it is its own union-find parent, and the
     result is compacted to dense rows without following parents.
     """
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be positive")
     ngens = len(p.generators)
     # letters were validated when the presentation was constructed
     rel_words = [rel for rel in p.relators if rel]
     ncols = 2 * ngens
     if ngens == 0:
-        return [[]], COMPLETE
+        return CosetTable(0, [[]], COMPLETE)
 
     table: list[dict[int, int] | None] = [{}]
     parent = [0]
@@ -294,7 +261,7 @@ def _enumerate(p: GroupPresentation, max_cosets: int) -> tuple[list[list[int | N
         for x, d in table[c].items():
             dense[x] = index[d]
         compact.append(dense)
-    return compact, status
+    return CosetTable(ngens, compact, status)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +380,12 @@ class AbelianInvariants(NamedTuple):
 
 
 def abelian_invariants(p: GroupPresentation) -> AbelianInvariants:
-    """Invariant factors > 1 plus the free rank of the abelianization."""
+    """Invariant factors > 1 plus the free rank of the abelianization.
+
+    Isomorphic groups have isomorphic abelianizations, so every presentation
+    of the group gives the same result, such as the class presentation that
+    `identify` enumerates on its raw route.
+    """
     ngens = len(p.generators)
     matrix = []
     for rel in p.relators:
@@ -591,6 +563,14 @@ def identify(
     certified free of the Graham-Houghton cycle rank, and 1 <= k <= n-2 is
     certified symmetric via order k! plus a verified surjection onto S_k.
     `workers` is accepted and has no effect.
+
+    Without `simplify` (CLI --raw-coset-table) only Tietze's first phase,
+    `collapse_short_relators`, runs, timed as "tietze", and its one class
+    presentation feeds both `todd_coxeter` and `abelian_invariants`.  Every
+    kill and merge is read off a relator of length 1 or 2, so that
+    presentation comes from the raw one by Tietze moves: the groups are
+    isomorphic, and so are their abelianizations, so neither the order nor
+    the printed invariants can change.  The report keeps the raw sizes.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
@@ -638,10 +618,11 @@ def identify(
     else:
         with _timed(timings, "tietze"):
             simp = tietze_simplify(raw) if simplify else raw
+            pres = simp if simplify else collapse_short_relators(raw)
         with _timed(timings, "coset_enumeration"):
-            table = todd_coxeter(simp, max_cosets=max_cosets)
+            table = todd_coxeter(pres, max_cosets=max_cosets)
         with _timed(timings, "abelian_invariants"):
-            inv = abelian_invariants(simp)
+            inv = abelian_invariants(pres)
         with _timed(timings, "hom"):
             hom = rees_hom(grid, sys, anchors_map)
             hom_ok = verify_hom(raw, hom)

@@ -216,14 +216,24 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
     A signed union-find first consumes every relator of length 1 or 2, then
     the indexed elimination removes once-occurring generators to a fixpoint.
     """
-    alive, rels, canons, tags, _ = _collapse_short_relators(p)
+    alive, rels, canons, tags = _collapse_short_relators(p)
     _eliminate(alive, rels, canons, tags)
+    return _rebuild(p, alive, rels, tags)
+
+
+def collapse_short_relators(p: GroupPresentation) -> GroupPresentation:
+    """The first phase of `tietze_simplify` alone: the class presentation.
+
+    Every kill and merge of the union-find is read off a relator of length 1
+    or 2, so the result comes from p by Tietze moves: the same group.
+    """
+    alive, rels, _, tags = _collapse_short_relators(p)
     return _rebuild(p, alive, rels, tags)
 
 
 def _collapse_short_relators(
     p: GroupPresentation,
-) -> tuple[list[bool], list[Relator | None], list[Relator | None], list[str], list[int]]:
+) -> tuple[list[bool], list[Relator | None], list[Relator | None], list[str]]:
     """Consume every relator of length 1 or 2 by a signed union-find, to a fixpoint.
 
     A relator g kills g's class; a relator on two distinct classes links them.
@@ -233,10 +243,7 @@ def _collapse_short_relators(
     is kept.  Each class is renamed to its largest generator, the one the
     elimination would keep, and the survivors are deduplicated by canonical
     form, in order.  Returns the alive mask, the surviving relators, their
-    canonical forms and tags, and the letter map: the letter of its class's
-    generator that each letter equals, or -1 where the class is killed, all
-    in the original generator numbering.  Every merge and kill is read off a
-    relator, so each letter x equals its image in the group presented.
+    canonical forms and tags, in the original generator numbering.
     """
     ngen = len(p.generators)
     # image[x] is the letter that letter x equals, a letter of its class's
@@ -308,8 +315,7 @@ def _collapse_short_relators(
             rels.append(word)
             canons.append(canon)
             tags.append(tag if word == rel else TIETZE)
-    letter_map = [rename[y] if y >= 0 else -1 for y in image]
-    return alive, rels, canons, tags, letter_map
+    return alive, rels, canons, tags
 
 
 def _eliminate(

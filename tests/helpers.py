@@ -31,7 +31,6 @@ from igmax.presentation import (
     TYPE3,
     GroupPresentation,
     Relator,
-    _collapse_short_relators,
     _eliminate,
     _rebuild,
     build_presentation,
@@ -350,14 +349,9 @@ def reference_perm_group_order(gens) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The two phases of `tietze_simplify`, each on its own: the short-relator
-# union-find, and the indexed elimination on a presentation's own relators.
-
-
-def collapse_phase(p: GroupPresentation) -> GroupPresentation:
-    """The union-find phase's survivors, as the presentation Tietze starts from."""
-    alive, rels, _, tags, _ = _collapse_short_relators(p)
-    return _rebuild(p, alive, rels, tags)
+# The second phase of `tietze_simplify` on its own (the first is
+# `collapse_short_relators`): the indexed elimination on a presentation's own
+# relators.
 
 
 def tietze_alone(p: GroupPresentation) -> GroupPresentation:

@@ -109,8 +109,7 @@ class TestToddCoxeter:
                   if n <= 5 and verdict != VERDICT_FREE],
     )
     def test_complete_table_action_is_consistent_and_transitive(self, case):
-        # the raw corpus presentations collapse most columns before HLT, so
-        # this checks the columns written back as well as the ones enumerated
+        # the raw corpus presentations are enumerated as given, on every column
         if case == "d4":
             name, pres, _ = ORACLE_PRESENTATIONS[8]
             assert name == case
@@ -365,9 +364,23 @@ class TestIdentify:
         with pytest.raises(ValueError):
             identify(3, 0, T)
 
-    def test_raw_presentation_route_agrees(self):
-        report = identify(4, 2, PT, simplify=False)
-        assert report.verdict == VERDICT_SYMMETRIC and report.order == 2
+    @pytest.mark.parametrize(
+        "key,n,k",
+        [(key, n, k) for n in range(3, 6) for key in sorted(MONOIDS) for k in range(1, n - 1)]
+        + [pytest.param(key, 6, k, marks=pytest.mark.slow)
+           for key in sorted(MONOIDS) for k in range(1, 5)],
+    )
+    def test_raw_presentation_route_agrees(self, key, n, k):
+        # the class presentation of the short-relator collapse presents the
+        # raw group, so the raw route names it as the Tietze route does
+        raw = identify(n, k, MONOIDS[key], simplify=False)
+        simplified = cached_identify(key, n, k)
+        for field in ("verdict", "order", "order_kind", "abelian_invariants", "hom_valid",
+                      "image_order"):
+            assert getattr(raw, field) == getattr(simplified, field), field
+        assert raw.verdict == VERDICT_SYMMETRIC
+        assert (raw.simplified_generators, raw.simplified_relators) == (
+            raw.generators, sum(raw.relator_counts.values()))
 
     @pytest.mark.parametrize(
         "broken,hom_valid,diagnostic",
@@ -434,6 +447,37 @@ class TestIdentify:
         [((received,), _)] = calls["tietze_simplify"]
         assert len(received.relators) == len(raw.relators)
         assert received is raw
+
+    def test_raw_route_feeds_one_class_presentation_to_both_checks(self, monkeypatch):
+        # wrapped by module attribute, as the traced benchmark wraps it; its
+        # cross-check reads the simplified sizes off the build span when no
+        # Tietze span exists, and the order off the enumeration span
+        from igmax import groupid
+
+        calls = {}
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                calls.setdefault(name, []).append((args, out))
+                return out
+
+            return wrapped
+
+        for name in ("build_presentation", "tietze_simplify", "todd_coxeter",
+                     "abelian_invariants"):
+            monkeypatch.setattr(groupid, name, recording(name, getattr(groupid, name)))
+        report = identify(6, 4, PT, simplify=False)
+        [(_, raw)] = calls["build_presentation"]
+        [((enumerated,), table)] = calls["todd_coxeter"]
+        [((abelianized,), _)] = calls["abelian_invariants"]
+        assert abelianized is enumerated
+        assert "tietze_simplify" not in calls
+        assert report.simplified_generators == len(raw.generators)
+        assert report.simplified_relators == len(raw.relators)
+        assert report.order == table.order == 24
+        # the collapse leaves fewer generators than the raw presentation has
+        assert len(enumerated.generators) < len(raw.generators)
 
     def test_full_matrix_up_to_n5(self):
         import math

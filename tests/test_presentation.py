@@ -14,6 +14,7 @@ from igmax.presentation import (
     GroupPresentation,
     build_presentation,
     canonical_form,
+    collapse_short_relators,
     cyclically_reduce,
     eliminate_partial_rows,
     free_rank,
@@ -35,7 +36,6 @@ from helpers import (
     brute_idempotents,
     cached_identify,
     class_squares,
-    collapse_phase,
     letters,
     pipeline,
     reference_canonical_form,
@@ -269,7 +269,7 @@ class TestTietze:
                     rels.append(rel)
             p = make([f"g{i}" for i in range(ngens)], rels)
             assert abelian_invariants(p) == abelian_invariants(tietze_simplify(p))
-            assert tietze_simplify(p) == reference_tietze_simplify(collapse_phase(p))
+            assert tietze_simplify(p) == reference_tietze_simplify(collapse_short_relators(p))
             assert tietze_alone(p) == reference_tietze_simplify(p)
 
     def test_simplified_group_order_unchanged(self):
@@ -301,7 +301,7 @@ class TestTietzeDifferential:
                 seen.add(pres)
                 # the elimination runs on the union-find phase's survivors
                 got = tietze_simplify(pres)
-                want = reference_tietze_simplify(collapse_phase(pres))
+                want = reference_tietze_simplify(collapse_short_relators(pres))
                 assert got == want, (rule, tie)
                 assert to_gap(got) == to_gap(want), (rule, tie)
                 # and, on its own, on the raw relators
@@ -319,7 +319,7 @@ def assert_collapsed(p: GroupPresentation) -> None:
 
 class TestCollapseShortRelators:
     def test_empty_presentation(self):
-        assert collapse_phase(make([], [])) == make([], [])
+        assert collapse_short_relators(make([], [])) == make([], [])
 
     def test_nothing_short_is_only_deduplicated(self):
         abc = letters(((0, 1), (1, 1), (2, 1)))
@@ -327,22 +327,22 @@ class TestCollapseShortRelators:
         a3 = (0, 0, 0)
         cells = ((0, 0), (0, 1), (1, 1))
         p = make("abc", [abc, a3, bca, invert(abc)], ("type3", "type2", "type1", "type3"), cells)
-        assert collapse_phase(p) == make("abc", [abc, a3], ("type3", "type2"), cells)
+        assert collapse_short_relators(p) == make("abc", [abc, a3], ("type3", "type2"), cells)
 
     def test_square_is_kept(self):
         p = make("x", [(0, 0)], ("type1",))
-        assert collapse_phase(p) == p
+        assert collapse_short_relators(p) == p
 
     def test_both_signs_leave_a_square(self):
         # a = b and a = b^-1: b is the root, and the second relator becomes b^2
         p = make("ab", [letters(((0, 1), (1, -1))), letters(((0, 1), (1, 1)))])
-        assert collapse_phase(p) == make("b", [(0, 0)], ("tietze",))
+        assert collapse_short_relators(p) == make("b", [(0, 0)], ("tietze",))
 
     def test_chain_keeps_the_sign(self):
         # a = b and b = c^-1, so a^3 = c^-3 with c renumbered to generator 0
         rels = [letters(((0, 1), (1, -1))), letters(((1, 1), (2, 1))), (0, 0, 0)]
         p = make("abc", rels, cells=((0, 0), (0, 1), (0, 2)))
-        assert collapse_phase(p) == make("c", [(1, 1, 1)], ("tietze",), ((0, 2),))
+        assert collapse_short_relators(p) == make("c", [(1, 1, 1)], ("tietze",), ((0, 2),))
 
     def test_kill_propagates_through_a_linked_class(self):
         # a = b = c, and killing a kills the class after a d^3 was rewritten
@@ -353,7 +353,7 @@ class TestCollapseShortRelators:
             letters(((0, -1),)),
         ]
         p = make("abcd", rels, cells=((0, 0), (0, 1), (0, 2), (1, 0)))
-        assert collapse_phase(p) == make("d", [(0, 0, 0)], ("tietze",), ((1, 0),))
+        assert collapse_short_relators(p) == make("d", [(0, 0, 0)], ("tietze",), ((1, 0),))
 
     def test_invariants_preserved_on_random_presentations(self):
         rng = random.Random(29)
@@ -368,7 +368,7 @@ class TestCollapseShortRelators:
                 if rel:
                     rels.append(rel)
             p = make([f"g{i}" for i in range(ngens)], rels)
-            out = collapse_phase(p)
+            out = collapse_short_relators(p)
             assert_collapsed(out)
             assert abelian_invariants(out) == abelian_invariants(p)
 
@@ -396,7 +396,7 @@ class TestCollapseShortRelators:
                 ("star", build_presentation(grid, sys_, anchors_map, classes)),
             ):
                 where = (rule, tie, name)
-                out = collapse_phase(raw)
+                out = collapse_short_relators(raw)
                 assert_collapsed(out)
                 simp = tietze_simplify(raw)
                 # the phases in one call equal the elimination run on the phase's output
