@@ -17,6 +17,7 @@ import sys
 from .dclass import ANCHOR_RULES, build_grid
 from .errors import StructuralError
 from .groupid import (
+    DEFAULT_MAX_COSETS,
     VERDICT_FREE,
     VERDICT_SYMMETRIC,
     VERDICT_TRIVIAL,
@@ -39,21 +40,13 @@ from .schreier import TIE_BREAKS
 from .squares import enumerate_singular_squares
 
 DEFAULT_MAX_N = 8
+COSET_MEMORY = "an enumeration that does not close holds about 1 kB per coset defined"
 
 MONOIDS = {"pt": Monoid.PARTIAL, "t": Monoid.TOTAL}
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--monoid", choices=sorted(MONOIDS), required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--output", choices=("json", "text"), default="text")
-    sub.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                     help="hard size cap; raise explicitly for big runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,6 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
         "free idempotent generated semigroups over T_n / PT_n.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # the class flags, declared once for every subcommand but corpus
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--monoid", choices=sorted(MONOIDS), required=True)
+    common.add_argument("--n", type=int, required=True)
+    common.add_argument("--k", type=int, required=True)
+    common.add_argument("--output", choices=("json", "text"), default="text")
+    common.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+                        help="hard size cap; raise explicitly for big runs")
 
     for name, helptext, run in (
         ("grid", "build the rank-k D-class grid", _cmd_grid),
@@ -72,9 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("identify", "run the full pipeline and name the group", _cmd_identify),
         ("free-rank", "cycle rank of the Graham-Houghton component", _cmd_free_rank),
     ):
-        sub = subs.add_parser(name, help=helptext)
+        sub = subs.add_parser(name, help=helptext, parents=[common])
         sub.set_defaults(run=run)
-        _add_common(sub)
         if name in ("presentation", "identify"):
             sub.add_argument("--anchor-rule", choices=ANCHOR_RULES, default="lex")
         if name in ("schreier", "presentation", "identify"):
@@ -86,11 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--eliminate-partial", action="store_true",
                              help="rewrite partial-row generators through total rows")
         if name == "identify":
-            sub.add_argument("--max-cosets", type=int, default=10**6,
+            sub.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
                              help="cap on the cosets defined, counted on the columns "
                                   "enumerated: the Tietze-simplified presentation's, or "
                                   "with --raw-coset-table the short-relator class "
-                                  "presentation's")
+                                  "presentation's; " + COSET_MEMORY)
             sub.add_argument("--raw-coset-table", action="store_true",
                              help="skip Tietze's elimination: enumerate and abelianize once "
                                   "relators of length 1 or 2 have merged generators")
@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     corpus = subs.add_parser("corpus", help="run the regression matrix")
     corpus.set_defaults(run=_cmd_corpus)
     corpus.add_argument("--output", choices=("json", "text"), default="text")
-    corpus.add_argument("--skip-slow", action="store_true", help="drop the n = 6 runs")
-    corpus.add_argument("--max-cosets", type=int, default=10**6)
+    corpus.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
+                        help="cap on the cosets defined per run; " + COSET_MEMORY)
     return parser
 
 
@@ -311,8 +311,6 @@ def _cmd_corpus(args, out) -> int:
     runs = []
     all_ok = True
     for mon, n, k, expected in CORPUS_RUNS:
-        if args.skip_slow and n >= 6:
-            continue
         report = identify(n, k, MONOIDS[mon], max_cosets=args.max_cosets)
         ok = report.verdict == expected
         if expected == VERDICT_SYMMETRIC:

@@ -38,13 +38,8 @@ class DClassGrid(NamedTuple):
     group_cells: dict[tuple[int, int], PartialMap]
     base: tuple[int, int]
     row_of: dict[KernelPartition, int]
-    col_of: dict[tuple[int, ...], int]
     cells_in_row: tuple[tuple[int, ...], ...]
     cells_in_col: tuple[tuple[int, ...], ...]
-
-    @property
-    def degenerate(self) -> bool:
-        return self.k in (0, self.n)
 
     @property
     def base_idempotent(self) -> PartialMap:
@@ -64,7 +59,8 @@ def default_base(n: int, k: int) -> PartialMap:
     return PartialMap(tuple(x if x < k else k - 1 for x in range(n)))
 
 
-def build_grid(n: int, k: int, monoid: Monoid, base: PartialMap | None = None) -> DClassGrid:
+def build_grid(n: int, k: int, monoid: Monoid) -> DClassGrid:
+    """The rank-k grid, based at the cell of `default_base(n, k)`."""
     if not 0 <= k <= n:
         raise ValueError(f"rank {k} out of range for n={n}")
     if monoid is Monoid.TOTAL and k == 0:
@@ -94,17 +90,7 @@ def build_grid(n: int, k: int, monoid: Monoid, base: PartialMap | None = None) -
             in_row[i].append(c)
             in_col[c].append(i)
 
-    if base is None:
-        base = default_base(n, k)
-    else:
-        if base.n != n:
-            raise ValueError("base idempotent has the wrong ground set")
-        if base.rank() != k:
-            raise ValueError(f"base idempotent has rank {base.rank()}, expected {k}")
-        if not base.is_idempotent():
-            raise ValueError("base element is not idempotent")
-        if monoid is Monoid.TOTAL and not base.is_total:
-            raise ValueError("base idempotent must be total in T_n")
+    base = default_base(n, k)
     base_cell = (row_of[base.kernel()], col_of[base.image()])
     if base_cell not in cells:
         raise StructuralError("base cell of an idempotent must be a group cell")
@@ -118,7 +104,6 @@ def build_grid(n: int, k: int, monoid: Monoid, base: PartialMap | None = None) -
         group_cells=cells,
         base=base_cell,
         row_of=row_of,
-        col_of=col_of,
         cells_in_row=tuple(tuple(cs) for cs in in_row),
         cells_in_col=tuple(tuple(rs) for rs in in_col),
     )

@@ -40,6 +40,7 @@ from .squares import SingularClass, enumerate_singular_squares, group_square_can
 
 COMPLETE = "complete"
 OVERFLOW = "overflow"
+DEFAULT_MAX_COSETS = 10**6
 
 VERDICT_SYMMETRIC = "symmetric_k"
 VERDICT_FREE = "free_of_rank"
@@ -122,7 +123,7 @@ class _Overflow(Exception):
     pass
 
 
-def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
+def todd_coxeter(p: GroupPresentation, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
     """Enumerate cosets of the trivial subgroup; order = live cosets when complete.
 
     HLT strategy: scan every relator at every live coset, filling gaps, with a
@@ -147,8 +148,6 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
     # letters were validated when the presentation was constructed
     rel_words = [rel for rel in p.relators if rel]
     ncols = 2 * ngens
-    if ngens == 0:
-        return CosetTable(0, [[]], COMPLETE)
 
     table: list[dict[int, int] | None] = [{}]
     parent = [0]
@@ -551,7 +550,7 @@ def identify(
     k: int,
     monoid: Monoid,
     *,
-    max_cosets: int = 10**6,
+    max_cosets: int = DEFAULT_MAX_COSETS,
     anchor_rule: str = "lex",
     tie_break: str = "least",
     workers: int = 1,

@@ -426,10 +426,13 @@ def eliminate_partial_rows(
     For a partial row i with anchor column lam_i, completing the idempotent
     pair (cell(i, lam_i), cell(i, lam)) lands in a total row j and gives the
     substitution X_{i,lam} = X_{j,lam_i}^-1 * X_{j,lam}; anchor generators of
-    partial rows become empty.  The singular square backing each rewrite must
-    have rows i and j in one singular class of its column pair, since two
-    rows of one class bound a singular square.  Otherwise the grid data is
-    inconsistent.
+    partial rows become empty.  The completed kernel is row i's kernel with
+    the undefined points joined to the block of its least domain point, so j
+    depends on i alone, and the completion runs once per row.  The singular
+    square backing each rewrite must have rows i and j in one singular class
+    of its column pair, since two rows of one class bound a singular square:
+    R(i, j) follows from the star relators R(r0, i) and R(r0, j), already in
+    p.  Otherwise the grid data is inconsistent.
     """
     if grid.monoid is not Monoid.PARTIAL:
         raise ValueError("only partial grids carry partial rows")
@@ -449,6 +452,7 @@ def eliminate_partial_rows(
 
     class_of = {(r, c.cols): idx for idx, c in enumerate(classes) for r in c.rows}
 
+    completion: dict[int, int] = {}  # partial row -> its total completion row
     sub: dict[int, Relator] = {}
     for g, (i, lam) in enumerate(p.cells):
         if i in total:
@@ -457,12 +461,12 @@ def eliminate_partial_rows(
         if lam == lam_i:
             sub[g] = ()
             continue
-        alpha = grid.cell(i, lam_i)
-        beta = grid.cell(i, lam)
-        alpha_t, beta_t, _ = complete_to_singular_square(alpha, beta)
-        j = grid.row_of[alpha_t.kernel()]
-        if j not in total:
-            raise StructuralError("completion row is not total")
+        j = completion.get(i)
+        if j is None:
+            alpha_t, _, _ = complete_to_singular_square(grid.cell(i, lam_i), grid.cell(i, lam))
+            j = completion[i] = grid.row_of[alpha_t.kernel()]
+            if j not in total:
+                raise StructuralError("completion row is not total")
         cols = (min(lam_i, lam), max(lam_i, lam))
         idx = class_of.get((i, cols))
         if idx is None or idx != class_of.get((j, cols)):

@@ -28,6 +28,7 @@ from igmax.groupid import (
 )
 from igmax.presentation import (
     TIETZE,
+    TYPE1,
     TYPE3,
     GroupPresentation,
     Relator,
@@ -36,6 +37,7 @@ from igmax.presentation import (
     build_presentation,
     canonical_form,
     cyclically_reduce,
+    free_reduce,
     invert,
 )
 from igmax.ptrans import (
@@ -53,6 +55,7 @@ from igmax.squares import (
     Entries,
     SingularClass,
     _singular_case,
+    complete_to_singular_square,
     group_square_candidates,
     witness_pool,
 )
@@ -273,8 +276,7 @@ def cached_identify(monoid_key: str, n: int, k: int, anchor_rule: str = "lex",
 # each idempotent through `idempotent_from_cell`.
 
 
-def reference_build_grid(n: int, k: int, monoid: Monoid,
-                         base: PartialMap | None = None) -> DClassGrid:
+def reference_build_grid(n: int, k: int, monoid: Monoid) -> DClassGrid:
     if not 0 <= k <= n:
         raise ValueError(f"rank {k} out of range for n={n}")
     if monoid is Monoid.TOTAL and k == 0:
@@ -283,7 +285,6 @@ def reference_build_grid(n: int, k: int, monoid: Monoid,
     rows = tuple(kernels_of_rank(n, k, monoid))
     cols = tuple(itertools.combinations(range(n), k))
     row_of = {kp: i for i, kp in enumerate(rows)}
-    col_of = {im: c for c, im in enumerate(cols)}
 
     cells: dict[tuple[int, int], PartialMap] = {}
     in_row: list[list[int]] = [[] for _ in rows]
@@ -295,18 +296,8 @@ def reference_build_grid(n: int, k: int, monoid: Monoid,
                 in_row[i].append(c)
                 in_col[c].append(i)
 
-    if base is None:
-        base = default_base(n, k)
-    else:
-        if base.n != n:
-            raise ValueError("base idempotent has the wrong ground set")
-        if base.rank() != k:
-            raise ValueError(f"base idempotent has rank {base.rank()}, expected {k}")
-        if not base.is_idempotent():
-            raise ValueError("base element is not idempotent")
-        if monoid is Monoid.TOTAL and not base.is_total:
-            raise ValueError("base idempotent must be total in T_n")
-    base_cell = (row_of[base.kernel()], col_of[base.image()])
+    base = default_base(n, k)
+    base_cell = (row_of[base.kernel()], cols.index(base.image()))
     if base_cell not in cells:
         raise StructuralError("base cell of an idempotent must be a group cell")
 
@@ -319,7 +310,6 @@ def reference_build_grid(n: int, k: int, monoid: Monoid,
         group_cells=cells,
         base=base_cell,
         row_of=row_of,
-        col_of=col_of,
         cells_in_row=tuple(tuple(cs) for cs in in_row),
         cells_in_col=tuple(tuple(rs) for rs in in_col),
     )
@@ -455,6 +445,87 @@ def reference_tietze_simplify(p: GroupPresentation) -> GroupPresentation:
             rels[rid2] = reduced
             tags[rid2] = TIETZE
 
+    return _rebuild(p, alive, rels, tags)
+
+
+# ---------------------------------------------------------------------------
+# Partial-row elimination oracle: the per-generator completion the per-row one
+# replaced.  It completes the pair (anchor cell, cell) of every non-anchor
+# generator of a partial row, though the completion row depends on the row.
+
+
+def reference_eliminate_partial_rows(
+    p: GroupPresentation,
+    grid: DClassGrid,
+    classes: tuple[SingularClass, ...],
+) -> GroupPresentation:
+    """`eliminate_partial_rows` with the completion run for every generator."""
+    if grid.monoid is not Monoid.PARTIAL:
+        raise ValueError("only partial grids carry partial rows")
+    if p.cells is None:
+        raise ValueError("presentation is not grid-derived")
+    gid = {cell: i for i, cell in enumerate(p.cells)}
+    total = set(grid.total_rows())
+
+    anchors_map: dict[int, int] = {}
+    for rel, tag in zip(p.relators, p.provenance):
+        if tag == TYPE1 and len(rel) == 1:
+            i, lam = p.cells[rel[0] >> 1]
+            anchors_map[i] = lam
+    for i in range(len(grid.rows)):
+        if i not in anchors_map:
+            raise ValueError(f"presentation has no type-1 anchor relator for row {i}")
+
+    class_of = {(r, c.cols): idx for idx, c in enumerate(classes) for r in c.rows}
+
+    sub: dict[int, Relator] = {}
+    for g, (i, lam) in enumerate(p.cells):
+        if i in total:
+            continue
+        lam_i = anchors_map[i]
+        if lam == lam_i:
+            sub[g] = ()
+            continue
+        alpha = grid.cell(i, lam_i)
+        beta = grid.cell(i, lam)
+        alpha_t, beta_t, _ = complete_to_singular_square(alpha, beta)
+        j = grid.row_of[alpha_t.kernel()]
+        if j not in total:
+            raise StructuralError("completion row is not total")
+        cols = (min(lam_i, lam), max(lam_i, lam))
+        idx = class_of.get((i, cols))
+        if idx is None or idx != class_of.get((j, cols)):
+            raise StructuralError(
+                f"no singular square eliminates generator {p.generators[g]}"
+            )
+        try:
+            sub[g] = (2 * gid[(j, lam_i)] + 1, 2 * gid[(j, lam)])
+        except KeyError as exc:
+            raise StructuralError(f"completion cell missing from the grid: {exc}") from exc
+
+    rels: list[Relator] = []
+    tags: list[str] = []
+    seen: set[Relator] = set()
+    for rel, tag in zip(p.relators, p.provenance):
+        out: list[int] = []
+        changed = False
+        for x in rel:
+            if x >> 1 in sub:
+                changed = True
+                out.extend(invert(sub[x >> 1]) if x & 1 else sub[x >> 1])
+            else:
+                out.append(x)
+        reduced = free_reduce(tuple(out))
+        if not reduced:
+            continue
+        canon = canonical_form(reduced)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        rels.append(reduced)
+        tags.append(TIETZE if changed else tag)
+
+    alive = [cell[0] in total for cell in p.cells]
     return _rebuild(p, alive, rels, tags)
 
 

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -372,7 +374,7 @@ class TestCorpus:
             return report
 
         monkeypatch.setattr(cli, "identify", off_by_one)
-        code, out, _ = run(capsys, "corpus", "--skip-slow", "--output", "json")
+        code, out, _ = run(capsys, "corpus", "--output", "json")
         assert code == 1
         data = json.loads(out)
         assert data["all_ok"] is False
@@ -380,7 +382,7 @@ class TestCorpus:
 
     def test_text_prints_a_free_rank_only_for_the_free_verdict(self, capsys):
         # a cap of one coset leaves every S_k class undecided, without an order
-        code, out, _ = run(capsys, "corpus", "--skip-slow", "--max-cosets", "1")
+        code, out, _ = run(capsys, "corpus", "--max-cosets", "1")
         assert code == 1
         lines = out.splitlines()
         assert "FAIL pt n=4 k=2 verdict=undecided order=unknown" in lines
@@ -388,13 +390,22 @@ class TestCorpus:
         for line in lines[:-1]:
             assert ("order=free(" in line) == ("verdict=free_of_rank" in line), line
 
-    def test_fast_subset_passes(self, capsys):
-        code, out, _ = run(capsys, "corpus", "--skip-slow", "--output", "json")
+    def test_every_run_passes(self, capsys):
+        code, out, _ = run(capsys, "corpus", "--output", "json")
         assert code == 0
         data = json.loads(out)
         assert data["all_ok"] is True
         assert all(r["ok"] for r in data["runs"])
-        assert all(r["n"] < 6 for r in data["runs"])
+        assert [(r["monoid"], r["n"], r["k"]) for r in data["runs"]] == [
+            (mon, n, k) for mon, n, k, _ in cli.CORPUS_RUNS
+        ]
+
+    def test_skip_slow_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus", "--skip-slow"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "--skip-slow" in captured.err
 
 
 class TestMaxCosets:
@@ -421,7 +432,7 @@ class TestMaxCosets:
         assert "max_cosets must be positive" in err
 
     def test_corpus_rejects_nonpositive_cap(self, capsys, no_pipeline):
-        code, out, err = run(capsys, "corpus", "--skip-slow", "--max-cosets", "0")
+        code, out, err = run(capsys, "corpus", "--max-cosets", "0")
         assert code == 2
         assert out == ""
         assert "max_cosets must be positive" in err
@@ -433,3 +444,32 @@ class TestMaxCosets:
         )
         assert code == 1
         assert json.loads(out)["order_kind"] == "overflow"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+FLAG = re.compile(r"--[a-z][a-z-]*")
+
+
+def usage(capsys, *argv) -> str:
+    """The usage line of `igmax ARGV --help`."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out.split("\n\n")[0]
+
+
+def test_readme_flag_list_matches_the_parser(capsys):
+    # each bullet of README's flag list names a subcommand, or every one but
+    # corpus, and its flags; a subcommand without a bullet takes the shared
+    # flags alone
+    text = README.read_text()
+    start = text.index("\n\n", text.index("Each subcommand takes only the flags it reads")) + 2
+    bullets = {}
+    for bullet in text[start:text.index("\n\n", start)].split("\n- "):
+        head, _, body = bullet.removeprefix("- ").partition(":")
+        bullets[head] = set(FLAG.findall(body))
+    shared = bullets.pop("every subcommand but `corpus`")
+    for command in re.search(r"\{([a-z,-]+)\}", usage(capsys)).group(1).split(","):
+        want = bullets.pop(f"`{command}`", set()) | (set() if command == "corpus" else shared)
+        assert set(FLAG.findall(usage(capsys, command))) == want, command
+    assert bullets == {}

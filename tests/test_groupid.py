@@ -533,6 +533,13 @@ class TestFreeVerdictShape:
         with pytest.raises(StructuralError, match=f"cycle rank 1 .*{counts}"):
             identify(3, 2, PT)  # the cycle rank is 1
 
+    def test_all_group_square_is_structural_error(self, monkeypatch):
+        from igmax import groupid
+
+        monkeypatch.setattr(groupid, "group_square_candidates", lambda grid: [(0, 1, 0, 1)])
+        with pytest.raises(StructuralError, match="unexpected all-group square"):
+            identify(4, 3, PT)
+
 
 STAR_DIFFERENTIAL_CLASSES = (
     [(key, n, k) for key in sorted(MONOIDS) for n in range(3, 6) for k in range(1, n - 1)]

@@ -3,9 +3,15 @@ import random
 import pytest
 
 from igmax.cli import CORPUS_RUNS
-from igmax.dclass import ANCHOR_RULES, anchors
+from igmax.dclass import ANCHOR_RULES, anchors, build_grid
 from igmax.errors import StructuralError
-from igmax.groupid import abelian_invariants, rees_hom, todd_coxeter, verify_hom
+from igmax.groupid import (
+    abelian_invariants,
+    rees_hom,
+    todd_coxeter,
+    verified_schreier,
+    verify_hom,
+)
 from igmax.presentation import (
     TYPE1,
     TYPE2,
@@ -28,7 +34,7 @@ from igmax.presentation import (
 )
 from igmax.ptrans import Monoid
 from igmax.schreier import TIE_BREAKS, build_schreier
-from igmax.squares import complete_to_singular_square
+from igmax.squares import complete_to_singular_square, enumerate_singular_squares
 
 from helpers import (
     all_pairs_pipeline,
@@ -39,6 +45,7 @@ from helpers import (
     letters,
     pipeline,
     reference_canonical_form,
+    reference_eliminate_partial_rows,
     reference_tietze_simplify,
     square_cells,
     tietze_alone,
@@ -503,6 +510,31 @@ class TestEliminatePartialRows:
         grid, _, _, classes, pres = pipeline("t", 4, 2)
         with pytest.raises(ValueError):
             eliminate_partial_rows(pres, grid, classes)
+
+
+# every PT_n class with 3 <= n <= 6 and 1 <= k <= n-2; PT_7 k=3..5 under slow
+ELIMINATION_CLASSES = [(n, k) for n in range(3, 7) for k in range(1, n - 1)] + [
+    pytest.param(7, k, marks=pytest.mark.slow) for k in (3, 4, 5)
+]
+
+
+class TestEliminatePartialRowsDifferential:
+    """One completion per partial row against one per generator."""
+
+    @pytest.mark.parametrize("n,k", ELIMINATION_CLASSES)
+    def test_matches_per_generator_oracle(self, n, k):
+        grid = build_grid(n, k, PT)
+        classes = enumerate_singular_squares(grid)
+        checked = set()  # "two-step" builds what "lex" builds; check each once
+        for tie_break in TIE_BREAKS:
+            sys_ = verified_schreier(grid, tie_break)
+            for rule in ANCHOR_RULES:
+                pres = build_presentation(grid, sys_, anchors(grid, rule), classes)
+                if pres in checked:
+                    continue
+                checked.add(pres)
+                got = eliminate_partial_rows(pres, grid, classes)
+                assert got == reference_eliminate_partial_rows(pres, grid, classes), (rule, tie_break)
 
 
 class TestInvariance:
