@@ -7,7 +7,7 @@ coset enumeration, abelianization, and an explicit homomorphism onto the
 symmetric group of the base image.
 """
 
-from .dclass import DClassGrid, anchors, build_grid, sandwich_matrix
+from .dclass import DClassGrid, anchors, build_grid, enumerate_idempotents, sandwich_matrix
 from .errors import StructuralError
 from .groupid import (
     AbelianInvariants,
@@ -34,8 +34,6 @@ from .ptrans import (
     Monoid,
     PartialMap,
     compose,
-    enumerate_idempotents,
-    idempotent_from_cell,
 )
 from .schreier import (
     SchreierSystem,

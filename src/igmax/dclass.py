@@ -109,6 +109,12 @@ def build_grid(n: int, k: int, monoid: Monoid) -> DClassGrid:
     )
 
 
+def enumerate_idempotents(n: int, k: int, monoid: Monoid) -> list[PartialMap]:
+    """All rank-k idempotents of T_n or PT_n in (kernel, image) order: the
+    grid's group cells, row by row."""
+    return list(build_grid(n, k, monoid).group_cells.values())
+
+
 def anchors(grid: DClassGrid, rule: str = "lex") -> dict[int, int]:
     """Pick one group column per row; the base row is pinned to the base column.
 

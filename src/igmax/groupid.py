@@ -598,6 +598,7 @@ def identify(
             raise StructuralError("unexpected type-3 relator in the k = n-1 class")
         with _timed(timings, "free_rank"):
             rank = free_rank(gh_graph(grid), grid.base)
+        with _timed(timings, "tietze"):
             simp = tietze_simplify(raw)
         if simp.relators or len(simp.generators) != rank:
             raise StructuralError(

@@ -168,27 +168,6 @@ class KernelPartition(Frozen):
     def domain(self) -> tuple[int, ...]:
         return tuple(sorted(x for b in self.blocks for x in b))
 
-    def block_of(self) -> dict[int, int]:
-        """Element -> index of its block."""
-        out: dict[int, int] = {}
-        for bi, b in enumerate(self.blocks):
-            for x in b:
-                out[x] = bi
-        return out
-
-    def is_transversal(self, image: tuple[int, ...]) -> bool:
-        """True iff `image` meets every block exactly once."""
-        if len(image) != len(self.blocks):
-            return False
-        lookup = self.block_of()
-        hit: set[int] = set()
-        for x in image:
-            bi = lookup.get(x)
-            if bi is None or bi in hit:
-                return False
-            hit.add(bi)
-        return True
-
     def sort_key(self) -> tuple:
         # domain size descending, then block list; fixes row enumeration order
         return (-len(self.domain), self.blocks)
@@ -204,28 +183,6 @@ def compose(a: PartialMap, b: PartialMap) -> PartialMap:
 def compose_entries(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     # raw-tuple composition for hot loops; UNDEF propagates through b[v] == -1
     return tuple(b[v] if v >= 0 else UNDEF for v in a)
-
-
-def idempotent_from_cell(n: int, kp: KernelPartition, image) -> PartialMap:
-    """The unique idempotent with kernel `kp` and image `image`.
-
-    `image` must be a transversal of `kp`: it then holds one retraction point
-    per block, and every block member maps to that point.
-    """
-    image = tuple(image)
-    if not kp.is_transversal(image):
-        raise ValueError(f"image {image} is not a transversal of {kp.blocks}")
-    entries = [UNDEF] * n
-    lookup = kp.block_of()
-    rep = {}
-    for x in image:
-        rep[lookup[x]] = x
-    for bi, b in enumerate(kp.blocks):
-        for x in b:
-            if x >= n:
-                raise ValueError("partition exceeds the ground set")
-            entries[x] = rep[bi]
-    return PartialMap(tuple(entries))
 
 
 def iter_set_partitions(elems: tuple[int, ...], k: int):
@@ -268,22 +225,4 @@ def kernels_of_rank(n: int, k: int, monoid: Monoid) -> list[KernelPartition]:
             for blocks in iter_set_partitions(dom, k):
                 out.append(KernelPartition(blocks))
     out.sort(key=KernelPartition.sort_key)
-    return out
-
-
-def transversal_images(kp: KernelPartition) -> list[tuple[int, ...]]:
-    """All transversals of `kp`, as sorted tuples in lexicographic order."""
-    return sorted(tuple(sorted(choice)) for choice in itertools.product(*kp.blocks))
-
-
-def enumerate_idempotents(n: int, k: int, monoid: Monoid) -> list[PartialMap]:
-    """All rank-k idempotents of T_n or PT_n in (kernel, image) order."""
-    if not 0 <= k <= n:
-        raise ValueError(f"rank {k} out of range for n={n}")
-    if monoid is Monoid.TOTAL and k == 0:
-        raise ValueError("T_n has no rank-0 elements")
-    out = []
-    for kp in kernels_of_rank(n, k, monoid):
-        for image in transversal_images(kp):
-            out.append(idempotent_from_cell(n, kp, image))
     return out

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from .dclass import DClassGrid, enumerate_idempotents
 from .errors import StructuralError
 from .ptrans import (
     KernelPartition,
@@ -38,11 +39,7 @@ from .ptrans import (
     UNDEF,
     compose,
     compose_entries,
-    enumerate_idempotents,
 )
-
-if TYPE_CHECKING:
-    from .dclass import DClassGrid
 
 CASE_A = "left_right_a"
 CASE_B = "up_down_b"
@@ -99,7 +96,7 @@ def _assert_case_a_consequences(eps: Entries, cells) -> None:
         raise StructuralError("case (a) held but its consequences failed")
 
 
-def group_square_candidates(grid: "DClassGrid") -> list[tuple[int, int, int, int]]:
+def group_square_candidates(grid: DClassGrid) -> list[tuple[int, int, int, int]]:
     """Nondegenerate all-group squares as (i, j, lam, mu) with i<j, lam<mu."""
     out = []
     for lam, mu in itertools.combinations(range(len(grid.cols)), 2):
@@ -110,7 +107,7 @@ def group_square_candidates(grid: "DClassGrid") -> list[tuple[int, int, int, int
     return out
 
 
-def witness_pool(grid: "DClassGrid") -> list[PartialMap]:
+def witness_pool(grid: DClassGrid) -> list[PartialMap]:
     """Every idempotent of rank >= k in the ambient monoid.
 
     The search space of a singularizing witness; the test oracles search it,
@@ -157,7 +154,7 @@ def _top_row_holds(eps: Entries, e: Entries, f: Entries, im_e: tuple[int, ...],
     )
 
 
-def enumerate_singular_squares(grid: "DClassGrid") -> tuple[SingularClass, ...]:
+def enumerate_singular_squares(grid: DClassGrid) -> tuple[SingularClass, ...]:
     """The singular nondegenerate all-group squares as classes of rows, sorted.
 
     Squares are oriented with e = (i, lam), f = (i, mu), g = (j, lam) and

@@ -42,12 +42,11 @@ from igmax.presentation import (
 )
 from igmax.ptrans import (
     UNDEF,
+    KernelPartition,
     Monoid,
     PartialMap,
     compose,
     compose_entries,
-    enumerate_idempotents,
-    idempotent_from_cell,
     kernels_of_rank,
 )
 from igmax.schreier import SchreierSystem, build_schreier, word_value
@@ -128,7 +127,7 @@ def idempotent_closure(n: int, monoid: Monoid) -> frozenset[tuple[int, ...]]:
     gens = set()
     lo = 1 if monoid is Monoid.TOTAL else 0
     for k in range(lo, n + 1):
-        gens.update(m.entries for m in enumerate_idempotents(n, k, monoid))
+        gens.update(m.entries for m in reference_enumerate_idempotents(n, k, monoid))
     closed = set(gens)
     queue = deque(closed)
     while queue:
@@ -271,6 +270,69 @@ def cached_identify(monoid_key: str, n: int, k: int, anchor_rule: str = "lex",
 
 
 # ---------------------------------------------------------------------------
+# Idempotents by kernel and transversal image, without the grid
+
+
+def block_of(kp: KernelPartition) -> dict[int, int]:
+    """Element -> index of its block."""
+    out: dict[int, int] = {}
+    for bi, b in enumerate(kp.blocks):
+        for x in b:
+            out[x] = bi
+    return out
+
+
+def is_transversal(kp: KernelPartition, image: tuple[int, ...]) -> bool:
+    """True iff `image` meets every block of `kp` exactly once."""
+    if len(image) != len(kp.blocks):
+        return False
+    lookup = block_of(kp)
+    hit: set[int] = set()
+    for x in image:
+        bi = lookup.get(x)
+        if bi is None or bi in hit:
+            return False
+        hit.add(bi)
+    return True
+
+
+def idempotent_from_cell(n: int, kp: KernelPartition, image) -> PartialMap:
+    """The unique idempotent with kernel `kp` and image `image`.
+
+    `image` must be a transversal of `kp`: it then holds one retraction point
+    per block, and every block member maps to that point.
+    """
+    image = tuple(image)
+    if not is_transversal(kp, image):
+        raise ValueError(f"image {image} is not a transversal of {kp.blocks}")
+    entries = [UNDEF] * n
+    lookup = block_of(kp)
+    rep = {}
+    for x in image:
+        rep[lookup[x]] = x
+    for bi, b in enumerate(kp.blocks):
+        for x in b:
+            if x >= n:
+                raise ValueError("partition exceeds the ground set")
+            entries[x] = rep[bi]
+    return PartialMap(tuple(entries))
+
+
+def reference_enumerate_idempotents(n: int, k: int, monoid: Monoid) -> list[PartialMap]:
+    """All rank-k idempotents, kernel by kernel, each kernel's transversals in
+    lexicographic order."""
+    if not 0 <= k <= n:
+        raise ValueError(f"rank {k} out of range for n={n}")
+    if monoid is Monoid.TOTAL and k == 0:
+        raise ValueError("T_n has no rank-0 elements")
+    out = []
+    for kp in kernels_of_rank(n, k, monoid):
+        for image in sorted(tuple(sorted(c)) for c in itertools.product(*kp.blocks)):
+            out.append(idempotent_from_cell(n, kp, image))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Grid oracle: the row x column transversal test the per-row enumeration of
 # transversals replaced.  It tests every column against every row and builds
 # each idempotent through `idempotent_from_cell`.
@@ -291,7 +353,7 @@ def reference_build_grid(n: int, k: int, monoid: Monoid) -> DClassGrid:
     in_col: list[list[int]] = [[] for _ in cols]
     for i, kp in enumerate(rows):
         for c, im in enumerate(cols):
-            if kp.is_transversal(im):
+            if is_transversal(kp, im):
                 cells[(i, c)] = idempotent_from_cell(n, kp, im)
                 in_row[i].append(c)
                 in_col[c].append(i)

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from igmax.dclass import build_grid
+from igmax.dclass import build_grid, enumerate_idempotents
 from igmax.groupid import (
     COMPLETE,
     OVERFLOW,
@@ -25,7 +25,7 @@ from igmax.groupid import (
     todd_coxeter,
 )
 from igmax.presentation import TYPE3, free_rank, gh_graph
-from igmax.ptrans import Monoid, PartialMap, compose, enumerate_idempotents
+from igmax.ptrans import Monoid, PartialMap, compose
 from igmax.schreier import build_schreier, verify_schreier
 from igmax.squares import (
     CASE_A,

@@ -11,6 +11,7 @@ from helpers import (
     MONOIDS,
     all_maps,
     brute_idempotents,
+    is_transversal,
     pipeline,
     reference_build_grid,
     reference_sandwich_matrix,
@@ -63,7 +64,7 @@ class TestBuildGrid:
                 for cell, ms in members.items():
                     has_idem = any(x.is_idempotent() for x in ms)
                     assert has_idem == (cell in grid.group_cells)
-                    assert grid.rows[cell[0]].is_transversal(grid.cols[cell[1]]) == has_idem
+                    assert is_transversal(grid.rows[cell[0]], grid.cols[cell[1]]) == has_idem
 
     def test_total_grid_embeds_in_partial(self):
         for n in range(2, 6):

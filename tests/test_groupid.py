@@ -417,7 +417,7 @@ class TestIdentify:
         [
             (3, 0, True, {"grid"}),
             (4, 4, True, {"grid"}),
-            (4, 3, True, STAGES | {"free_rank"}),
+            (4, 3, True, STAGES | {"free_rank", "tietze"}),
             (4, 2, True, STAGES | {"tietze", "coset_enumeration", "abelian_invariants", "hom"}),
             (4, 2, False, STAGES | {"tietze", "coset_enumeration", "abelian_invariants", "hom"}),
         ],

@@ -2,16 +2,22 @@ import random
 
 import pytest
 
+from igmax.dclass import enumerate_idempotents
 from igmax.ptrans import (
     Monoid,
     PartialMap,
     KernelPartition,
     compose,
-    enumerate_idempotents,
-    idempotent_from_cell,
 )
 
-from helpers import all_partial_maps, brute_idempotents, green_ideals
+from helpers import (
+    all_partial_maps,
+    brute_idempotents,
+    green_ideals,
+    idempotent_from_cell,
+    is_transversal,
+    reference_enumerate_idempotents,
+)
 
 PT = Monoid.PARTIAL
 T = Monoid.TOTAL
@@ -114,10 +120,10 @@ class TestKernelPartition:
 
     def test_transversal(self):
         kp = KernelPartition(((0, 1), (2,)))
-        assert kp.is_transversal((0, 2))
-        assert kp.is_transversal((1, 2))
-        assert not kp.is_transversal((0, 1))
-        assert not kp.is_transversal((2,))
+        assert is_transversal(kp, (0, 2))
+        assert is_transversal(kp, (1, 2))
+        assert not is_transversal(kp, (0, 1))
+        assert not is_transversal(kp, (2,))
 
 
 class TestIdempotentFromCell:
@@ -156,8 +162,14 @@ class TestEnumerateIdempotents:
                     assert all(m.is_idempotent() and m.rank() == k for m in found)
                     assert set(found) == brute_idempotents(n, k, monoid)
 
-    def test_deterministic_order(self):
-        assert enumerate_idempotents(4, 2, PT) == enumerate_idempotents(4, 2, PT)
+    def test_matches_reference_order(self):
+        for n in range(1, 8):
+            for monoid in (T, PT):
+                lo = 1 if monoid is T else 0
+                for k in range(lo, n + 1):
+                    assert enumerate_idempotents(n, k, monoid) == reference_enumerate_idempotents(
+                        n, k, monoid
+                    )
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):

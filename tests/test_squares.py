@@ -4,9 +4,9 @@ import random
 import pytest
 
 from igmax.cli import CORPUS_RUNS
-from igmax.dclass import build_grid
+from igmax.dclass import build_grid, enumerate_idempotents
 from igmax.errors import StructuralError
-from igmax.ptrans import Monoid, PartialMap, compose, enumerate_idempotents
+from igmax.ptrans import Monoid, PartialMap, compose
 from igmax.squares import (
     CASE_A,
     CASE_B,
