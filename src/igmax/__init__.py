@@ -41,11 +41,6 @@ from .schreier import (
     verify_schreier,
     word_value,
 )
-from .squares import (
-    SingularClass,
-    enumerate_singular_squares,
-    complete_to_singular_square,
-    singularizes,
-)
+from .squares import SingularClass, enumerate_singular_squares
 
 __version__ = "0.1.0"

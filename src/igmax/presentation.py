@@ -15,8 +15,8 @@ from collections import Counter, deque
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import StructuralError
-from .ptrans import Frozen, Monoid
-from .squares import SingularClass, complete_to_singular_square
+from .ptrans import Frozen, KernelPartition, Monoid
+from .squares import SingularClass
 
 if TYPE_CHECKING:
     from .dclass import DClassGrid
@@ -416,6 +416,18 @@ def _rebuild(
     )
 
 
+def _completion_row(grid: "DClassGrid", i: int) -> int:
+    """The total row whose kernel is row i's with the undefined points joined
+    to blocks[0]; that block holds the least domain point, so it stays first."""
+    kp = grid.rows[i]
+    dom = set(kp.domain)
+    first = tuple(sorted(kp.blocks[0] + tuple(x for x in range(grid.n) if x not in dom)))
+    j = grid.row_of.get(KernelPartition((first,) + kp.blocks[1:]))
+    if j is None:
+        raise StructuralError(f"completion kernel of row {i} is missing from the grid")
+    return j
+
+
 def eliminate_partial_rows(
     p: GroupPresentation,
     grid: "DClassGrid",
@@ -423,16 +435,21 @@ def eliminate_partial_rows(
 ) -> GroupPresentation:
     """Rewrite every generator in a partial-domain row through a total row.
 
-    For a partial row i with anchor column lam_i, completing the idempotent
-    pair (cell(i, lam_i), cell(i, lam)) lands in a total row j and gives the
-    substitution X_{i,lam} = X_{j,lam_i}^-1 * X_{j,lam}; anchor generators of
-    partial rows become empty.  The completed kernel is row i's kernel with
-    the undefined points joined to the block of its least domain point, so j
-    depends on i alone, and the completion runs once per row.  The singular
-    square backing each rewrite must have rows i and j in one singular class
-    of its column pair, since two rows of one class bound a singular square:
-    R(i, j) follows from the star relators R(r0, i) and R(r0, j), already in
-    p.  Otherwise the grid data is inconsistent.
+    For a partial row i with anchor column lam_i, the completion row j of
+    `_completion_row` bounds a singular square with row i on the columns
+    (lam_i, lam), which gives the substitution
+    X_{i,lam} = X_{j,lam_i}^-1 * X_{j,lam}; anchor generators of partial rows
+    become empty.  j depends on i alone, so it is found once per row.  The
+    certificate of each rewrite is that rows i and j lie in one singular
+    class of its column pair, since two rows of one class bound a singular
+    square: R(i, j) follows from the star relators R(r0, i) and R(r0, j),
+    already in p.  Otherwise the grid data is inconsistent.
+
+    j is total: the completed kernel's domain is all n points.
+    The cells (j, lam_i) and (j, lam) have generators: rows i and j share a
+    class of (lam_i, lam), so both are group cells, and each has one.
+    A completed kernel missing from `grid.row_of` is the one grid
+    inconsistency left, a StructuralError.
     """
     if grid.monoid is not Monoid.PARTIAL:
         raise ValueError("only partial grids carry partial rows")
@@ -463,20 +480,14 @@ def eliminate_partial_rows(
             continue
         j = completion.get(i)
         if j is None:
-            alpha_t, _, _ = complete_to_singular_square(grid.cell(i, lam_i), grid.cell(i, lam))
-            j = completion[i] = grid.row_of[alpha_t.kernel()]
-            if j not in total:
-                raise StructuralError("completion row is not total")
+            j = completion[i] = _completion_row(grid, i)
         cols = (min(lam_i, lam), max(lam_i, lam))
         idx = class_of.get((i, cols))
         if idx is None or idx != class_of.get((j, cols)):
             raise StructuralError(
                 f"no singular square eliminates generator {p.generators[g]}"
             )
-        try:
-            sub[g] = (2 * gid[(j, lam_i)] + 1, 2 * gid[(j, lam)])
-        except KeyError as exc:
-            raise StructuralError(f"completion cell missing from the grid: {exc}") from exc
+        sub[g] = (2 * gid[(j, lam_i)] + 1, 2 * gid[(j, lam)])
 
     rels: list[Relator] = []
     tags: list[str] = []

@@ -1,14 +1,12 @@
 """2x2 squares of group-cell idempotents and their singularization.
 
-A square (e, f, g, h) has e R f, g R h, e L g, f L h.  An idempotent eps
-singularizes it when either
+A square (e, f, g, h) has e R f, g R h, e L g, f L h.  It is singular, with
+witness an idempotent eps, when either
 
   (a) eps*e = e, eps*g = g and f*eps = e   (left-right), or
   (b) eps*g = e, e*eps = e and f*eps = f   (up-down).
 
-Case (a) further forces eps*f = f, eps*h = h, e*eps = e and g*eps = h*eps = g;
-`singularizes` asserts those consequences whenever (a) fires, and serves the
-completion squares and the tests as the full check.
+Case (a) further forces eps*f = f, eps*h = h, e*eps = e and g*eps = h*eps = g.
 
 `enumerate_singular_squares` finds the singular squares per column pair
 (lam, mu), with no search over idempotents and no visit to a non-singular
@@ -33,16 +31,7 @@ from typing import NamedTuple
 
 from .dclass import DClassGrid, enumerate_idempotents
 from .errors import StructuralError
-from .ptrans import (
-    KernelPartition,
-    PartialMap,
-    UNDEF,
-    compose,
-    compose_entries,
-)
-
-CASE_A = "left_right_a"
-CASE_B = "up_down_b"
+from .ptrans import PartialMap, UNDEF
 
 Entries = tuple[int, ...]
 
@@ -54,46 +43,6 @@ class SingularClass(NamedTuple):
     cols: tuple[int, int]  # (lam, mu), lam < mu
     rows: tuple[int, ...]  # ascending, at least two; rows[0] is the root r0
     witness: PartialMap  # e_{r0,lam} on cols[mu], the identity elsewhere; shared when equal
-
-
-def singularizes(
-    eps: PartialMap, cells: tuple[PartialMap, PartialMap, PartialMap, PartialMap]
-) -> str | None:
-    """CASE_A / CASE_B if eps singularizes the cells (e, f, g, h) as oriented, else None."""
-    if not eps.is_idempotent():
-        raise ValueError("candidate witness must be idempotent")
-    return _singular_case(eps.entries, tuple(c.entries for c in cells))
-
-
-def _singular_case(eps: Entries, cells: tuple[Entries, Entries, Entries, Entries]) -> str | None:
-    e, f, g, h = cells
-    if (
-        compose_entries(eps, e) == e
-        and compose_entries(eps, g) == g
-        and compose_entries(f, eps) == e
-    ):
-        _assert_case_a_consequences(eps, cells)
-        return CASE_A
-    if (
-        compose_entries(eps, g) == e
-        and compose_entries(e, eps) == e
-        and compose_entries(f, eps) == f
-    ):
-        return CASE_B
-    return None
-
-
-def _assert_case_a_consequences(eps: Entries, cells) -> None:
-    e, f, g, h = cells
-    ok = (
-        compose_entries(eps, f) == f
-        and compose_entries(eps, h) == h
-        and compose_entries(e, eps) == e
-        and compose_entries(g, eps) == g
-        and compose_entries(h, eps) == g
-    )
-    if not ok:
-        raise StructuralError("case (a) held but its consequences failed")
 
 
 def group_square_candidates(grid: DClassGrid) -> list[tuple[int, int, int, int]]:
@@ -243,77 +192,3 @@ def enumerate_singular_squares(grid: DClassGrid) -> tuple[SingularClass, ...]:
         out.append(SingularClass(pair, tuple(rows), top))
     out.sort(key=operator.itemgetter(0, 1))  # (cols, rows); no two classes tie
     return tuple(out)
-
-
-def complete_to_singular_square(
-    alpha: PartialMap, beta: PartialMap
-) -> tuple[PartialMap, PartialMap, PartialMap]:
-    """Complete an R-related pair of partial-domain idempotents to a singular square.
-
-    Both maps are extended to total maps by sending the missing points to the
-    image of the least domain element; the returned witness eps sends each
-    image point of beta to the corresponding image point of alpha and fixes
-    everything else, which singularizes (alpha, beta, alpha', beta') via case
-    (a).  alpha == beta is allowed and degenerates gracefully.
-    """
-    if alpha.n != beta.n:
-        raise ValueError("dimension mismatch")
-    if not alpha.is_idempotent() or not beta.is_idempotent():
-        raise ValueError("inputs must be idempotent")
-    if alpha.kernel() != beta.kernel():
-        raise ValueError("inputs must be R-related (equal kernels on equal domains)")
-    dom = alpha.domain()
-    n = alpha.n
-    if len(dom) == n:
-        raise ValueError("inputs must have a proper partial domain")
-
-    a0 = dom[0]
-    av = alpha.entries[a0]
-    bv = beta.entries[a0]
-    alpha_t = PartialMap(tuple(v if v != UNDEF else av for v in alpha.entries))
-    beta_t = PartialMap(tuple(v if v != UNDEF else bv for v in beta.entries))
-
-    eps_entries = list(range(n))
-    for x in dom:
-        eps_entries[beta.entries[x]] = alpha.entries[x]
-    eps = PartialMap(tuple(eps_entries))
-
-    _check_completion(alpha, beta, alpha_t, beta_t, eps, a0)
-    return alpha_t, beta_t, eps
-
-
-def _check_completion(alpha, beta, alpha_t, beta_t, eps, a0) -> None:
-    # mathematically forced postconditions; any failure is a bug
-    if not (alpha_t.is_total and beta_t.is_total):
-        raise StructuralError("completed maps are not total")
-    if not (alpha_t.is_idempotent() and beta_t.is_idempotent() and eps.is_idempotent()):
-        raise StructuralError("completion lost idempotency")
-    merged = _merged_kernel(alpha, a0)
-    if alpha_t.kernel() != merged or beta_t.kernel() != merged:
-        raise StructuralError("completed maps do not share the merged kernel")
-    if alpha_t.image() != alpha.image() or beta_t.image() != beta.image():
-        raise StructuralError("completion changed an image")
-    if eps.rank() < alpha.rank():
-        raise StructuralError("witness rank fell below the class rank")
-    if not _is_rectangular_band((alpha, beta, alpha_t, beta_t)):
-        raise StructuralError("the four maps do not form a rectangular band")
-    cells = (alpha.entries, beta.entries, alpha_t.entries, beta_t.entries)
-    if _singular_case(eps.entries, cells) != CASE_A:
-        raise StructuralError("completion witness does not satisfy case (a)")
-
-
-def _merged_kernel(alpha: PartialMap, a0: int) -> KernelPartition:
-    comp = [x for x in range(alpha.n) if alpha.entries[x] == UNDEF]
-    blocks = []
-    for b in alpha.kernel().blocks:
-        blocks.append(tuple(sorted(b + tuple(comp))) if a0 in b else b)
-    return KernelPartition(tuple(sorted(blocks, key=lambda b: b[0])))
-
-
-def _is_rectangular_band(maps) -> bool:
-    coords = {(m.kernel(), m.image()): m for m in maps}
-    for x in maps:
-        for y in maps:
-            if compose(x, y) != coords[(x.kernel(), y.image())]:
-                return False
-    return True

@@ -53,8 +53,6 @@ from igmax.schreier import SchreierSystem, build_schreier, word_value
 from igmax.squares import (
     Entries,
     SingularClass,
-    _singular_case,
-    complete_to_singular_square,
     group_square_candidates,
     witness_pool,
 )
@@ -511,9 +509,134 @@ def reference_tietze_simplify(p: GroupPresentation) -> GroupPresentation:
 
 
 # ---------------------------------------------------------------------------
-# Partial-row elimination oracle: the per-generator completion the per-row one
-# replaced.  It completes the pair (anchor cell, cell) of every non-anchor
-# generator of a partial row, though the completion row depends on the row.
+# Singular-square case checks and the completion lemma (Gray and Ruskuc):
+# the full per-square check that `enumerate_singular_squares` confirms by
+# lookups, and the completion of an R-related pair of partial-domain
+# idempotents to a singular square whose bottom row is total, with every
+# postcondition checked.
+
+CASE_A = "left_right_a"
+CASE_B = "up_down_b"
+
+
+def singularizes(
+    eps: PartialMap, cells: tuple[PartialMap, PartialMap, PartialMap, PartialMap]
+) -> str | None:
+    """CASE_A / CASE_B if eps singularizes the cells (e, f, g, h) as oriented, else None."""
+    if not eps.is_idempotent():
+        raise ValueError("candidate witness must be idempotent")
+    return _singular_case(eps.entries, tuple(c.entries for c in cells))
+
+
+def _singular_case(eps: Entries, cells: tuple[Entries, Entries, Entries, Entries]) -> str | None:
+    e, f, g, h = cells
+    if (
+        compose_entries(eps, e) == e
+        and compose_entries(eps, g) == g
+        and compose_entries(f, eps) == e
+    ):
+        _assert_case_a_consequences(eps, cells)
+        return CASE_A
+    if (
+        compose_entries(eps, g) == e
+        and compose_entries(e, eps) == e
+        and compose_entries(f, eps) == f
+    ):
+        return CASE_B
+    return None
+
+
+def _assert_case_a_consequences(eps: Entries, cells) -> None:
+    e, f, g, h = cells
+    ok = (
+        compose_entries(eps, f) == f
+        and compose_entries(eps, h) == h
+        and compose_entries(e, eps) == e
+        and compose_entries(g, eps) == g
+        and compose_entries(h, eps) == g
+    )
+    if not ok:
+        raise StructuralError("case (a) held but its consequences failed")
+
+
+def complete_to_singular_square(
+    alpha: PartialMap, beta: PartialMap
+) -> tuple[PartialMap, PartialMap, PartialMap]:
+    """Complete an R-related pair of partial-domain idempotents to a singular square.
+
+    Both maps are extended to total maps by sending the missing points to the
+    image of the least domain element; the returned witness eps sends each
+    image point of beta to the corresponding image point of alpha and fixes
+    everything else, which singularizes (alpha, beta, alpha', beta') via case
+    (a).  alpha == beta is allowed and degenerates gracefully.
+    """
+    if alpha.n != beta.n:
+        raise ValueError("dimension mismatch")
+    if not alpha.is_idempotent() or not beta.is_idempotent():
+        raise ValueError("inputs must be idempotent")
+    if alpha.kernel() != beta.kernel():
+        raise ValueError("inputs must be R-related (equal kernels on equal domains)")
+    dom = alpha.domain()
+    n = alpha.n
+    if len(dom) == n:
+        raise ValueError("inputs must have a proper partial domain")
+
+    a0 = dom[0]
+    av = alpha.entries[a0]
+    bv = beta.entries[a0]
+    alpha_t = PartialMap(tuple(v if v != UNDEF else av for v in alpha.entries))
+    beta_t = PartialMap(tuple(v if v != UNDEF else bv for v in beta.entries))
+
+    eps_entries = list(range(n))
+    for x in dom:
+        eps_entries[beta.entries[x]] = alpha.entries[x]
+    eps = PartialMap(tuple(eps_entries))
+
+    _check_completion(alpha, beta, alpha_t, beta_t, eps, a0)
+    return alpha_t, beta_t, eps
+
+
+def _check_completion(alpha, beta, alpha_t, beta_t, eps, a0) -> None:
+    # mathematically forced postconditions; any failure is a bug
+    if not (alpha_t.is_total and beta_t.is_total):
+        raise StructuralError("completed maps are not total")
+    if not (alpha_t.is_idempotent() and beta_t.is_idempotent() and eps.is_idempotent()):
+        raise StructuralError("completion lost idempotency")
+    merged = _merged_kernel(alpha, a0)
+    if alpha_t.kernel() != merged or beta_t.kernel() != merged:
+        raise StructuralError("completed maps do not share the merged kernel")
+    if alpha_t.image() != alpha.image() or beta_t.image() != beta.image():
+        raise StructuralError("completion changed an image")
+    if eps.rank() < alpha.rank():
+        raise StructuralError("witness rank fell below the class rank")
+    if not _is_rectangular_band((alpha, beta, alpha_t, beta_t)):
+        raise StructuralError("the four maps do not form a rectangular band")
+    cells = (alpha.entries, beta.entries, alpha_t.entries, beta_t.entries)
+    if _singular_case(eps.entries, cells) != CASE_A:
+        raise StructuralError("completion witness does not satisfy case (a)")
+
+
+def _merged_kernel(alpha: PartialMap, a0: int) -> KernelPartition:
+    comp = [x for x in range(alpha.n) if alpha.entries[x] == UNDEF]
+    blocks = []
+    for b in alpha.kernel().blocks:
+        blocks.append(tuple(sorted(b + tuple(comp))) if a0 in b else b)
+    return KernelPartition(tuple(sorted(blocks, key=lambda b: b[0])))
+
+
+def _is_rectangular_band(maps) -> bool:
+    coords = {(m.kernel(), m.image()): m for m in maps}
+    for x in maps:
+        for y in maps:
+            if compose(x, y) != coords[(x.kernel(), y.image())]:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Partial-row elimination oracle: the completion lemma run for every
+# non-anchor generator of a partial row, on the pair (anchor cell, cell), in
+# place of the completion row read off the row's kernel once per row.
 
 
 def reference_eliminate_partial_rows(
@@ -521,7 +644,7 @@ def reference_eliminate_partial_rows(
     grid: DClassGrid,
     classes: tuple[SingularClass, ...],
 ) -> GroupPresentation:
-    """`eliminate_partial_rows` with the completion run for every generator."""
+    """`eliminate_partial_rows` with the completion lemma run for every generator."""
     if grid.monoid is not Monoid.PARTIAL:
         raise ValueError("only partial grids carry partial rows")
     if p.cells is None:

@@ -27,21 +27,18 @@ from igmax.groupid import (
 from igmax.presentation import TYPE3, free_rank, gh_graph
 from igmax.ptrans import Monoid, PartialMap, compose
 from igmax.schreier import build_schreier, verify_schreier
-from igmax.squares import (
-    CASE_A,
-    enumerate_singular_squares,
-    group_square_candidates,
-    complete_to_singular_square,
-    singularizes,
-)
+from igmax.squares import enumerate_singular_squares, group_square_candidates
 
 from helpers import (
+    CASE_A,
     all_maps,
     cached_identify,
+    complete_to_singular_square,
     idempotent_closure,
     minor_gcd_invariants,
     oracle_presentations,
     pipeline,
+    singularizes,
     square_cells,
 )
 

@@ -8,27 +8,27 @@ from igmax.dclass import build_grid, enumerate_idempotents
 from igmax.errors import StructuralError
 from igmax.ptrans import Monoid, PartialMap, compose
 from igmax.squares import (
-    CASE_A,
-    CASE_B,
     _explicit_witness,
-    _singular_case,
     _top_row_holds,
     enumerate_singular_squares,
     group_square_candidates,
-    complete_to_singular_square,
-    singularizes,
     witness_pool,
 )
 
 from helpers import (
+    CASE_A,
+    CASE_B,
     MONOIDS,
     _PointwiseTest,
     _SquareScan,
+    _singular_case,
     class_squares,
+    complete_to_singular_square,
     pipeline,
     reference_enumerate_singular_squares,
     reference_top_row_holds,
     reference_witness,
+    singularizes,
     square_cells,
 )
 
