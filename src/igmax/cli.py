@@ -87,10 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
                              help="rewrite partial-row generators through total rows")
         if name == "identify":
             sub.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
-                             help="cap on the cosets defined, counted on the columns "
-                                  "enumerated: the Tietze-simplified presentation's, or "
-                                  "with --raw-coset-table the short-relator class "
-                                  "presentation's; " + COSET_MEMORY)
+                             help="cap on the cosets each enumeration defines, counted on "
+                                  "the columns enumerated: on the Tietze-simplified "
+                                  "presentation it bounds every level of the subgroup chain, "
+                                  "at most 50*k! there, and the full enumeration run when the "
+                                  "chain fails; with --raw-coset-table, the one enumeration "
+                                  "of the short-relator class presentation; " + COSET_MEMORY)
             sub.add_argument("--raw-coset-table", action="store_true",
                              help="skip Tietze's elimination: enumerate and abelianize once "
                                   "relators of length 1 or 2 have merged generators")

@@ -28,6 +28,7 @@ from .presentation import (
     TYPE2,
     TYPE3,
     GroupPresentation,
+    Relator,
     build_presentation,
     collapse_short_relators,
     free_rank,
@@ -41,6 +42,8 @@ from .squares import SingularClass, enumerate_singular_squares, group_square_can
 COMPLETE = "complete"
 OVERFLOW = "overflow"
 DEFAULT_MAX_COSETS = 10**6
+# each level of `_subgroup_chain` may define this many cosets per element of S_k
+CHAIN_CAP_PER_ORDER = 50
 
 VERDICT_SYMMETRIC = "symmetric_k"
 VERDICT_FREE = "free_of_rank"
@@ -99,15 +102,26 @@ def perm_group_order(gens) -> int:
 
 
 class CosetTable(NamedTuple):
-    """Compacted coset table; column x is relator letter x (see Relator)."""
+    """Compacted coset table; column x is relator letter x (see Relator).
+
+    The rows are the cosets of the subgroup H generated by the first
+    generators; `subgroup_order` is an upper bound on |H|, 1 for the
+    trivial subgroup.
+    """
 
     ngens: int
     table: list[list[int | None]]
     status: str
+    subgroup_order: int = 1
 
     @property
     def order(self) -> int | None:
-        return len(self.table) if self.status == COMPLETE else None
+        """Upper bound on the group order, exact over the trivial subgroup.
+
+        By Lagrange |G| = [G : H] * |H|, and a complete table has one row per
+        coset of H, so live cosets times the bound on |H| bounds |G|.
+        """
+        return len(self.table) * self.subgroup_order if self.status == COMPLETE else None
 
     def trace(self, coset: int, word) -> int | None:
         """Follow the letters of a word from a coset; None on an undefined entry."""
@@ -123,8 +137,21 @@ class _Overflow(Exception):
     pass
 
 
-def todd_coxeter(p: GroupPresentation, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
-    """Enumerate cosets of the trivial subgroup; order = live cosets when complete.
+def todd_coxeter(
+    p: GroupPresentation,
+    max_cosets: int = DEFAULT_MAX_COSETS,
+    subgroup: CosetTable | None = None,
+) -> CosetTable:
+    """Enumerate the cosets of a subgroup H; order = live cosets * |H| bound.
+
+    Without `subgroup`, H is trivial and the order is exact when complete.
+    With it, `subgroup` is a complete table of K = <Y | R_Y>, where Y is p's
+    first subgroup.ngens generators and R_Y some relators of p on Y alone,
+    and H = <Y> in G = <p>.  Every relator of K holds in G, so H is a
+    quotient of K and |H| <= |K| <= subgroup.order; a complete table of H's
+    [G : H] cosets then gives |G| <= [G : H] * subgroup.order, which is
+    the reported order: an upper bound, not the exact order.  H enters as
+    a loop at coset 0 on each of its generators, made before any scan.
 
     HLT strategy: scan every relator at every live coset, filling gaps, with a
     queue-based coincidence routine merging colliding cosets.  Hitting the
@@ -151,6 +178,12 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = DEFAULT_MAX_COSETS) -> 
 
     table: list[dict[int, int] | None] = [{}]
     parent = [0]
+    subgroup_order = 1
+    if subgroup is not None:
+        if subgroup.status != COMPLETE or subgroup.ngens > ngens:
+            raise ValueError("subgroup must be a complete table on a prefix of the generators")
+        table[0] = {x: 0 for x in range(2 * subgroup.ngens)}
+        subgroup_order = subgroup.order
 
     def rep(c: int) -> int:
         while parent[c] != c:
@@ -260,7 +293,64 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = DEFAULT_MAX_COSETS) -> 
         for x, d in table[c].items():
             dense[x] = index[d]
         compact.append(dense)
-    return CosetTable(ngens, compact, status)
+    return CosetTable(ngens, compact, status, subgroup_order)
+
+
+def _subgroup_chain(p: GroupPresentation, max_cosets: int) -> CosetTable | None:
+    """Bound |G| level by level along a chain of generator sets; None if it fails.
+
+    The generators are ordered greedily: next comes the one that completes
+    the most relators with those already chosen, ties to the least index.
+    The prefix Y_j of the first j presents K_j = <Y_j | R_j>, R_j being the
+    relators of p on Y_j alone, and level j enumerates the cosets of <Y_i>
+    in K_j over the last complete level's table of K_i.  So each complete
+    level bounds |K_j| by Lagrange (see `todd_coxeter`), and the top one,
+    on every generator and relator, bounds |G| = |K_t|.  A level that
+    overflows at `max_cosets` is extended by the next generator, and a level
+    whose last generator completes no relator is skipped, as K_j is then
+    the free product of K_{j-1} with Z.  Returns the top table, complete,
+    or None when the top level overflows.
+    """
+    ngens = len(p.generators)
+    if not ngens:
+        return todd_coxeter(p, max_cosets)
+    # an empty relator imposes nothing, and todd_coxeter drops it anyway
+    missing = [set(x >> 1 for x in rel) for rel in p.relators]
+    pending = [r for r, rel in enumerate(p.relators) if rel]
+    chain: list[int] = []
+    completed_at: list[list[int]] = []  # entry j: the relators chain[j] completes
+    while len(chain) < ngens:
+        gains = [0] * ngens
+        for r in pending:
+            if len(missing[r]) == 1:
+                gains[next(iter(missing[r]))] += 1
+        chosen = set(chain)
+        g = max((g for g in range(ngens) if g not in chosen), key=lambda g: (gains[g], -g))
+        chain.append(g)
+        done = []
+        for r in pending:
+            missing[r].discard(g)
+            if not missing[r]:
+                done.append(r)
+        completed_at.append(done)
+        pending = [r for r in pending if missing[r]]
+
+    position = {g: j for j, g in enumerate(chain)}
+    rels: list[Relator] = []
+    tags: list[str] = []
+    names = tuple(p.generators[g] for g in chain)
+    sub = None
+    for j, done in enumerate(completed_at):
+        for r in done:
+            rels.append(tuple(2 * position[x >> 1] | x & 1 for x in p.relators[r]))
+            tags.append(p.provenance[r])
+        if not done and j < ngens - 1:
+            continue
+        level = GroupPresentation(names[: j + 1], tuple(rels), tuple(tags))
+        table = todd_coxeter(level, max_cosets, subgroup=sub)
+        if table.status == COMPLETE:
+            sub = table
+    return sub if sub is not None and sub.ngens == ngens else None
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +653,16 @@ def identify(
     certified symmetric via order k! plus a verified surjection onto S_k.
     `workers` is accepted and has no effect.
 
+    The surjection is checked first, as it gives |G| >= k!.  Then the upper
+    bound comes from `_subgroup_chain` on the simplified presentation: for
+    generator sets Y_1 < ... < Y_t, each level's table bounds |G| by
+    Lagrange, as <Y_{j-1}> in K_j is a quotient of K_{j-1}, so
+    |G| <= prod_j [K_j : <Y_{j-1}>].  Every level is capped at
+    min(max_cosets, 50 * k!) cosets.  The top table is taken only when the
+    surjection holds and the bound is k!; then |G| = k! and the order is
+    exact.  In every other case one HLT enumeration over the trivial
+    subgroup, capped at max_cosets, gives the exact order, or overflows.
+
     Without `simplify` (CLI --raw-coset-table) only Tietze's first phase,
     `collapse_short_relators`, runs, timed as "tietze", and its one class
     presentation feeds both `todd_coxeter` and `abelian_invariants`.  Every
@@ -619,16 +719,20 @@ def identify(
         with _timed(timings, "tietze"):
             simp = tietze_simplify(raw) if simplify else raw
             pres = simp if simplify else collapse_short_relators(raw)
-        with _timed(timings, "coset_enumeration"):
-            table = todd_coxeter(pres, max_cosets=max_cosets)
-        with _timed(timings, "abelian_invariants"):
-            inv = abelian_invariants(pres)
         with _timed(timings, "hom"):
             hom = rees_hom(grid, sys, anchors_map)
             hom_ok = verify_hom(raw, hom)
             image_order = perm_group_order(hom.values())
-
         expected = math.factorial(k)
+        with _timed(timings, "coset_enumeration"):
+            table = None
+            if simplify and hom_ok and image_order == expected:
+                table = _subgroup_chain(pres, min(max_cosets, CHAIN_CAP_PER_ORDER * expected))
+            if table is None or table.order != expected:
+                table = todd_coxeter(pres, max_cosets=max_cosets)
+        with _timed(timings, "abelian_invariants"):
+            inv = abelian_invariants(pres)
+
         diagnostics = []
         if table.status == OVERFLOW:
             diagnostics.append(f"coset enumeration overflowed at {max_cosets} cosets")

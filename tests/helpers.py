@@ -17,6 +17,7 @@ from igmax.dclass import DClassGrid, Permutation, default_base
 from igmax.errors import StructuralError
 from igmax.groupid import (
     COMPLETE,
+    DEFAULT_MAX_COSETS,
     OVERFLOW,
     CosetTable,
     _Overflow,
@@ -259,6 +260,30 @@ def square_cells(grid: DClassGrid, rows: tuple[int, int], cols: tuple[int, int])
     """The cells (e, f, g, h) of the square on rows (i, j) and cols (lam, mu), as oriented."""
     (i, j), (lam, mu) = rows, cols
     return grid.cell(i, lam), grid.cell(i, mu), grid.cell(j, lam), grid.cell(j, mu)
+
+
+class Enumeration(NamedTuple):
+    presentation: GroupPresentation
+    max_cosets: int
+    subgroup: CosetTable | None
+    table: CosetTable
+
+
+def record_enumerations(monkeypatch) -> list[Enumeration]:
+    """Wrap `groupid.todd_coxeter` by module attribute, as the traced
+    benchmark does, and list every call made through it."""
+    from igmax import groupid
+
+    calls: list[Enumeration] = []
+    real = groupid.todd_coxeter
+
+    def recording(p, max_cosets=DEFAULT_MAX_COSETS, subgroup=None):
+        table = real(p, max_cosets, subgroup)
+        calls.append(Enumeration(p, max_cosets, subgroup, table))
+        return table
+
+    monkeypatch.setattr(groupid, "todd_coxeter", recording)
+    return calls
 
 
 @lru_cache(maxsize=None)

@@ -9,12 +9,13 @@ the enumeration part way.  The raw `identify` route enumerates the class
 presentation of `collapse_short_relators`, so that one is checked as well.
 """
 
+import math
 import random
 
 import pytest
 
 from igmax.dclass import ANCHOR_RULES
-from igmax.groupid import todd_coxeter
+from igmax.groupid import DEFAULT_MAX_COSETS, VERDICT_SYMMETRIC, identify, todd_coxeter
 from igmax.presentation import (
     GroupPresentation,
     collapse_short_relators,
@@ -23,7 +24,14 @@ from igmax.presentation import (
 )
 from igmax.schreier import TIE_BREAKS
 
-from helpers import MONOIDS, letters, oracle_presentations, pipeline, reference_todd_coxeter
+from helpers import (
+    MONOIDS,
+    letters,
+    oracle_presentations,
+    pipeline,
+    record_enumerations,
+    reference_todd_coxeter,
+)
 
 CAPS = (1, 10, 100, 1000, 10**6)
 SQUEEZE_CLASSES = [(n, k) for n in range(2, 6) for k in range(1, n - 1)]
@@ -147,3 +155,41 @@ class TestSmallPresentations:
                 tuple(f"x{g}" for g in range(ngens)), rels, tuple("type3" for _ in rels)
             )
             assert_tables_agree(pres, caps=(1, 7, 60, 400))
+
+
+# every symmetric class with n <= 7 under both anchor rules and tie-breaks;
+# n = 8 under slow, with the defaults
+CHAIN_CLASSES = [
+    (key, n, k, anchor_rule, tie_break)
+    for n in range(3, 8) for k in range(1, n - 1) for key in sorted(MONOIDS)
+    for anchor_rule in ("lex", "lexmax") for tie_break in TIE_BREAKS
+] + [pytest.param(key, 8, k, "lex", "least", marks=pytest.mark.slow)
+     for k in range(1, 7) for key in sorted(MONOIDS)]
+
+
+class TestSubgroupChain:
+    """identify bounds the order along `_subgroup_chain` and runs the full
+    HLT enumeration only when the chain fails.  On every symmetric class the
+    chain must close, at exactly the full enumeration's order: a fallback
+    would keep identify's output, so only the enumerations it made show it."""
+
+    @pytest.mark.parametrize("key,n,k,anchor_rule,tie_break", CHAIN_CLASSES)
+    def test_chain_closes_at_the_full_order(self, monkeypatch, key, n, k, anchor_rule, tie_break):
+        from igmax import groupid
+
+        simplified = []
+        real_tietze = groupid.tietze_simplify
+
+        def recording_tietze(p):
+            simplified.append(real_tietze(p))
+            return simplified[-1]
+
+        monkeypatch.setattr(groupid, "tietze_simplify", recording_tietze)
+        calls = record_enumerations(monkeypatch)
+        report = identify(n, k, MONOIDS[key], anchor_rule=anchor_rule, tie_break=tie_break)
+        order = math.factorial(k)
+        assert (report.verdict, report.order) == (VERDICT_SYMMETRIC, order)
+        assert [c.max_cosets for c in calls] == [min(DEFAULT_MAX_COSETS, 50 * order)] * len(calls)
+        top = calls[-1].table
+        assert (top.ngens, top.order) == (len(simplified[0].generators), order)
+        assert reference_todd_coxeter(simplified[0]).order == order

@@ -5,12 +5,14 @@ import pytest
 
 from igmax.groupid import (
     COMPLETE,
+    DEFAULT_MAX_COSETS,
     OVERFLOW,
     VERDICT_FREE,
     VERDICT_SYMMETRIC,
     VERDICT_TRIVIAL,
     VERDICT_UNDECIDED,
     AbelianInvariants,
+    _subgroup_chain,
     abelian_invariants,
     build_stages,
     identify,
@@ -32,6 +34,7 @@ from igmax.schreier import word_value
 
 from helpers import (
     MONOIDS,
+    _power,
     all_maps,
     all_pairs_presentation,
     cached_identify,
@@ -40,6 +43,7 @@ from helpers import (
     minor_gcd_invariants,
     oracle_presentations,
     pipeline,
+    record_enumerations,
     reference_perm_group_order,
     reference_smith_normal_form,
     reference_verify_hom,
@@ -151,6 +155,100 @@ class TestToddCoxeter:
         a = todd_coxeter(pres)
         b = todd_coxeter(pres)
         assert a.table == b.table and a.status == b.status
+
+
+# (name, relators on a, b; relators of K = <a | ...>, [G : <a>], |G|)
+SUBGROUP_CASES = [
+    ("s3", [_power(0, 2), _power(1, 3), (_power(0, 1) + _power(1, 1)) * 2], [_power(0, 2)], 3, 6),
+    ("d5", [_power(0, 2), _power(1, 2), (_power(0, 1) + _power(1, 1)) * 5], [_power(0, 2)], 5, 10),
+    ("q8", [_power(0, 4), _power(0, 2) + _power(1, -2), letters(((1, -1), (0, 1), (1, 1), (0, 1)))],
+     [_power(0, 4)], 2, 8),
+]
+# <a, b | a^4, b a^-2, b> has order 2, but K = <a | a^4> has order 4 and
+# <a> is all of G: the bound is 1 * 4, strict
+STRICT = make("ab", [_power(0, 4), _power(1, 1) + _power(0, -2), _power(1, 1)])
+
+
+class TestSubgroupEnumeration:
+    """todd_coxeter over the subgroup H generated by the first generators,
+    given a complete table of a group K that H is a quotient of: one row per
+    coset of H, and the order [G : H] * |K| bounds |G|."""
+
+    @pytest.mark.parametrize("name,rels,sub_rels,index,order", SUBGROUP_CASES)
+    def test_index_times_subgroup_order(self, name, rels, sub_rels, index, order):
+        pres = make("ab", rels)
+        sub = todd_coxeter(make("a", sub_rels))
+        table = todd_coxeter(pres, subgroup=sub)
+        assert table.status == COMPLETE
+        assert (len(table.table), table.subgroup_order) == (index, sub.order)
+        assert table.order == order == todd_coxeter(pres).order
+        # H fixes coset 0, and the table is G's action on the cosets of H
+        assert table.table[0][:2] == [0, 0]
+        for rel in pres.relators:
+            for c in range(index):
+                assert table.trace(c, rel) == c, (name, rel, c)
+
+    def test_strict_bound_is_not_the_order(self):
+        sub = todd_coxeter(make("a", [_power(0, 4)]))
+        table = todd_coxeter(STRICT, subgroup=sub)
+        assert (table.status, len(table.table), table.order) == (COMPLETE, 1, 4)
+        assert todd_coxeter(STRICT).order == 2
+        # the chain reaches the same bound: only the surjection can make it exact
+        assert _subgroup_chain(STRICT, 100).order == 4
+
+    def test_subgroup_must_be_a_complete_prefix_table(self):
+        pres = make("ab", SUBGROUP_CASES[0][1])
+        with pytest.raises(ValueError):
+            todd_coxeter(make("a", [_power(0, 2)]), subgroup=todd_coxeter(pres))
+        with pytest.raises(ValueError):
+            todd_coxeter(pres, subgroup=todd_coxeter(make("a", []), max_cosets=10))
+
+    def test_overflow_has_no_order(self):
+        sub = todd_coxeter(make("a", [_power(0, 2)]))
+        table = todd_coxeter(make("ab", [_power(0, 2)]), max_cosets=50, subgroup=sub)
+        assert (table.status, table.order) == (OVERFLOW, None)
+
+
+class TestSubgroupChain:
+    """_subgroup_chain orders the generators greedily and bounds the order
+    level by level; on the micro suite each level's subgroup embeds, so the
+    bound is the order."""
+
+    @pytest.mark.parametrize("name,pres,perms", ORACLE_PRESENTATIONS)
+    def test_micro_suite(self, name, pres, perms):
+        table = _subgroup_chain(pres, 1000)
+        assert table.ngens == len(pres.generators)
+        assert table.order == ORACLE_EXPECTED_ORDERS[name], name
+
+    @pytest.mark.parametrize("name,rels,sub_rels,index,order", SUBGROUP_CASES)
+    def test_two_generator_groups(self, monkeypatch, name, rels, sub_rels, index, order):
+        # b completes no relator alone and a does, so a comes first: K_1 = <a | sub_rels>
+        calls = record_enumerations(monkeypatch)
+        table = _subgroup_chain(make("ab", rels), 1000)
+        assert calls[0].presentation.relators == tuple(sub_rels)
+        assert (len(calls), len(table.table), table.order) == (2, index, order)
+
+    def test_greedy_order_and_skipped_levels(self, monkeypatch):
+        # c and d each complete one relator alone, and the tie goes to c; then
+        # a completes two, d one; b and e complete nothing apart, so b comes
+        # next on the tie, and its level, which adds no relator, is skipped.
+        # G = S_3: <c, a> is S_3, and b e = b e^2 = d = 1.
+        pres = make("abcde", [
+            _power(1, 1) + _power(4, 1), _power(2, 2), (_power(2, 1) + _power(0, 1)) * 2,
+            _power(0, 3) + _power(2, 2), _power(3, 1), _power(1, 1) + _power(4, 2),
+        ])
+        calls = record_enumerations(monkeypatch)
+        table = _subgroup_chain(pres, 1000)
+        assert [(c.presentation.generators, len(c.presentation.relators), c.table.order)
+                for c in calls] == [(("c",), 1, 2), (("c", "a"), 3, 6), (("c", "a", "d"), 4, 6),
+                                    (("c", "a", "d", "b", "e"), 6, 6)]
+        assert table.order == 6 == todd_coxeter(pres).order
+
+    def test_top_overflow_fails(self):
+        assert _subgroup_chain(make("ab", [_power(0, 2)]), 100) is None
+
+    def test_no_generators(self):
+        assert _subgroup_chain(make("", []), 1).order == 1
 
 
 def _unit_free_matrices():
@@ -409,6 +507,52 @@ class TestIdentify:
         assert report.diagnostics == [diagnostic]
         assert main(["identify", "--monoid", "pt", "--n", "4", "--k", "2"]) == 1
         assert capsys.readouterr().out == f"monoid=pt n=4 k=2: undecided: {diagnostic}\n"
+
+    @pytest.mark.parametrize("max_cosets", (DEFAULT_MAX_COSETS, 200))
+    def test_chain_levels_are_capped(self, monkeypatch, max_cosets):
+        # PT_6 k=4 simplifies to 3 generators: three levels, none overflowing
+        calls = record_enumerations(monkeypatch)
+        report = identify(6, 4, PT, max_cosets=max_cosets)
+        assert (report.verdict, report.order) == (VERDICT_SYMMETRIC, 24)
+        assert [c.max_cosets for c in calls] == [min(max_cosets, 50 * 24)] * 3
+        assert [c.subgroup is None for c in calls] == [True, False, False]
+        assert calls[-1].table.order == 24
+
+    def test_chain_certifies_below_the_full_enumeration_cap(self):
+        # HLT on T_5 k=3's simplified presentation defines 8 cosets, the chain
+        # at most 3 per level; the raw route still runs HLT alone
+        simplified = tietze_simplify(pipeline("t", 5, 3)[-1])
+        assert todd_coxeter(simplified, max_cosets=5).status == OVERFLOW
+        report = identify(5, 3, T, max_cosets=5)
+        assert (report.verdict, report.order, report.diagnostics) == (VERDICT_SYMMETRIC, 6, [])
+        assert identify(5, 3, T, max_cosets=5, simplify=False).verdict == VERDICT_UNDECIDED
+
+    @pytest.mark.parametrize("factor", (2, 0))
+    def test_chain_bound_other_than_k_factorial_is_not_taken(self, monkeypatch, factor):
+        # a chain bound above k! (as on `STRICT`) or, impossibly, below it is
+        # not the order: full HLT over the trivial subgroup runs last
+        from igmax import groupid
+
+        real_chain = groupid._subgroup_chain
+
+        def scaled_chain(p, cap):
+            table = real_chain(p, cap)
+            return table._replace(subgroup_order=table.subgroup_order * factor)
+
+        monkeypatch.setattr(groupid, "_subgroup_chain", scaled_chain)
+        calls = record_enumerations(monkeypatch)
+        report = identify(5, 3, T)
+        assert (report.verdict, report.order) == (VERDICT_SYMMETRIC, 6)
+        assert (calls[-1].max_cosets, calls[-1].subgroup) == (DEFAULT_MAX_COSETS, None)
+
+    def test_no_chain_without_a_surjection(self, monkeypatch):
+        from igmax import groupid
+
+        monkeypatch.setattr(groupid, "verify_hom", lambda p, hom: False)
+        calls = record_enumerations(monkeypatch)
+        report = identify(6, 4, PT)
+        assert (report.verdict, report.order) == (VERDICT_UNDECIDED, 24)
+        assert [(c.max_cosets, c.subgroup) for c in calls] == [(DEFAULT_MAX_COSETS, None)]
 
     STAGES = {"grid", "schreier", "squares", "presentation"}
 
