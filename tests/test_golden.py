@@ -6,7 +6,8 @@ class of `CORPUS_RUNS` and each combination of the anchor rules and
 tie-breaks the variant crosses, the sha256 of the exit code and stdout,
 followed by the written file for the `--gap` variants.  A variant crosses
 exactly the flags its subcommand accepts, which `build_parser` alone decides;
-a flag it does not cross sits at its default in the key.  The default
+a flag it does not cross sits at its default in the key.  A `corpus` variant
+takes no class flags, so it runs once, under the key `corpus`.  The default
 combination runs in tier 1, the rest under `slow`.  After a deliberate output
 change, rewrite the digests of the variants that changed, and only those,
 from the root of a checkout with
@@ -35,29 +36,38 @@ from igmax.schreier import TIE_BREAKS
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
 CLASSES = [(mon, n, k) for mon, n, k, _ in CORPUS_RUNS if n <= 5]
+PARTIAL = [c for c in CLASSES if c[0] == "pt"]
 
 # flag -> its values, the default first
 FLAGS = {"--anchor-rule": ANCHOR_RULES, "--tie-break": TIE_BREAKS}
 BOTH = tuple(FLAGS)
 DEFAULT = tuple(values[0] for values in FLAGS.values())
 
-# variant -> (argv after the class flags, partial monoid only, flags crossed)
+# variant -> (argv after the class flags, the classes it runs, flags crossed);
+# a variant without classes runs once, with no class flags
 VARIANTS = {
-    "identify-json": (["identify", "--output", "json"], False, BOTH),
-    "identify-text": (["identify", "--output", "text"], False, BOTH),
-    "identify-raw": (["identify", "--raw-coset-table", "--output", "json"], False, BOTH),
-    "squares": (["squares", "--output", "json"], False, ()),
-    "grid": (["grid", "--output", "json"], False, ()),
-    "free-rank": (["free-rank", "--output", "json"], False, ()),
-    "schreier": (["schreier", "--output", "json"], False, ("--tie-break",)),
-    "presentation": (["presentation", "--output", "json"], False, BOTH),
+    "identify-json": (["identify", "--output", "json"], CLASSES, BOTH),
+    "identify-text": (["identify", "--output", "text"], CLASSES, BOTH),
+    "identify-raw": (["identify", "--raw-coset-table", "--output", "json"], CLASSES, BOTH),
+    "squares": (["squares", "--output", "json"], CLASSES, ()),
+    "squares-text": (["squares", "--output", "text"], CLASSES, ()),
+    "grid": (["grid", "--output", "json"], CLASSES, ()),
+    "grid-text": (["grid", "--output", "text"], CLASSES, ()),
+    "free-rank": (["free-rank", "--output", "json"], CLASSES, ()),
+    "free-rank-text": (["free-rank", "--output", "text"], CLASSES, ()),
+    "schreier": (["schreier", "--output", "json"], CLASSES, ("--tie-break",)),
+    "schreier-text": (["schreier", "--output", "text"], CLASSES, ("--tie-break",)),
+    "presentation": (["presentation", "--output", "json"], CLASSES, BOTH),
+    "presentation-text": (["presentation", "--output", "text"], CLASSES, BOTH),
     "presentation-simplify": (
-        ["presentation", "--simplify", "--output", "json"], False, BOTH),
+        ["presentation", "--simplify", "--output", "json"], CLASSES, BOTH),
     "presentation-eliminate": (
-        ["presentation", "--eliminate-partial", "--output", "json"], True, BOTH),
-    "presentation-gap": (["presentation", "--output", "text", "--gap"], False, BOTH),
+        ["presentation", "--eliminate-partial", "--output", "json"], PARTIAL, BOTH),
+    "presentation-gap": (["presentation", "--output", "text", "--gap"], CLASSES, BOTH),
     "presentation-simplify-gap": (
-        ["presentation", "--simplify", "--output", "text", "--gap"], False, BOTH),
+        ["presentation", "--simplify", "--output", "text", "--gap"], CLASSES, BOTH),
+    "corpus-json": (["corpus", "--output", "json"], [], ()),
+    "corpus-text": (["corpus", "--output", "text"], [], ()),
 }
 
 
@@ -87,17 +97,17 @@ def run_digest(argv: list[str]) -> str:
 
 
 def digests(variant: str, anchor_rule: str, tie_break: str) -> dict[str, str]:
-    argv, partial_only, crossed = VARIANTS[variant]
+    argv, classes, crossed = VARIANTS[variant]
     values = dict(zip(FLAGS, (anchor_rule, tie_break)))
     flags = [x for f in crossed for x in (f, values[f])]
-    out = {}
-    for mon, n, k in CLASSES:
-        if partial_only and mon != "pt":
-            continue
-        out[f"{mon}-{n}-{k}"] = run_digest(
+    if not classes:
+        return {argv[0]: run_digest([*argv, *flags])}
+    return {
+        f"{mon}-{n}-{k}": run_digest(
             [argv[0], "--monoid", mon, "--n", str(n), "--k", str(k), *flags, *argv[1:]]
         )
-    return out
+        for mon, n, k in classes
+    }
 
 
 def key(variant: str, anchor_rule: str, tie_break: str) -> str:
@@ -123,8 +133,8 @@ def accepts(argv: list[str]) -> bool:
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_crossed_flags_are_the_accepted_ones(variant):
-    argv, _, crossed = VARIANTS[variant]
-    head = [argv[0], "--monoid", "pt", "--n", "4", "--k", "2"]
+    argv, classes, crossed = VARIANTS[variant]
+    head = [argv[0], "--monoid", "pt", "--n", "4", "--k", "2"] if classes else argv[:1]
     tail = [*argv[1:], "x.g"] if argv[-1] == "--gap" else argv[1:]
     assert accepts([*head, *tail])
     for flag, values in FLAGS.items():
