@@ -2,9 +2,11 @@
 
 Every subcommand is deterministic for a fixed set of flags; JSON output is
 byte-identical across runs (timings are opt-in because they are not).
-Each subcommand takes only the flags it reads.  Exit codes: 0 success, 1
-undecided verdict or failed corpus, 2 usage error or unwritable file, 3
-structural error.
+Each subcommand takes only the flags it reads.  `main` alone validates the
+class flags, writes a subcommand's output and maps errors to exit codes; a
+`_cmd_*` returns its exit code, a builder of its JSON payload (run only for
+`--output json`) and its text.  Exit codes: 0 success, 1 undecided verdict
+or failed corpus, 2 usage error or unwritable file, 3 structural error.
 """
 
 from __future__ import annotations
@@ -107,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(args) -> Monoid:
-    monoid = MONOIDS[args.monoid]
+def _validate(args) -> None:
     if args.n < 1:
         raise ValueError("n must be positive")
     if args.n > args.max_n:
@@ -117,9 +118,16 @@ def _validate(args) -> Monoid:
         )
     if not 0 <= args.k <= args.n:
         raise ValueError(f"k={args.k} out of range for n={args.n}")
-    if monoid is Monoid.TOTAL and args.k == 0:
+    if args.monoid == "t" and args.k == 0:
         raise ValueError("T_n has no rank-0 class")
-    return monoid
+
+
+def _grid(args):
+    return build_grid(args.n, args.k, MONOIDS[args.monoid])
+
+
+def _class_json(args) -> dict:
+    return {"n": args.n, "k": args.k, "monoid": args.monoid}
 
 
 def _grid_json(grid) -> dict:
@@ -146,26 +154,19 @@ def _grid_json(grid) -> dict:
     }
 
 
-def _cmd_grid(args, out) -> int:
-    monoid = _validate(args)
-    grid = build_grid(args.n, args.k, monoid)
-    if args.output == "json":
-        out.write(_dump(_grid_json(grid)))
-    else:
-        out.write(
-            f"monoid={args.monoid} n={args.n} k={args.k}: "
-            f"rows {len(grid.rows)}, cols {len(grid.cols)}, "
-            f"group_cells {len(grid.group_cells)}\n"
-        )
-    return 0
+def _cmd_grid(args):
+    grid = _grid(args)
+    return 0, lambda: _grid_json(grid), (
+        f"monoid={args.monoid} n={args.n} k={args.k}: "
+        f"rows {len(grid.rows)}, cols {len(grid.cols)}, "
+        f"group_cells {len(grid.group_cells)}\n"
+    )
 
 
-def _cmd_schreier(args, out) -> int:
-    sys_ = verified_schreier(build_grid(args.n, args.k, _validate(args)), args.tie_break)
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "monoid": args.monoid,
+def _cmd_schreier(args):
+    sys_ = verified_schreier(_grid(args), args.tie_break)
+    return 0, lambda: {
+        **_class_json(args),
         "base_col": sys_.base_col + 1,
         "words": [
             {
@@ -176,31 +177,22 @@ def _cmd_schreier(args, out) -> int:
             for c in sorted(sys_.r)
         ],
         "verified": True,
-    }
-    if args.output == "json":
-        out.write(_dump(payload))
-    else:
-        out.write(
-            f"schreier system over {len(sys_.r)} columns, "
-            f"max word length {max(len(w) for w in sys_.r.values())}, verified\n"
-        )
-    return 0
+    }, (
+        f"schreier system over {len(sys_.r)} columns, "
+        f"max word length {max(len(w) for w in sys_.r.values())}, verified\n"
+    )
 
 
-def _cmd_squares(args, out) -> int:
-    monoid = _validate(args)
-    grid = build_grid(args.n, args.k, monoid)
-    classes = enumerate_singular_squares(grid)
+def _cmd_squares(args):
+    classes = enumerate_singular_squares(_grid(args))
     sizes = [len(c.rows) for c in classes]
     counts = {
         "classes": len(classes),
         "singular_squares": sum(m * (m - 1) // 2 for m in sizes),
         "star_relators": sum(sizes) - len(sizes),
     }
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "monoid": args.monoid,
+    return 0, lambda: {
+        **_class_json(args),
         "counts": counts,
         "classes": [
             {
@@ -210,19 +202,14 @@ def _cmd_squares(args, out) -> int:
             }
             for c in classes
         ],
-    }
-    if args.output == "json":
-        out.write(_dump(payload))
-    else:
-        out.write("{classes} classes, {singular_squares} singular squares, "
-                  "{star_relators} star relators\n".format(**counts))
-    return 0
+    }, ("{classes} classes, {singular_squares} singular squares, "
+        "{star_relators} star relators\n".format(**counts))
 
 
-def _cmd_presentation(args, out) -> int:
-    monoid = _validate(args)
+def _cmd_presentation(args):
     grid, _, _, classes, pres = build_stages(
-        args.n, args.k, monoid, anchor_rule=args.anchor_rule, tie_break=args.tie_break
+        args.n, args.k, MONOIDS[args.monoid],
+        anchor_rule=args.anchor_rule, tie_break=args.tie_break,
     )
     if args.eliminate_partial:
         pres = eliminate_partial_rows(pres, grid, classes)
@@ -234,54 +221,40 @@ def _cmd_presentation(args, out) -> int:
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(gh_graph(grid)))
-    if args.output == "json":
-        out.write(_dump(presentation_to_json(pres)))
-    else:
-        counts = pres.counts_by_type()
-        out.write(
-            f"{len(pres.generators)} generators, {len(pres.relators)} relators "
-            f"({counts['type1']} type1, {counts['type2']} type2, "
-            f"{counts['type3']} type3, {counts['tietze']} tietze)\n"
-        )
-    return 0
+    counts = pres.counts_by_type()
+    return 0, lambda: presentation_to_json(pres), (
+        f"{len(pres.generators)} generators, {len(pres.relators)} relators "
+        f"({counts['type1']} type1, {counts['type2']} type2, "
+        f"{counts['type3']} type3, {counts['tietze']} tietze)\n"
+    )
 
 
-def _cmd_identify(args, out) -> int:
-    monoid = _validate(args)
+def _cmd_identify(args):
     if args.workers < 1:
         raise ValueError("workers must be positive")
     if args.timings and args.output != "json":
         raise ValueError("--timings needs --output json")
     report = identify(
-        args.n,
-        args.k,
-        monoid,
-        max_cosets=args.max_cosets,
-        anchor_rule=args.anchor_rule,
-        tie_break=args.tie_break,
+        args.n, args.k, MONOIDS[args.monoid], max_cosets=args.max_cosets,
+        anchor_rule=args.anchor_rule, tie_break=args.tie_break,
         simplify=not args.raw_coset_table,
     )
-    if args.output == "json":
-        out.write(_dump(report.to_json(include_timings=args.timings)))
-    else:
-        desc = {
-            VERDICT_SYMMETRIC: f"symmetric group S_{args.k} of order {report.order}",
-            VERDICT_FREE: f"free group of rank {report.free_rank}",
-            VERDICT_TRIVIAL: "trivial group",
-        }.get(report.verdict, "undecided: " + "; ".join(report.diagnostics))
-        out.write(f"monoid={args.monoid} n={args.n} k={args.k}: {desc}\n")
-    return 0 if report.verdict != VERDICT_UNDECIDED else 1
+    desc = {
+        VERDICT_SYMMETRIC: f"symmetric group S_{args.k} of order {report.order}",
+        VERDICT_FREE: f"free group of rank {report.free_rank}",
+        VERDICT_TRIVIAL: "trivial group",
+    }.get(report.verdict, "undecided: " + "; ".join(report.diagnostics))
+    return (
+        int(report.verdict == VERDICT_UNDECIDED),
+        lambda: report.to_json(include_timings=args.timings),
+        f"monoid={args.monoid} n={args.n} k={args.k}: {desc}\n",
+    )
 
 
-def _cmd_free_rank(args, out) -> int:
-    monoid = _validate(args)
-    grid = build_grid(args.n, args.k, monoid)
+def _cmd_free_rank(args):
+    grid = _grid(args)
     rank = free_rank(gh_graph(grid), grid.base)
-    if args.output == "json":
-        out.write(_dump({"n": args.n, "k": args.k, "monoid": args.monoid, "free_rank": rank}))
-    else:
-        out.write(f"{rank}\n")
-    return 0
+    return 0, lambda: {**_class_json(args), "free_rank": rank}, f"{rank}\n"
 
 
 CORPUS_RUNS: list[tuple[str, int, int, str]] = [
@@ -309,9 +282,8 @@ CORPUS_RUNS: list[tuple[str, int, int, str]] = [
 ]
 
 
-def _cmd_corpus(args, out) -> int:
+def _cmd_corpus(args):
     runs = []
-    all_ok = True
     for mon, n, k, expected in CORPUS_RUNS:
         report = identify(n, k, MONOIDS[mon], max_cosets=args.max_cosets)
         ok = report.verdict == expected
@@ -319,7 +291,6 @@ def _cmd_corpus(args, out) -> int:
             ok = ok and report.order == math.factorial(k)
         elif expected == VERDICT_FREE:  # the Graham-Houghton cycle rank
             ok = ok and report.free_rank == (n - 1) * (n - 2) // 2
-        all_ok = all_ok and ok
         runs.append(
             {
                 "monoid": mon,
@@ -332,28 +303,29 @@ def _cmd_corpus(args, out) -> int:
                 "ok": ok,
             }
         )
-    if args.output == "json":
-        out.write(_dump({"runs": runs, "all_ok": all_ok}))
-    else:
-        for r in runs:
-            status = "ok " if r["ok"] else "FAIL"
-            if r["verdict"] == VERDICT_FREE:
-                order = f"free({r['free_rank']})"
-            else:
-                order = "unknown" if r["order"] is None else r["order"]
-            out.write(
-                f"{status} {r['monoid']:>2} n={r['n']} k={r['k']} "
-                f"verdict={r['verdict']} order={order}\n"
-            )
-        out.write("all ok\n" if all_ok else "FAILURES\n")
-    return 0 if all_ok else 1
+    all_ok = all(r["ok"] for r in runs)
+    lines = []
+    for r in runs:
+        if r["verdict"] == VERDICT_FREE:
+            order = f"free({r['free_rank']})"
+        else:
+            order = "unknown" if r["order"] is None else r["order"]
+        lines.append(
+            f"{'ok ' if r['ok'] else 'FAIL'} {r['monoid']:>2} n={r['n']} k={r['k']} "
+            f"verdict={r['verdict']} order={order}\n"
+        )
+    lines.append("all ok\n" if all_ok else "FAILURES\n")
+    return int(not all_ok), lambda: {"runs": runs, "all_ok": all_ok}, "".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(args, sys.stdout)
+        if "monoid" in args:  # every subcommand but corpus takes the class flags
+            _validate(args)
+        code, payload, text = args.run(args)
+        sys.stdout.write(_dump(payload()) if args.output == "json" else text)
+        return code
     except StructuralError as exc:
         sys.stderr.write(_dump({"error": "structural", "message": str(exc)}))
         return 3
