@@ -694,8 +694,6 @@ def identify(
     if k == n - 1:
         if group_square_candidates(grid):
             raise StructuralError("unexpected all-group square in the k = n-1 class")
-        if counts["type3"]:
-            raise StructuralError("unexpected type-3 relator in the k = n-1 class")
         with _timed(timings, "free_rank"):
             rank = free_rank(gh_graph(grid), grid.base)
         with _timed(timings, "tietze"):
