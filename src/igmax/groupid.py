@@ -306,10 +306,15 @@ def _subgroup_chain(p: GroupPresentation, max_cosets: int) -> CosetTable | None:
     in K_j over the last complete level's table of K_i.  So each complete
     level bounds |K_j| by Lagrange (see `todd_coxeter`), and the top one,
     on every generator and relator, bounds |G| = |K_t|.  A level that
-    overflows at `max_cosets` is extended by the next generator, and a level
-    whose last generator completes no relator is skipped, as K_j is then
-    the free product of K_{j-1} with Z.  Returns the top table, complete,
-    or None when the top level overflows.
+    overflows at `max_cosets` is extended by the next generator.  Below the
+    top, a level whose last generator g completes no relator is skipped, as
+    K_j is then the free product of K_{j-1} with Z, and so is a level whose
+    new relators all lie on g alone while the last complete table has order
+    > 1: K_j is then K_{j-1} * <g | R_g>, infinite unless a factor is
+    trivial, so it could only overflow.  No table precedes level 0, so the
+    second rule never skips it.  A skipped level keeps the bound sound, as
+    the next level runs over the last complete table, as after an overflow.
+    Returns the top table, complete, or None when the top level overflows.
     """
     ngens = len(p.generators)
     if not ngens:
@@ -344,7 +349,8 @@ def _subgroup_chain(p: GroupPresentation, max_cosets: int) -> CosetTable | None:
         for r in done:
             rels.append(tuple(2 * position[x >> 1] | x & 1 for x in p.relators[r]))
             tags.append(p.provenance[r])
-        if not done and j < ngens - 1:
+        alone = all(x >> 1 == chain[j] for r in done for x in p.relators[r])
+        if j < ngens - 1 and (not done or alone and sub is not None and sub.order > 1):
             continue
         level = GroupPresentation(names[: j + 1], tuple(rels), tuple(tags))
         table = todd_coxeter(level, max_cosets, subgroup=sub)

@@ -230,9 +230,10 @@ class TestSubgroupChain:
 
     def test_greedy_order_and_skipped_levels(self, monkeypatch):
         # c and d each complete one relator alone, and the tie goes to c; then
-        # a completes two, d one; b and e complete nothing apart, so b comes
-        # next on the tie, and its level, which adds no relator, is skipped.
-        # G = S_3: <c, a> is S_3, and b e = b e^2 = d = 1.
+        # a completes two, d one; d's level adds only its relator on d alone
+        # over a table of order 6, and is skipped; b and e complete nothing
+        # apart, so b comes next on the tie, and its level, which adds no
+        # relator, is skipped.  G = S_3: <c, a> is S_3, and b e = b e^2 = d = 1.
         pres = make("abcde", [
             _power(1, 1) + _power(4, 1), _power(2, 2), (_power(2, 1) + _power(0, 1)) * 2,
             _power(0, 3) + _power(2, 2), _power(3, 1), _power(1, 1) + _power(4, 2),
@@ -240,9 +241,24 @@ class TestSubgroupChain:
         calls = record_enumerations(monkeypatch)
         table = _subgroup_chain(pres, 1000)
         assert [(c.presentation.generators, len(c.presentation.relators), c.table.order)
-                for c in calls] == [(("c",), 1, 2), (("c", "a"), 3, 6), (("c", "a", "d"), 4, 6),
+                for c in calls] == [(("c",), 1, 2), (("c", "a"), 3, 6),
                                     (("c", "a", "d", "b", "e"), 6, 6)]
         assert table.order == 6 == todd_coxeter(pres).order
+
+    @pytest.mark.parametrize("a_order, orders", [(3, [3, 6]), (1, [1, 2, 2])])
+    def test_free_product_level(self, monkeypatch, a_order, orders):
+        # G = <a, b, c | a^m, b^2, c = ab, c^2>: S_3 for m = 3, C_2 for m = 1.
+        # a, b and c each complete one relator alone, so a comes first and b
+        # next, on the ties; b completes only b^2, so K_1 = <a | a^m> * <b | b^2>.
+        # For m = 3 that is infinite over a table of order 3 and is skipped;
+        # for m = 1 it is C_2 over a table of order 1 and is enumerated.
+        pres = make("abc", [_power(0, a_order), _power(1, 2),
+                            _power(2, -1) + _power(0, 1) + _power(1, 1), _power(2, 2)])
+        calls = record_enumerations(monkeypatch)
+        table = _subgroup_chain(pres, 1000)
+        assert [c.table.order for c in calls] == orders
+        assert calls[0].presentation.generators == ("a",)
+        assert table.order == orders[-1] == todd_coxeter(pres).order
 
     def test_top_overflow_fails(self):
         assert _subgroup_chain(make("ab", [_power(0, 2)]), 100) is None
@@ -553,6 +569,18 @@ class TestIdentify:
         report = identify(6, 4, PT)
         assert (report.verdict, report.order) == (VERDICT_UNDECIDED, 24)
         assert [(c.max_cosets, c.subgroup) for c in calls] == [(DEFAULT_MAX_COSETS, None)]
+
+    @pytest.mark.slow
+    def test_t8_k6_chain_skips_its_free_product_level(self, monkeypatch):
+        # the simplified presentation has 4 generators; level 0 presents C_3,
+        # and the next generator completes only its own square, so the level
+        # on two generators would be C_3 * C_2 and is skipped
+        calls = record_enumerations(monkeypatch)
+        report = identify(8, 6, T)
+        assert (report.verdict, report.order) == (VERDICT_SYMMETRIC, 720)
+        assert [(len(c.presentation.generators), len(c.presentation.relators),
+                 c.table.status, c.table.order) for c in calls] == [
+            (1, 1, COMPLETE, 3), (3, 5, OVERFLOW, None), (4, 114, COMPLETE, 720)]
 
     STAGES = {"grid", "schreier", "squares", "presentation"}
 
