@@ -8,9 +8,12 @@ from igmax.ptrans import (
     PartialMap,
     KernelPartition,
     compose,
+    iter_set_partitions,
+    kernels_of_rank,
 )
 
 from helpers import (
+    all_maps,
     all_partial_maps,
     brute_idempotents,
     green_ideals,
@@ -124,6 +127,66 @@ class TestKernelPartition:
         assert is_transversal(kp, (1, 2))
         assert not is_transversal(kp, (0, 1))
         assert not is_transversal(kp, (2,))
+
+
+def stirling2(n: int, k: int) -> int:
+    """Partitions of an n-set into k blocks: S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def assert_set_partition(blocks, elems):
+    """Nonempty sorted blocks, listed by least element, disjoint, covering `elems`."""
+    assert all(b and list(b) == sorted(b) for b in blocks)
+    firsts = [b[0] for b in blocks]
+    assert firsts == sorted(set(firsts))
+    assert sorted(x for b in blocks for x in b) == list(elems)
+
+
+class TestSetPartitions:
+    @pytest.mark.parametrize("n", range(9))
+    def test_counts_and_shape(self, n):
+        elems = tuple(range(n))
+        for k in range(n + 2):
+            found = list(iter_set_partitions(elems, k))
+            assert len(found) == len(set(found)) == stirling2(n, k)
+            for blocks in found:
+                assert len(blocks) == k
+                assert_set_partition(blocks, elems)
+
+    def test_non_contiguous_input(self):
+        elems = (0, 2, 5)
+        assert sorted(iter_set_partitions(elems, 2)) == [
+            ((0,), (2, 5)), ((0, 2), (5,)), ((0, 5), (2,)),
+        ]
+        for k in range(5):
+            found = list(iter_set_partitions(elems, k))
+            assert len(found) == len(set(found)) == stirling2(3, k)
+            for blocks in found:
+                assert_set_partition(blocks, elems)
+
+
+# every rank of both monoids for n <= 5; n = 6 under slow
+KERNEL_CLASSES = [(n, k) for n in range(1, 6) for k in range(n + 1)] + [
+    pytest.param(6, k, marks=pytest.mark.slow) for k in range(7)
+]
+
+
+class TestKernelsOfRank:
+    @pytest.mark.parametrize("n,k", KERNEL_CLASSES)
+    @pytest.mark.parametrize("monoid", [T, PT])
+    def test_matches_kernels_of_all_maps(self, n, k, monoid):
+        brute = {m.kernel() for m in all_maps(n, monoid) if m.rank() == k}
+        found = kernels_of_rank(n, k, monoid)
+        assert found == sorted(brute, key=KernelPartition.sort_key)
+        # a partial map is a total map onto a sink for its undefined points
+        expected = stirling2(n, k) if monoid is T else stirling2(n + 1, k + 1)
+        assert len(found) == expected
+
+    def test_rank_two_of_four_points(self):
+        assert len(kernels_of_rank(4, 2, T)) == 7
+        assert len(kernels_of_rank(4, 2, PT)) == 25
 
 
 class TestIdempotentFromCell:
