@@ -97,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "of the short-relator class presentation; " + COSET_MEMORY)
             sub.add_argument("--raw-coset-table", action="store_true",
                              help="skip Tietze's elimination: enumerate and abelianize once "
-                                  "relators of length 1 or 2 have merged generators")
+                                  "relators of length 1 or 2 have merged generators; no "
+                                  "effect at k = n-1, whose free certificate always runs "
+                                  "the elimination and reports its sizes")
             sub.add_argument("--timings", action="store_true", help="needs --output json")
             sub.add_argument("--workers", type=int, default=1, help="accepted; no effect")
 

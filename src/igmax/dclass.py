@@ -61,6 +61,8 @@ def default_base(n: int, k: int) -> PartialMap:
 
 def build_grid(n: int, k: int, monoid: Monoid) -> DClassGrid:
     """The rank-k grid, based at the cell of `default_base(n, k)`."""
+    if not isinstance(monoid, Monoid):
+        raise ValueError(f"monoid must be a Monoid, not {monoid!r}")
     if not 0 <= k <= n:
         raise ValueError(f"rank {k} out of range for n={n}")
     if monoid is Monoid.TOTAL and k == 0:

@@ -63,17 +63,6 @@ class GroupPresentation(Frozen):
                 if a ^ 1 == b:
                     raise ValueError("relator is not freely reduced")
 
-    def _key(self) -> tuple:
-        return self.generators, self.relators, self.provenance, self.cells
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def counts_by_type(self) -> dict[str, int]:
         counts = Counter(self.provenance)
         return {t: counts.get(t, 0) for t in (TYPE1, TYPE2, TYPE3, TIETZE)}

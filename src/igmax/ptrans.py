@@ -6,7 +6,6 @@ arguments.  Points are 0-based internally; all text and JSON I/O is 1-based.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 
 UNDEF = -1
@@ -20,8 +19,8 @@ class Frozen:
     import costs more than the rest of `import igmax`.
 
     `_fields` names the slots, which `__init__` sets once through
-    `object.__setattr__`; each subclass defines `__eq__` (same class, equal
-    fields) and `__hash__` over its fields.
+    `object.__setattr__`.  Two values are equal when their classes are the
+    same and their fields are equal, and a value hashes as its field tuple.
     """
 
     __slots__ = ()
@@ -33,13 +32,24 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, so the checks run again
-        return type(self), tuple(getattr(self, f) for f in self._fields)
+        return type(self), self._key()
 
 
 class Monoid(Enum):
@@ -63,14 +73,6 @@ class PartialMap(Frozen):
         for v in entries:
             if v != UNDEF and not 0 <= v < n:
                 raise ValueError(f"entry {v} out of range for n={n}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
 
     @property
     def n(self) -> int:
@@ -121,11 +123,11 @@ class PartialMap(Frozen):
         body = s[1:-1].strip()
         if not body:
             raise ValueError(f"bad map literal: {text!r}")
-        entries = []
-        for part in body.split(","):
-            part = part.strip()
-            entries.append(UNDEF if part == "-" else int(part) - 1)
-        return cls(tuple(entries))
+        values = [None if part.strip() == "-" else int(part) for part in body.split(",")]
+        # checked before the shift to 0-based, where 0 would become UNDEF
+        if any(v is not None and v < 1 for v in values):
+            raise ValueError(f"bad map literal: {text!r} (entries are '-' or 1..n)")
+        return cls(tuple(UNDEF if v is None else v - 1 for v in values))
 
     def to_text(self) -> str:
         return "[" + ",".join("-" if v == UNDEF else str(v + 1) for v in self.entries) + "]"
@@ -156,14 +158,6 @@ class KernelPartition(Frozen):
                     raise ValueError("blocks must be disjoint")
                 seen.add(x)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.blocks == other.blocks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.blocks,))
-
     @property
     def domain(self) -> tuple[int, ...]:
         return tuple(sorted(x for b in self.blocks for x in b))
@@ -186,43 +180,30 @@ def compose_entries(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def iter_set_partitions(elems: tuple[int, ...], k: int):
-    """All partitions of `elems` into exactly k blocks, canonical block order."""
-    n = len(elems)
-    if k == 0:
-        if n == 0:
-            yield ()
+    """All partitions of the ascending `elems` into exactly k blocks, each block
+    sorted and the blocks listed by least element."""
+    if len(elems) == k:
+        yield tuple((x,) for x in elems)
         return
-    if n < k:
+    if not 0 < k < len(elems):
         return
-    blocks: list[list[int]] = []
-
-    def rec(idx: int):
-        if idx == n:
-            if len(blocks) == k:
-                yield tuple(tuple(b) for b in blocks)
-            return
-        if len(blocks) + (n - idx) < k:
-            return
-        x = elems[idx]
-        for b in blocks:
-            b.append(x)
-            yield from rec(idx + 1)
-            b.pop()
-        if len(blocks) < k:
-            blocks.append([x])
-            yield from rec(idx + 1)
-            blocks.pop()
-
-    yield from rec(0)
+    x, rest = elems[0], elems[1:]
+    # the least element starts a block of its own or joins one of the others
+    for blocks in iter_set_partitions(rest, k - 1):
+        yield ((x,),) + blocks
+    for blocks in iter_set_partitions(rest, k):
+        for i, b in enumerate(blocks):
+            yield ((x,) + b,) + blocks[:i] + blocks[i + 1:]
 
 
 def kernels_of_rank(n: int, k: int, monoid: Monoid) -> list[KernelPartition]:
     """Kernels of the rank-k class, domain size descending then block-list order."""
-    sizes = [n] if monoid is Monoid.TOTAL else range(n, k - 1, -1)
-    out = []
-    for m in sizes:
-        for dom in itertools.combinations(range(n), m):
-            for blocks in iter_set_partitions(dom, k):
-                out.append(KernelPartition(blocks))
+    # a partial map acts as a total map on n + 1 points that sends its undefined
+    # points to the sink n: partition n + 1 points into k + 1 blocks, drop the sink's block
+    sink = int(monoid is not Monoid.TOTAL)
+    out = [
+        KernelPartition(tuple(b for b in blocks if b[-1] < n))
+        for blocks in iter_set_partitions(tuple(range(n + sink)), k + sink)
+    ]
     out.sort(key=KernelPartition.sort_key)
     return out

@@ -341,6 +341,54 @@ def idempotent_from_cell(n: int, kp: KernelPartition, image) -> PartialMap:
     return PartialMap(tuple(entries))
 
 
+# ---------------------------------------------------------------------------
+# Kernel oracle: the domain-by-domain enumeration the sink-point partition of
+# n + 1 points replaced.  It partitions every m-element domain into k blocks,
+# m from n down to k (only m = n for T_n), with its own set-partition generator.
+
+
+def reference_set_partitions(elems: tuple[int, ...], k: int):
+    """Partitions of `elems` into k blocks, each element placed in turn."""
+    n = len(elems)
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    if n < k:
+        return
+    blocks: list[list[int]] = []
+
+    def rec(idx: int):
+        if idx == n:
+            if len(blocks) == k:
+                yield tuple(tuple(b) for b in blocks)
+            return
+        if len(blocks) + (n - idx) < k:
+            return
+        x = elems[idx]
+        for b in blocks:
+            b.append(x)
+            yield from rec(idx + 1)
+            b.pop()
+        if len(blocks) < k:
+            blocks.append([x])
+            yield from rec(idx + 1)
+            blocks.pop()
+
+    yield from rec(0)
+
+
+def reference_kernels_of_rank(n: int, k: int, monoid: Monoid) -> list[KernelPartition]:
+    sizes = [n] if monoid is Monoid.TOTAL else range(n, k - 1, -1)
+    out = []
+    for m in sizes:
+        for dom in itertools.combinations(range(n), m):
+            for blocks in reference_set_partitions(dom, k):
+                out.append(KernelPartition(blocks))
+    out.sort(key=KernelPartition.sort_key)
+    return out
+
+
 def reference_enumerate_idempotents(n: int, k: int, monoid: Monoid) -> list[PartialMap]:
     """All rank-k idempotents, kernel by kernel, each kernel's transversals in
     lexicographic order."""

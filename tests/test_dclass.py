@@ -2,7 +2,14 @@ import pytest
 
 from igmax import dclass
 from igmax.cli import CORPUS_RUNS
-from igmax.dclass import ANCHOR_RULES, anchors, build_grid, default_base, sandwich_matrix
+from igmax.dclass import (
+    ANCHOR_RULES,
+    anchors,
+    build_grid,
+    default_base,
+    enumerate_idempotents,
+    sandwich_matrix,
+)
 from igmax.errors import StructuralError
 from igmax.groupid import perm_identity, verified_schreier
 from igmax.ptrans import Monoid, PartialMap, compose, compose_entries
@@ -96,6 +103,14 @@ class TestBuildGrid:
         assert gn.base_idempotent == PartialMap.identity(3)
         with pytest.raises(ValueError):
             build_grid(3, 0, T)
+
+    @pytest.mark.parametrize("monoid", ["t", "pt", None])
+    def test_rejects_a_monoid_that_is_not_a_member(self, monoid):
+        # a bare "t" once built PT_4's 25 rows under the label "t"
+        with pytest.raises(ValueError):
+            build_grid(4, 2, monoid)
+        with pytest.raises(ValueError):
+            enumerate_idempotents(4, 2, monoid)
 
 
 # every class with n <= 6, both monoids, every k; three n = 7 classes under slow

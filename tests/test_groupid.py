@@ -467,6 +467,12 @@ class TestIdentify:
         report = identify(n, k, PT)
         assert report.verdict == VERDICT_TRIVIAL and report.order == 1
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_rejects_a_monoid_that_is_not_a_member(self, k):
+        # identify(4, 2, "t") once reported PT_4's class, whose to_json raised
+        with pytest.raises(ValueError):
+            identify(4, k, "t")
+
     def test_rank_one_is_trivial_symmetric(self):
         report = cached_identify("pt", 4, 1)
         assert report.verdict == VERDICT_SYMMETRIC

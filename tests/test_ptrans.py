@@ -20,6 +20,7 @@ from helpers import (
     idempotent_from_cell,
     is_transversal,
     reference_enumerate_idempotents,
+    reference_kernels_of_rank,
 )
 
 PT = Monoid.PARTIAL
@@ -105,6 +106,12 @@ class TestStructure:
         with pytest.raises(ValueError):
             PartialMap.from_text("2,2,-")
 
+    @pytest.mark.parametrize("text", ["[0,1]", "[1,0]", "[-0,1]", "[1,-1]", "[1,3]", "[1,x]"])
+    def test_text_accepts_only_dash_or_one_to_n(self, text):
+        # '0' once read as undefined: '[0,1]' printed back as '[-,1]'
+        with pytest.raises(ValueError):
+            PartialMap.from_text(text)
+
     def test_entry_validation(self):
         with pytest.raises(ValueError):
             PartialMap((0, 5, 1))
@@ -183,6 +190,14 @@ class TestKernelsOfRank:
         # a partial map is a total map onto a sink for its undefined points
         expected = stirling2(n, k) if monoid is T else stirling2(n + 1, k + 1)
         assert len(found) == expected
+
+    @pytest.mark.parametrize(
+        "n", [*range(7), *(pytest.param(n, marks=pytest.mark.slow) for n in (7, 8))]
+    )
+    @pytest.mark.parametrize("monoid", [T, PT])
+    def test_matches_domain_by_domain_oracle(self, n, monoid):
+        for k in range(n + 1):
+            assert kernels_of_rank(n, k, monoid) == reference_kernels_of_rank(n, k, monoid)
 
     def test_rank_two_of_four_points(self):
         assert len(kernels_of_rank(4, 2, T)) == 7
