@@ -106,7 +106,7 @@ class TestBuildGrid:
 
     @pytest.mark.parametrize("monoid", ["t", "pt", None])
     def test_rejects_a_monoid_that_is_not_a_member(self, monoid):
-        # a bare "t" once built PT_4's 25 rows under the label "t"
+        # the CLI maps "t" and "pt" to members; the library takes members only
         with pytest.raises(ValueError):
             build_grid(4, 2, monoid)
         with pytest.raises(ValueError):

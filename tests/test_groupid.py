@@ -469,7 +469,7 @@ class TestIdentify:
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_rejects_a_monoid_that_is_not_a_member(self, k):
-        # identify(4, 2, "t") once reported PT_4's class, whose to_json raised
+        # a bare "t" must not pass as either monoid, at k = n (trivial) or below
         with pytest.raises(ValueError):
             identify(4, k, "t")
 
