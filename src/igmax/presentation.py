@@ -1,7 +1,7 @@
 """Presentations of the maximal subgroup attached to a D-class grid.
 
 One generator X_<row>_<col> per group cell, relators in three flavors:
-anchors equal 1 (type 1), Schreier parent edges identify generators (type 2),
+anchors equal 1 (type 1), Schreier letters identify generators (type 2),
 singular squares equate column transitions across rows (type 3).  Includes
 the Graham-Houghton graph, cycle rank, Tietze simplification (a short-relator
 union-find, then indexed elimination), and the elimination of all generators
@@ -125,6 +125,10 @@ def build_presentation(
     columns, type 3 the four distinct cells of a square; the three lengths
     differ, so no relator needs a dedup pass.
 
+    Type 2 reads the star system of `build_schreier`: each non-base column's
+    word r[mu] is one letter e_{i,mu} with (i, base) a group cell, and gives
+    X_{i,base} X_{i,mu}^-1, in ascending mu.  Any other word is a ValueError.
+
     Type 3 is the star of each singular class: with r0 its least row, the
     squares (r0, j) on its other rows j, in the canonical (i, j, lam, mu)
     order.  The relator of the square on rows i and j is
@@ -144,19 +148,17 @@ def build_presentation(
     rels: list[Relator] = [(letter[(i, anchors_map[i])],) for i in range(len(grid.rows))]
     tags = [TYPE1] * len(rels)
 
-    # type 2: literal word equality r[lam] + e_{i,mu} == r[mu], lam by its distinct word
-    col_of = {w: lam for lam, w in sys.r.items()}
+    # type 2: X_{i,base} = X_{i,mu} for the one letter r[mu] = e_{i,mu}
+    base = sys.base_col
     for mu in range(len(grid.cols)):
+        if mu == base:
+            continue
         w = sys.r[mu]
-        if not w:
-            continue
-        i, target = w[-1]
-        if target != mu or (i, mu) not in grid.group_cells:
-            continue
-        lam = col_of.get(w[:-1])
-        if lam is not None and (i, lam) in grid.group_cells:
-            rels.append((letter[(i, lam)], letter[(i, mu)] ^ 1))
-            tags.append(TYPE2)
+        i = w[0][0] if len(w) == 1 else None
+        if w != ((i, mu),) or (i, mu) not in letter or (i, base) not in letter:
+            raise ValueError(f"r[{mu}] is not one letter of column {mu} in a base-column row")
+        rels.append((letter[(i, base)], letter[(i, mu)] ^ 1))
+        tags.append(TYPE2)
 
     star = sorted((c.rows[0], j, *c.cols) for c in classes for j in c.rows[1:])
     for i, j, lam, mu in star:

@@ -198,6 +198,8 @@ def iter_set_partitions(elems: tuple[int, ...], k: int):
 
 def kernels_of_rank(n: int, k: int, monoid: Monoid) -> list[KernelPartition]:
     """Kernels of the rank-k class, domain size descending then block-list order."""
+    if not isinstance(monoid, Monoid):
+        raise ValueError(f"monoid must be a Monoid, not {monoid!r}")
     # a partial map acts as a total map on n + 1 points that sends its undefined
     # points to the sink n: partition n + 1 points into k + 1 blocks, drop the sink's block
     sink = int(monoid is not Monoid.TOTAL)

@@ -4,11 +4,12 @@ A word is a tuple of grid cells (row, col); its value is the left-to-right
 product of the cell idempotents.  Each column's word r[col] must move the base
 L-class onto that column's L-class by right multiplication, with r_inv[col]
 undoing it, both preserving R-classes; by Green's lemma two products check it.
+The built words have one letter each, read off a row the column shares with
+the base column; `verify_schreier` checks words of any length.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import StructuralError
@@ -38,47 +39,38 @@ def word_value(grid: "DClassGrid", word: EWord) -> PartialMap:
 
 
 def build_schreier(grid: "DClassGrid", tie_break: str = "least") -> SchreierSystem:
-    """Breadth-first Schreier system over the column graph.
+    """The star Schreier system: every column is one letter from the base.
 
-    Columns lam, mu are adjacent when some row has group cells at both; the
-    words r[mu] = r[lam] + e_{i,mu} and r_inv[mu] = e_{i,lam} + r_inv[lam] are
-    mutually inverse because e_{i,mu} and e_{i,lam} are R-related idempotents.
-    A degenerate grid (k in {0, n}) has one column, whose words are empty.
+    Any two k-subsets A and B with 1 <= k <= n-1 are transversals of one total
+    kernel: put each point of A & B in a block of its own, pair A - B with
+    B - A one pair per block, and let every other point join the first block.
+    So every column mu shares a row i with the base column, and r[mu] = e_{i,mu}
+    and r_inv[mu] = e_{i,base} are mutually inverse, because the two are
+    R-related idempotents.  A degenerate grid (k in {0, n}) has one column,
+    whose words are empty.
 
-    With tie_break "least" the PT_n system is the T_n system, so the paper's
-    reduction to T_n needs no separate lift: the total rows sort first (domain
-    size descending), at T_n's row indices; the columns and the total base
-    are the same; and a partial row with transversals lam and mu stays one
-    when the points outside its domain join any block, so two columns share
-    a row exactly when they share a total row, and min(shared) is total.
-    The walk thus meets the same columns in the same order with the same
-    letters.  "greatest" may pick partial rows.
+    Tie-break "least" picks the least shared row, "greatest" the greatest.
+    With "least" the PT_n system is the T_n system, so the paper's reduction
+    to T_n needs no separate lift: the shared row built above is total, the
+    total rows sort first (domain size descending) at T_n's row indices, and
+    the columns and the total base are the same.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    reverse = tie_break == "greatest"
-    ncols = len(grid.cols)
+    pick = max if tie_break == "greatest" else min
     base = grid.base[1]
+    base_rows = set(grid.cells_in_col[base])
     r: dict[int, EWord] = {base: ()}
     r_inv: dict[int, EWord] = {base: ()}
-    queue = deque([base])
-    col_order = range(ncols - 1, -1, -1) if reverse else range(ncols)
-    while queue:
-        lam = queue.popleft()
-        rows_lam = set(grid.cells_in_col[lam])
-        for mu in col_order:
-            if mu in r:
-                continue
-            shared = rows_lam.intersection(grid.cells_in_col[mu])
-            if not shared:
-                continue
-            i = max(shared) if reverse else min(shared)
-            r[mu] = r[lam] + ((i, mu),)
-            r_inv[mu] = ((i, lam),) + r_inv[lam]
-            queue.append(mu)
-    if len(r) != ncols:
-        missing = sorted(set(range(ncols)) - set(r))
-        raise StructuralError(f"column graph disconnected; unreachable columns {missing}")
+    for mu, rows in enumerate(grid.cells_in_col):
+        if mu == base:
+            continue
+        shared = base_rows.intersection(rows)
+        if not shared:
+            raise StructuralError(f"column {mu} shares no row with the base column {base}")
+        i = pick(shared)
+        r[mu] = ((i, mu),)
+        r_inv[mu] = ((i, base),)
     return SchreierSystem(base, r, r_inv)
 
 

@@ -788,9 +788,44 @@ def reference_eliminate_partial_rows(
 
 
 # ---------------------------------------------------------------------------
-# Schreier oracle: the exhaustive check the Green's-lemma one replaced.  It
-# multiplies every element of the base L-class by every column word, so it is
-# slow but checks the bijection L_e -> L_col element by element.
+# Schreier oracles: the breadth-first build the one-letter star replaced, and
+# the exhaustive check the Green's-lemma one replaced.  The check multiplies
+# every element of the base L-class by every column word, so it is slow but
+# checks the bijection L_e -> L_col element by element.
+
+
+def reference_build_schreier(grid: DClassGrid, tie_break: str = "least") -> SchreierSystem:
+    """Breadth-first Schreier system over the column graph.
+
+    Columns lam, mu are adjacent when some row has group cells at both; the
+    words r[mu] = r[lam] + e_{i,mu} and r_inv[mu] = e_{i,lam} + r_inv[lam] are
+    mutually inverse because e_{i,mu} and e_{i,lam} are R-related idempotents.
+    It makes no assumption that the graph is complete, so it checks the star.
+    """
+    reverse = tie_break == "greatest"
+    ncols = len(grid.cols)
+    base = grid.base[1]
+    r: dict[int, tuple] = {base: ()}
+    r_inv: dict[int, tuple] = {base: ()}
+    queue = deque([base])
+    col_order = range(ncols - 1, -1, -1) if reverse else range(ncols)
+    while queue:
+        lam = queue.popleft()
+        rows_lam = set(grid.cells_in_col[lam])
+        for mu in col_order:
+            if mu in r:
+                continue
+            shared = rows_lam.intersection(grid.cells_in_col[mu])
+            if not shared:
+                continue
+            i = max(shared) if reverse else min(shared)
+            r[mu] = r[lam] + ((i, mu),)
+            r_inv[mu] = ((i, lam),) + r_inv[lam]
+            queue.append(mu)
+    if len(r) != ncols:
+        missing = sorted(set(range(ncols)) - set(r))
+        raise StructuralError(f"column graph disconnected; unreachable columns {missing}")
+    return SchreierSystem(base, r, r_inv)
 
 
 def l_class_elements(grid: DClassGrid, col: int) -> list[PartialMap]:

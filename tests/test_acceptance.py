@@ -186,7 +186,7 @@ def test_criterion_09_invariance_suite():
             assert other.abelian_invariants == base.abelian_invariants
             assert other.verdict == base.verdict == VERDICT_SYMMETRIC
     report_line(9, "order and abelian invariants survive anchor-rule swaps and "
-                   "reversed BFS tie-breaking")
+                   "reversed Schreier tie-breaking")
 
 
 def test_criterion_10_generation_sanity():

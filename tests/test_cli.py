@@ -269,10 +269,16 @@ class TestDeterminism:
 
 
 class TestErrors:
-    def test_k_out_of_range_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "grid", "--monoid", "pt", "--n", "3", "--k", "5")
+    @pytest.mark.parametrize(
+        "n,k,message",
+        [("3", "5", "out of range"), ("0", "0", "n must be positive")],
+        ids=["k_above_n", "n_zero"],
+    )
+    def test_k_out_of_range_is_usage_error(self, capsys, n, k, message):
+        code, out, err = run(capsys, "grid", "--monoid", "pt", "--n", n, "--k", k)
         assert code == 2
-        assert "out of range" in err
+        assert out == ""
+        assert message in err
 
     def test_size_cap(self, capsys):
         code, _, err = run(capsys, "grid", "--monoid", "pt", "--n", "9", "--k", "2")

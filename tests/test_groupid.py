@@ -530,6 +530,28 @@ class TestIdentify:
         assert main(["identify", "--monoid", "pt", "--n", "4", "--k", "2"]) == 1
         assert capsys.readouterr().out == f"monoid=pt n=4 k=2: undecided: {diagnostic}\n"
 
+    def test_false_simplified_relator_is_undecided(self, monkeypatch, capsys):
+        # a Tietze result with a relator the group does not satisfy never certifies
+        from igmax import groupid
+        from igmax.cli import main
+
+        real_tietze_simplify = groupid.tietze_simplify
+
+        def with_false_relator(p):
+            simp = real_tietze_simplify(p)
+            return GroupPresentation(
+                simp.generators, simp.relators + ((0,),), simp.provenance + ("tietze",)
+            )
+
+        monkeypatch.setattr(groupid, "tietze_simplify", with_false_relator)
+        report = identify(4, 2, PT)
+        assert (report.verdict, report.order, report.hom_valid) == (VERDICT_UNDECIDED, 1, True)
+        assert report.diagnostics == ["order 1 differs from k! = 2"]
+        assert main(["identify", "--monoid", "pt", "--n", "4", "--k", "2"]) == 1
+        assert capsys.readouterr().out == (
+            "monoid=pt n=4 k=2: undecided: order 1 differs from k! = 2\n"
+        )
+
     @pytest.mark.parametrize("max_cosets", (DEFAULT_MAX_COSETS, 200))
     def test_chain_levels_are_capped(self, monkeypatch, max_cosets):
         # PT_6 k=4 simplifies to 3 generators: three levels, none overflowing

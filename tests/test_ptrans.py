@@ -199,6 +199,11 @@ class TestKernelsOfRank:
         for k in range(n + 1):
             assert kernels_of_rank(n, k, monoid) == reference_kernels_of_rank(n, k, monoid)
 
+    @pytest.mark.parametrize("monoid", ["t", "pt", None])
+    def test_monoid_must_be_a_member(self, monoid):
+        with pytest.raises(ValueError, match="monoid must be a Monoid"):
+            kernels_of_rank(4, 2, monoid)
+
 
 class TestIdempotentFromCell:
     def test_unique_retraction(self):

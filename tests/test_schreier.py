@@ -1,6 +1,7 @@
 import pytest
 
 from igmax.dclass import build_grid
+from igmax.errors import StructuralError
 from igmax.groupid import verified_schreier
 from igmax.ptrans import Monoid, compose
 from igmax.schreier import (
@@ -11,7 +12,7 @@ from igmax.schreier import (
     word_value,
 )
 
-from helpers import l_class_elements, pipeline, reference_lift
+from helpers import l_class_elements, pipeline, reference_build_schreier, reference_lift
 
 PT = Monoid.PARTIAL
 T = Monoid.TOTAL
@@ -25,11 +26,35 @@ class TestBuild:
         assert sys_.r_inv[sys_.base_col] == ()
         assert sys_.base_col == grid.base[1]
 
-    def test_pt3_k2_single_letters(self):
-        grid = build_grid(3, 2, PT)
-        sys_ = build_schreier(grid)
-        assert set(sys_.r) == {0, 1, 2}
-        assert all(len(w) <= 1 for w in sys_.r.values())
+    @pytest.mark.parametrize("tie", TIE_BREAKS)
+    @pytest.mark.parametrize("monoid", [T, PT])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_star_matches_breadth_first_oracle(self, n, monoid, tie):
+        # the column graph is complete, so the BFS never leaves the base column
+        for k in range(0 if monoid is PT else 1, n + 1):
+            grid = build_grid(n, k, monoid)
+            sys_ = build_schreier(grid, tie)
+            assert sys_ == reference_build_schreier(grid, tie), (n, k)
+            assert set(sys_.r) == set(range(len(grid.cols)))
+            for col, w in sys_.r.items():
+                assert len(w) == (col != sys_.base_col) == len(sys_.r_inv[col]), (n, k, col)
+
+    def test_unknown_tie_break(self):
+        with pytest.raises(ValueError, match="tie_break must be one of"):
+            build_schreier(build_grid(3, 2, PT), "middle")
+
+    def test_column_sharing_no_base_row_is_structural_error(self):
+        grid = build_grid(4, 2, PT)
+        base = grid.base[1]
+        mu = 1 if base != 1 else 2
+        base_rows = set(grid.cells_in_col[base])
+        cut = grid._replace(cells_in_col=tuple(
+            tuple(i for i in rows if i not in base_rows) if c == mu else rows
+            for c, rows in enumerate(grid.cells_in_col)
+        ))
+        assert cut.cells_in_col[mu]
+        with pytest.raises(StructuralError, match=f"column {mu} shares no row with the base"):
+            build_schreier(cut)
 
     @pytest.mark.parametrize("monoid", [T, PT])
     def test_built_systems_verify(self, monoid):
@@ -52,7 +77,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("tie", TIE_BREAKS)
     def test_degenerate_grid_gets_empty_words(self, tie):
-        # k in {0, n}: one column, so the BFS stops at the root
+        # k in {0, n}: one column, the base, so there is no letter to read
         for n in range(1, 7):
             for monoid, k in [(PT, 0), (PT, n), (T, n)]:
                 grid = build_grid(n, k, monoid)
@@ -78,17 +103,21 @@ class TestBuild:
 
 
 class TestVerify:
-    def test_corrupted_system_reports_violations(self):
+    @pytest.mark.parametrize("corruption", ["swap_inverses", "foreign_letter"])
+    def test_corrupted_system_reports_violations(self, corruption):
         grid = build_grid(3, 2, PT)
         sys_ = build_schreier(grid)
         cols = [c for c in sys_.r if c != sys_.base_col]
         a, b = cols[0], cols[1]
-        broken = SchreierSystem(
-            base_col=sys_.base_col,
-            r=dict(sys_.r),
-            r_inv={**sys_.r_inv, a: sys_.r_inv[b], b: sys_.r_inv[a]},
-        )
-        assert verify_schreier(grid, broken) != []
+        if corruption == "swap_inverses":
+            r, r_inv = dict(sys_.r), {**sys_.r_inv, a: sys_.r_inv[b], b: sys_.r_inv[a]}
+            violation = "does not invert"
+        else:
+            i = next(i for i in range(len(grid.rows)) if (i, a) not in grid.group_cells)
+            r, r_inv = {**sys_.r, a: ((i, a),)}, dict(sys_.r_inv)
+            violation = "is not a group cell"
+        violations = verify_schreier(grid, SchreierSystem(sys_.base_col, r, r_inv))
+        assert violations and all(violation in v for v in violations), violations
 
     def test_empty_word_system_on_degenerate_grid(self):
         grid = build_grid(3, 3, PT)
