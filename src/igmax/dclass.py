@@ -149,6 +149,20 @@ def _member_of_cell(
         raise StructuralError(f"{what} fell out of its H-class")
 
 
+def column_representatives(
+    grid: DClassGrid, sys: "_schreier.SchreierSystem"
+) -> list[tuple[int, ...]]:
+    """q[col] = e * r[col] for every column, e the base idempotent, each checked
+    to lie in the H-class of the base row and column col."""
+    e = grid.base_idempotent.entries
+    qs = []
+    for c in range(len(grid.cols)):
+        q = _product(e, _schreier.word_value(grid, sys.r[c]).entries)
+        _member_of_cell(grid, q, e, c, f"column representative q[{c}]")
+        qs.append(q)
+    return qs
+
+
 def sandwich_matrix(
     grid: DClassGrid, sys: "_schreier.SchreierSystem", anchors_map: dict[int, int]
 ) -> dict[tuple[int, int], Permutation]:
@@ -171,13 +185,16 @@ def sandwich_matrix(
     gives (q*t)*e = q*t.  So q*t is never composed; each entry reads it on
     im e as t[q[b]] (im e lies in dom e = dom q), and the bijection is the
     one check left per cell.
+
+    `identify` no longer calls this: `groupid.rees_hom` reads the
+    homomorphism off the column representatives alone, as t[row] cancels
+    from every quotient p_{anchor,row} * p_{col,row}^-1.  The matrix stays
+    the textbook object that `rees_hom` is tested against, and `groupid`
+    still imports it, so the traced benchmark's span over
+    `groupid.sandwich_matrix` keeps resolving.
     """
     e = grid.base_idempotent.entries
-    qs = []
-    for c in range(len(grid.cols)):
-        q = _product(e, _schreier.word_value(grid, sys.r[c]).entries)
-        _member_of_cell(grid, q, e, c, f"column representative q[{c}]")
-        qs.append(q)
+    qs = column_representatives(grid, sys)
     back: dict[int, tuple[int, ...]] = {}  # r_inv of each anchor column, evaluated once
     ts = []
     for i in range(len(grid.rows)):

@@ -19,7 +19,8 @@ from .dclass import (
     Permutation,
     anchors,
     build_grid,
-    sandwich_matrix,
+    column_representatives,
+    sandwich_matrix,  # unused here: kept so the traced benchmark can wrap groupid.sandwich_matrix
 )
 from .errors import StructuralError
 from .presentation import (
@@ -76,13 +77,17 @@ def perm_group_order(gens) -> int:
     A generator already in the group closed so far is skipped, as it leaves
     the group unchanged; each new one re-closes every element found so far
     over the generators kept, which then span the group generated so far.
+    The closure stops as soon as it holds all d! permutations of degree d.
     """
     gens = list(dict.fromkeys(gens))  # one per generator cell, mostly repeats
     if not gens:
         raise ValueError("need at least one permutation (group degree unknown)")
+    full = math.factorial(len(gens[0]))
     seen = {perm_identity(len(gens[0]))}
     kept: list[Permutation] = []
     for g in gens:
+        if len(seen) == full:
+            break
         if g in seen:
             continue
         kept.append(g)
@@ -93,6 +98,8 @@ def perm_group_order(gens) -> int:
                 nxt = perm_compose(p, q)
                 if nxt not in seen:
                     seen.add(nxt)
+                    if len(seen) == full:
+                        return full
                     queue.append(nxt)
     return len(seen)
 
@@ -506,23 +513,54 @@ def rees_hom(
 
     The cell generator represents the loop that leaves the base corner along
     the anchor column, crosses the cell idempotent, and returns along its own
-    column; in sandwich coordinates that loop is p_{anchor,i} * p_{col,i}^-1.
-    Anchors therefore map to the identity permutation by construction.
+    column; in sandwich coordinates that loop is p_{a,i} * p_{col,i}^-1 for
+    the anchor a of row i, where p_{c,i}(b) = t_i(q_c(b)) on the base image
+    (see `sandwich_matrix`).  Anchors map to the identity by construction.
+
+    The row representative t_i cancels.  It lies in R_i, so it is constant
+    on each block of ker i and injective on each transversal of it, such as
+    cols[a] and cols[col].  So p_{col,i}(j) = p_{a,i}(b) exactly when
+    q_col(base_im[j]) is the point of cols[col] in the block of
+    q_a(base_im[b]), and the cell idempotent f = e_{i,col} sends each point
+    of cols[a] to that point of its block.  The loop therefore sends
+    position b to the position of f(q_a(base_im[b])) in q_col's base-image
+    tuple: k lookups per cell, no t_i, no sandwich entry and no composition.
+    Each q_c is checked to lie in its H-class, and each distinct value to be
+    a permutation, which fails when f is not injective on cols[a] or leaves
+    cols[col].
     """
-    matrix = sandwich_matrix(grid, sys, anchors_map)
-    inverse = {q: perm_inverse(q) for q in set(matrix.values())}  # at most k! of them
-    return {
-        (i, lam): perm_compose(matrix[(anchors_map[i], i)], inverse[matrix[(lam, i)]])
-        for i, lam in sorted(grid.group_cells)
-    }
+    n, k = grid.n, grid.k
+    base_im = grid.cols[grid.base[1]]
+    qs = [tuple(q[b] for b in base_im) for q in column_representatives(grid, sys)]
+    # where[c][y]: the position of y in qs[c]; one entry past n answers UNDEF (-1)
+    where = []
+    for qc in qs:
+        w = [-1] * (n + 1)
+        for b, y in enumerate(qc):
+            w[y] = b
+        where.append(w)
+    full = set(range(k))
+    checked: set[Permutation] = set()
+    out: dict[tuple[int, int], Permutation] = {}
+    for i, lam in sorted(grid.group_cells):
+        f = grid.group_cells[(i, lam)].entries
+        w = where[lam]
+        perm = tuple(w[f[y]] for y in qs[anchors_map[i]])
+        if perm not in checked:
+            if set(perm) != full:
+                raise StructuralError("restriction to the base image is not a bijection")
+            checked.add(perm)
+        out[(i, lam)] = perm
+    return out
 
 
 def verify_hom(p: GroupPresentation, hom: dict[tuple[int, int], Permutation]) -> bool:
     """Every relator must map to the identity permutation.
 
-    Permutations are interned as ints (the identity is 0), and the product of
-    an interned prefix with a letter's image is composed the first time it is
-    met and looked up after that, so each distinct product is composed once.
+    Permutations are interned as ints (the identity is 0), each distinct
+    letter image is inverted once, and the product of an interned prefix with
+    a letter's image is composed the first time it is met and looked up after
+    that, so each distinct product is composed once.
     Only the products the relators reach are built, never the k! x k! table.
     """
     if p.cells is None:
@@ -543,7 +581,14 @@ def verify_hom(p: GroupPresentation, hom: dict[tuple[int, int], Permutation]) ->
         return at
 
     intern(perm_identity(k))
-    images = [intern(q) for cell in p.cells for q in (hom[cell], perm_inverse(hom[cell]))]  # by letter
+    pairs: dict[Permutation, tuple[int, int]] = {}  # image -> (its index, its inverse's)
+    images: list[int] = []  # by letter
+    for cell in p.cells:
+        q = hom[cell]
+        pair = pairs.get(q)
+        if pair is None:
+            pair = pairs[q] = (intern(q), intern(perm_inverse(q)))
+        images += pair
     for rel in p.relators:
         acc = 0
         for x in rel:

@@ -164,7 +164,7 @@ class KernelPartition(Frozen):
 
     def sort_key(self) -> tuple:
         # domain size descending, then block list; fixes row enumeration order
-        return (-len(self.domain), self.blocks)
+        return (-sum(map(len, self.blocks)), self.blocks)
 
 
 def compose(a: PartialMap, b: PartialMap) -> PartialMap:

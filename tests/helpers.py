@@ -13,7 +13,7 @@ from collections import Counter, deque
 from functools import lru_cache
 from typing import NamedTuple
 
-from igmax.dclass import DClassGrid, Permutation, default_base
+from igmax.dclass import DClassGrid, Permutation, default_base, sandwich_matrix
 from igmax.errors import StructuralError
 from igmax.groupid import (
     COMPLETE,
@@ -385,7 +385,8 @@ def reference_kernels_of_rank(n: int, k: int, monoid: Monoid) -> list[KernelPart
         for dom in itertools.combinations(range(n), m):
             for blocks in reference_set_partitions(dom, k):
                 out.append(KernelPartition(blocks))
-    out.sort(key=KernelPartition.sort_key)
+    # the row order spelled out, so that it does not rest on KernelPartition.sort_key
+    out.sort(key=lambda kp: (-len(kp.domain), kp.blocks))
     return out
 
 
@@ -1265,6 +1266,24 @@ def reference_sandwich_matrix(
             else:
                 out[(c, i)] = None
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sandwich homomorphism oracle: the quotient of sandwich entries the read-off
+# from the column representatives replaced.  It builds every row
+# representative t[row] through `sandwich_matrix` and composes per cell.
+
+
+def reference_rees_hom(
+    grid: DClassGrid, sys: SchreierSystem, anchors_map: dict[int, int]
+) -> dict[tuple[int, int], Permutation]:
+    """Generator cell -> p_{anchor,row} * p_{col,row}^-1 from the sandwich matrix."""
+    matrix = sandwich_matrix(grid, sys, anchors_map)
+    inverse = {q: perm_inverse(q) for q in set(matrix.values())}
+    return {
+        (i, lam): perm_compose(matrix[(anchors_map[i], i)], inverse[matrix[(lam, i)]])
+        for i, lam in sorted(grid.group_cells)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,15 @@ from igmax.groupid import (
     rees_hom,
     smith_normal_form,
     todd_coxeter,
+    verified_schreier,
     verify_hom,
 )
 from igmax.cli import CORPUS_RUNS
-from igmax.dclass import ANCHOR_RULES
+from igmax.dclass import ANCHOR_RULES, anchors, build_grid
 from igmax.errors import StructuralError
 from igmax.presentation import GroupPresentation, free_rank, gh_graph, tietze_simplify
-from igmax.ptrans import Monoid, PartialMap, compose
-from igmax.schreier import word_value
+from igmax.ptrans import Monoid, PartialMap, compose, compose_entries
+from igmax.schreier import TIE_BREAKS, word_value
 
 from helpers import (
     MONOIDS,
@@ -45,6 +46,7 @@ from helpers import (
     pipeline,
     record_enumerations,
     reference_perm_group_order,
+    reference_rees_hom,
     reference_smith_normal_form,
     reference_verify_hom,
 )
@@ -438,6 +440,89 @@ class TestReesHom:
                 word_value(grid, sys_.r_inv[lam]),
             )
             assert perm == tuple(pos[loop.entries[v]] for v in base_im)
+
+
+# every class with 2 <= n <= 7 and 1 <= k <= n-2 of both monoids; n = 8 under slow
+REES_HOM_CLASSES = [
+    (key, n, k) for n in range(2, 8) for key in sorted(MONOIDS) for k in range(1, n - 1)
+] + [
+    pytest.param(key, 8, k, marks=pytest.mark.slow) for key in sorted(MONOIDS) for k in range(1, 7)
+]
+
+
+def _refuse(*args):
+    raise AssertionError("called")
+
+
+def _unused_cell(grid, anchors_map, sys_):
+    """A group cell off its row's anchor that no Schreier word uses as a letter."""
+    used = {cell for words in (sys_.r, sys_.r_inv) for w in words.values() for cell in w}
+    return next(
+        (i, lam) for i, lam in sorted(grid.group_cells)
+        if lam != anchors_map[i] and (i, lam) not in used
+    )
+
+
+class TestReesHomReadOff:
+    """The read-off from the column representatives against the quotient of
+    sandwich entries, and the checks it keeps."""
+
+    @pytest.mark.parametrize("key,n,k", REES_HOM_CLASSES)
+    def test_matches_sandwich_quotient(self, key, n, k):
+        grid = build_grid(n, k, MONOIDS[key])
+        for tie in TIE_BREAKS:
+            sys_ = verified_schreier(grid, tie)
+            for rule in ANCHOR_RULES:
+                am = anchors(grid, rule)
+                assert rees_hom(grid, sys_, am) == reference_rees_hom(grid, sys_, am), (tie, rule)
+
+    @pytest.mark.parametrize("key,n,k", [("pt", 4, 2), ("t", 5, 3), ("pt", 5, 3), ("t", 6, 4)])
+    def test_cell_not_injective_on_the_anchor_image_raises(self, key, n, k):
+        grid, am, sys_, _, _ = pipeline(key, n, k)
+        i, lam = _unused_cell(grid, am, sys_)
+        f = grid.cell(i, lam).entries
+        x, y = grid.cols[am[i]][:2]
+        # y's kernel block now goes where x's does
+        merged = PartialMap(tuple(f[x] if v == f[y] else v for v in f))
+        broken = grid._replace(group_cells={**grid.group_cells, (i, lam): merged})
+        with pytest.raises(StructuralError, match="base image is not a bijection"):
+            rees_hom(broken, sys_, am)
+
+    @pytest.mark.parametrize("key,n,k", [("pt", 4, 2), ("t", 4, 2), ("t", 5, 3)])
+    def test_column_word_of_another_column_trips_the_q_check(self, key, n, k):
+        grid, am, sys_, _, _ = pipeline(key, n, k)
+        a, b = [c for c in sorted(sys_.r) if c != sys_.base_col][:2]
+        crossed = sys_._replace(r={**sys_.r, a: sys_.r[b]})
+        with pytest.raises(StructuralError, match=rf"column representative q\[{a}\] fell out"):
+            rees_hom(grid, crossed, am)
+
+    def test_composes_column_representatives_only(self, monkeypatch):
+        # no row representative, no sandwich entry, no permutation product
+        from igmax import dclass, groupid
+
+        grid, am, sys_, _, _ = pipeline("pt", 5, 3)
+        expected = rees_hom(grid, sys_, am)
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return compose_entries(a, b)
+
+        monkeypatch.setattr(dclass, "_product", counted)
+        monkeypatch.setattr(groupid, "perm_compose", _refuse)
+        monkeypatch.setattr(groupid, "sandwich_matrix", _refuse)
+        monkeypatch.setattr(dclass, "sandwich_matrix", _refuse)
+        assert rees_hom(grid, sys_, am) == expected
+        assert len(calls) == len(grid.cols)
+
+    def test_identify_certifies_without_the_sandwich_matrix(self, monkeypatch):
+        from igmax import dclass, groupid
+
+        monkeypatch.setattr(groupid, "sandwich_matrix", _refuse)
+        monkeypatch.setattr(dclass, "sandwich_matrix", _refuse)
+        report = identify(6, 3, T)
+        assert (report.verdict, report.order, report.hom_valid, report.image_order) == (
+            VERDICT_SYMMETRIC, 6, True, 6)
 
 
 class TestIdentify:
@@ -858,6 +943,58 @@ class TestPermGroupOrderDifferential:
         ]
         assert len(grows) >= 50
         assert sum(len(set(gens)) < len(gens) for gens in RANDOM_GENERATOR_LISTS) >= 100
+
+
+def _cycle(k: int, points) -> tuple[int, ...]:
+    """The permutation of degree k cycling `points` in order, fixing the rest."""
+    perm = list(range(k))
+    for a, b in zip(points, points[1:] + points[:1]):
+        perm[a] = b
+    return tuple(perm)
+
+
+def _named_groups():
+    """(name, generators, order) for the groups the early exit is checked on."""
+    for k in range(2, 7):
+        yield f"S_{k}", [_cycle(k, [0, 1]), _cycle(k, list(range(k)))], math.factorial(k)
+    for k in range(3, 7):
+        yield f"A_{k}", [_cycle(k, [0, 1, j]) for j in range(2, k)], math.factorial(k) // 2
+    # the symmetries of a hexagon: a rotation and a reflection
+    yield "D_6", [_cycle(6, list(range(6))), tuple(-x % 6 for x in range(6))], 12
+    yield "C_6", [perm_compose(_cycle(5, [0, 1]), _cycle(5, [2, 3, 4]))], 6
+    yield "identity", [perm_identity(4)], 1
+    yield "degree 1", [(0,)], 1
+    yield "degree 1, repeated", [(0,)] * 3, 1
+    rng = random.Random(4099)
+    more = [tuple(rng.sample(range(5), 5)) for _ in range(50)]
+    yield "S_5 then 50 more", [_cycle(5, [0, 1]), _cycle(5, list(range(5)))] + more, 120
+
+
+NAMED_GROUPS = list(_named_groups())
+
+
+class TestPermGroupOrderEarlyExit:
+    """The closure that stops at d! elements against closing to the end."""
+
+    @pytest.mark.parametrize("name,gens,order", NAMED_GROUPS, ids=[g[0] for g in NAMED_GROUPS])
+    def test_matches_reference(self, name, gens, order):
+        assert perm_group_order(gens) == reference_perm_group_order(gens) == order
+
+    def test_stops_once_the_symmetric_group_is_full(self, monkeypatch):
+        # closing S_5 to the end composes each of its 120 elements with both
+        # generators; the early exit leaves the last elements found unvisited
+        from igmax import groupid
+
+        calls = []
+
+        def counted(p, q):
+            calls.append(None)
+            return perm_compose(p, q)
+
+        monkeypatch.setattr(groupid, "perm_compose", counted)
+        name, gens, order = NAMED_GROUPS[-1]
+        assert perm_group_order(gens) == order
+        assert len(calls) < 2 + 120 * 2
 
 
 class TestSparseSmithNormalFormDifferential:

@@ -199,6 +199,13 @@ class TestKernelsOfRank:
         for k in range(n + 1):
             assert kernels_of_rank(n, k, monoid) == reference_kernels_of_rank(n, k, monoid)
 
+    @pytest.mark.parametrize("monoid", [T, PT])
+    def test_sort_key_is_domain_size_then_blocks(self, monoid):
+        for n in range(1, 7):
+            for k in range(n + 1):
+                for kp in kernels_of_rank(n, k, monoid):
+                    assert kp.sort_key() == (-len(kp.domain), kp.blocks)
+
     @pytest.mark.parametrize("monoid", ["t", "pt", None])
     def test_monoid_must_be_a_member(self, monoid):
         with pytest.raises(ValueError, match="monoid must be a Monoid"):
