@@ -37,7 +37,7 @@ from .presentation import (
     to_dot,
     to_gap,
 )
-from .ptrans import Monoid
+from .ptrans import Monoid, PartialMap
 from .schreier import TIE_BREAKS
 from .squares import enumerate_singular_squares
 
@@ -144,7 +144,7 @@ def _grid_json(grid) -> dict:
         ],
         "cols": [[x + 1 for x in im] for im in grid.cols],
         "group_cells": [
-            {"row": i + 1, "col": c + 1, "map": m.to_text()}
+            {"row": i + 1, "col": c + 1, "map": PartialMap(m).to_text()}
             for (i, c), m in sorted(grid.group_cells.items())
         ],
         "base": {"row": grid.base[0] + 1, "col": grid.base[1] + 1},

@@ -2,8 +2,11 @@
 
 Rows are kernel partitions (R-classes), columns are image sets (L-classes),
 and a cell is a group exactly when the column is a transversal of the row.
-Group cells carry their unique idempotent; the base cell plays the role of
-the distinguished corner whose idempotent generates everything downstream.
+Each group cell holds its unique idempotent as an entry tuple, in range by
+construction; the base cell plays the role of the distinguished corner whose
+idempotent generates everything downstream.  `PartialMap`, the checked value,
+remains where maps enter or leave: `default_base`, `enumerate_idempotents`,
+the singular classes' witnesses and text output.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from . import schreier as _schreier
 ANCHOR_RULES = ("lex", "lexmax", "two-step")
 
 Permutation = tuple[int, ...]
+Entries = tuple[int, ...]
 
 
 class DClassGrid(NamedTuple):
@@ -35,17 +39,17 @@ class DClassGrid(NamedTuple):
     monoid: Monoid
     rows: tuple[KernelPartition, ...]
     cols: tuple[tuple[int, ...], ...]
-    group_cells: dict[tuple[int, int], PartialMap]
+    group_cells: dict[tuple[int, int], Entries]
     base: tuple[int, int]
     row_of: dict[KernelPartition, int]
     cells_in_row: tuple[tuple[int, ...], ...]
     cells_in_col: tuple[tuple[int, ...], ...]
 
     @property
-    def base_idempotent(self) -> PartialMap:
+    def base_idempotent(self) -> Entries:
         return self.group_cells[self.base]
 
-    def cell(self, row: int, col: int) -> PartialMap:
+    def cell(self, row: int, col: int) -> Entries:
         return self.group_cells[(row, col)]
 
     def total_rows(self) -> tuple[int, ...]:
@@ -74,8 +78,8 @@ def build_grid(n: int, k: int, monoid: Monoid) -> DClassGrid:
     col_of = {im: c for c, im in enumerate(cols)}
 
     # a row's group columns are its transversals: one point per block, and
-    # every block member maps to its block's point
-    cells: dict[tuple[int, int], PartialMap] = {}
+    # every block member maps to its block's point, so every entry is in range
+    cells: dict[tuple[int, int], Entries] = {}
     in_row: list[list[int]] = [[] for _ in rows]
     in_col: list[list[int]] = [[] for _ in cols]
     for i, kp in enumerate(rows):
@@ -85,10 +89,10 @@ def build_grid(n: int, k: int, monoid: Monoid) -> DClassGrid:
             for block, p in zip(kp.blocks, points):
                 for x in block:
                     entries[x] = p
-            row_cells.append((col_of[tuple(sorted(points))], entries))
+            row_cells.append((col_of[tuple(sorted(points))], tuple(entries)))
         row_cells.sort()
         for c, entries in row_cells:
-            cells[(i, c)] = PartialMap(tuple(entries))
+            cells[(i, c)] = entries
             in_row[i].append(c)
             in_col[c].append(i)
 
@@ -113,8 +117,8 @@ def build_grid(n: int, k: int, monoid: Monoid) -> DClassGrid:
 
 def enumerate_idempotents(n: int, k: int, monoid: Monoid) -> list[PartialMap]:
     """All rank-k idempotents of T_n or PT_n in (kernel, image) order: the
-    grid's group cells, row by row."""
-    return list(build_grid(n, k, monoid).group_cells.values())
+    grid's group cells, row by row, as checked maps."""
+    return [PartialMap(e) for e in build_grid(n, k, monoid).group_cells.values()]
 
 
 def anchors(grid: DClassGrid, rule: str = "lex") -> dict[int, int]:
@@ -135,10 +139,6 @@ def anchors(grid: DClassGrid, rule: str = "lex") -> dict[int, int]:
     return out
 
 
-# every sandwich representative, q[col] and t[row], is composed here
-_product = compose_entries
-
-
 def _member_of_cell(
     grid: DClassGrid, x: tuple[int, ...], f: tuple[int, ...], col: int, what: str
 ) -> None:
@@ -154,10 +154,10 @@ def column_representatives(
 ) -> list[tuple[int, ...]]:
     """q[col] = e * r[col] for every column, e the base idempotent, each checked
     to lie in the H-class of the base row and column col."""
-    e = grid.base_idempotent.entries
+    e = grid.base_idempotent
     qs = []
     for c in range(len(grid.cols)):
-        q = _product(e, _schreier.word_value(grid, sys.r[c]).entries)
+        q = compose_entries(e, _schreier.word_value(grid, sys.r[c]))
         _member_of_cell(grid, q, e, c, f"column representative q[{c}]")
         qs.append(q)
     return qs
@@ -193,16 +193,16 @@ def sandwich_matrix(
     still imports it, so the traced benchmark's span over
     `groupid.sandwich_matrix` keeps resolving.
     """
-    e = grid.base_idempotent.entries
+    e = grid.base_idempotent
     qs = column_representatives(grid, sys)
     back: dict[int, tuple[int, ...]] = {}  # r_inv of each anchor column, evaluated once
     ts = []
     for i in range(len(grid.rows)):
         a = anchors_map[i]
         if a not in back:
-            back[a] = _schreier.word_value(grid, sys.r_inv[a]).entries
-        f = grid.cell(i, a).entries
-        t = _product(f, back[a])
+            back[a] = _schreier.word_value(grid, sys.r_inv[a])
+        f = grid.cell(i, a)
+        t = compose_entries(f, back[a])
         _member_of_cell(grid, t, f, grid.base[1], f"row representative t[{i}]")
         ts.append(t)
     base_im = grid.cols[grid.base[1]]

@@ -543,7 +543,7 @@ def rees_hom(
     checked: set[Permutation] = set()
     out: dict[tuple[int, int], Permutation] = {}
     for i, lam in sorted(grid.group_cells):
-        f = grid.group_cells[(i, lam)].entries
+        f = grid.group_cells[(i, lam)]
         w = where[lam]
         perm = tuple(w[f[y]] for y in qs[anchors_map[i]])
         if perm not in checked:

@@ -10,7 +10,7 @@ from enum import Enum
 
 UNDEF = -1
 
-# looked up once: build_grid constructs a PartialMap per group cell
+# bound once, not looked up on every construction of a validated value
 _set_field = object.__setattr__
 
 

@@ -1,11 +1,12 @@
 """Schreier systems of column representatives over the idempotent alphabet.
 
 A word is a tuple of grid cells (row, col); its value is the left-to-right
-product of the cell idempotents.  Each column's word r[col] must move the base
-L-class onto that column's L-class by right multiplication, with r_inv[col]
-undoing it, both preserving R-classes; by Green's lemma two products check it.
-The built words have one letter each, read off a row the column shares with
-the base column; `verify_schreier` checks words of any length.
+product of the cell idempotents, an entry tuple like each cell.  Each column's
+word r[col] must move the base L-class onto that column's L-class by right
+multiplication, with r_inv[col] undoing it, both preserving R-classes; by
+Green's lemma two products check it.  The built words have one letter each,
+read off a row the column shares with the base column; `verify_schreier`
+checks words of any length.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import StructuralError
-from .ptrans import PartialMap, compose
+from .ptrans import UNDEF, compose_entries
 
 if TYPE_CHECKING:
     from .dclass import DClassGrid
@@ -30,11 +31,11 @@ class SchreierSystem(NamedTuple):
     r_inv: dict[int, EWord]
 
 
-def word_value(grid: "DClassGrid", word: EWord) -> PartialMap:
+def word_value(grid: "DClassGrid", word: EWord) -> tuple[int, ...]:
     """Product of the letter idempotents; the empty word is the identity map."""
-    val = PartialMap.identity(grid.n)
+    val = tuple(range(grid.n))
     for cell in word:
-        val = compose(val, grid.group_cells[cell])
+        val = compose_entries(val, grid.group_cells[cell])
     return val
 
 
@@ -106,9 +107,9 @@ def verify_schreier(grid: "DClassGrid", sys: SchreierSystem) -> list[str]:
 
     e = grid.cell(grid.cells_in_col[sys.base_col][0], sys.base_col)
     for col in range(ncols):
-        q = compose(e, word_value(grid, sys.r[col]))
-        if q.image() != grid.cols[col]:
+        q = compose_entries(e, word_value(grid, sys.r[col]))
+        if tuple(sorted(set(q) - {UNDEF})) != grid.cols[col]:
             bad.append(f"column {col}: e * r[{col}] does not land in L_{col}")
-        elif compose(q, word_value(grid, sys.r_inv[col])) != e:
+        elif compose_entries(q, word_value(grid, sys.r_inv[col])) != e:
             bad.append(f"column {col}: r_inv[{col}] does not invert r[{col}] on the base L-class")
     return bad

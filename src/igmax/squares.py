@@ -29,11 +29,9 @@ import itertools
 import operator
 from typing import NamedTuple
 
-from .dclass import DClassGrid, enumerate_idempotents
+from .dclass import DClassGrid, Entries, enumerate_idempotents
 from .errors import StructuralError
 from .ptrans import PartialMap, UNDEF
-
-Entries = tuple[int, ...]
 
 
 class SingularClass(NamedTuple):
@@ -149,7 +147,7 @@ def enumerate_singular_squares(grid: DClassGrid) -> tuple[SingularClass, ...]:
     """
     if grid.k == 0:
         return ()  # one column, the empty image: no square
-    cells = {cell: m.entries for cell, m in grid.group_cells.items()}
+    cells = grid.group_cells
     cols = grid.cols
     sigma = [operator.itemgetter(*im) for im in cols]
     # (lam, mu, sigma_r) -> rows r, ascending

@@ -50,7 +50,7 @@ from igmax.ptrans import (
     compose_entries,
     kernels_of_rank,
 )
-from igmax.schreier import SchreierSystem, build_schreier, word_value
+from igmax.schreier import SchreierSystem, build_schreier
 from igmax.squares import (
     Entries,
     SingularClass,
@@ -257,9 +257,10 @@ def pipeline(monoid_key: str, n: int, k: int, anchor_rule: str = "lex", tie_brea
 
 
 def square_cells(grid: DClassGrid, rows: tuple[int, int], cols: tuple[int, int]):
-    """The cells (e, f, g, h) of the square on rows (i, j) and cols (lam, mu), as oriented."""
+    """The cells (e, f, g, h) of the square on rows (i, j) and cols (lam, mu), as
+    oriented, each wrapped as a checked map."""
     (i, j), (lam, mu) = rows, cols
-    return grid.cell(i, lam), grid.cell(i, mu), grid.cell(j, lam), grid.cell(j, mu)
+    return tuple(PartialMap(grid.cell(*c)) for c in ((i, lam), (i, mu), (j, lam), (j, mu)))
 
 
 class Enumeration(NamedTuple):
@@ -420,13 +421,13 @@ def reference_build_grid(n: int, k: int, monoid: Monoid) -> DClassGrid:
     cols = tuple(itertools.combinations(range(n), k))
     row_of = {kp: i for i, kp in enumerate(rows)}
 
-    cells: dict[tuple[int, int], PartialMap] = {}
+    cells: dict[tuple[int, int], Entries] = {}
     in_row: list[list[int]] = [[] for _ in rows]
     in_col: list[list[int]] = [[] for _ in cols]
     for i, kp in enumerate(rows):
         for c, im in enumerate(cols):
             if is_transversal(kp, im):
-                cells[(i, c)] = idempotent_from_cell(n, kp, im)
+                cells[(i, c)] = idempotent_from_cell(n, kp, im).entries
                 in_row[i].append(c)
                 in_col[c].append(i)
 
@@ -745,8 +746,8 @@ def reference_eliminate_partial_rows(
         if lam == lam_i:
             sub[g] = ()
             continue
-        alpha = grid.cell(i, lam_i)
-        beta = grid.cell(i, lam)
+        alpha = PartialMap(grid.cell(i, lam_i))
+        beta = PartialMap(grid.cell(i, lam))
         alpha_t, beta_t, _ = complete_to_singular_square(alpha, beta)
         j = grid.row_of[alpha_t.kernel()]
         if j not in total:
@@ -843,6 +844,15 @@ def l_class_elements(grid: DClassGrid, col: int) -> list[PartialMap]:
     return out
 
 
+def reference_word_value(grid: DClassGrid, word) -> PartialMap:
+    """Product of the letter idempotents as checked maps; the empty word is the
+    identity map."""
+    val = PartialMap.identity(grid.n)
+    for cell in word:
+        val = compose(val, PartialMap(grid.group_cells[cell]))
+    return val
+
+
 def reference_verify_schreier(grid: DClassGrid, sys: SchreierSystem) -> list[str]:
     """Exhaustively check the Schreier system; returns violations (empty = valid)."""
     bad: list[str] = []
@@ -870,8 +880,8 @@ def reference_verify_schreier(grid: DClassGrid, sys: SchreierSystem) -> list[str
 
     base_elems = l_class_elements(grid, sys.base_col)
     for col in range(ncols):
-        fwd = word_value(grid, sys.r[col])
-        back = word_value(grid, sys.r_inv[col])
+        fwd = reference_word_value(grid, sys.r[col])
+        back = reference_word_value(grid, sys.r_inv[col])
         target = grid.cols[col]
         for x in base_elems:
             y = compose(x, fwd)
@@ -920,7 +930,7 @@ class ReferenceSquareScan:
     def __init__(self, grid: "DClassGrid"):
         self.grid = grid
         self.pool = [m.entries for m in witness_pool(grid)]
-        self.cellmaps = {cell: m.entries for cell, m in grid.group_cells.items()}
+        self.cellmaps = grid.group_cells
         lefts: dict[Entries, frozenset[int]] = {}
         rights: dict[Entries, frozenset[int]] = {}
         for c in set(self.cellmaps.values()):
@@ -996,7 +1006,7 @@ class _SquareScan:
     def __init__(self, grid: "DClassGrid"):
         self.maps = witness_pool(grid)
         self.pool = pool = [m.entries for m in self.maps]
-        self.cellmaps = cm = {cell: m.entries for cell, m in grid.group_cells.items()}
+        self.cellmaps = cm = grid.group_cells
         # takes[x][v]: witnesses eps with x.eps = v; v = UNDEF indexes the last
         # entry, so takes[x][-1] is the witnesses undefined at x
         self.takes = [
@@ -1118,7 +1128,7 @@ class _PointwiseTest:
     """
 
     def __init__(self, grid: "DClassGrid") -> None:
-        self.cells = {cell: m.entries for cell, m in grid.group_cells.items()}
+        self.cells = grid.group_cells
         self.cols = grid.cols
         self.witnesses: dict[Entries, PartialMap] = {}  # equal witnesses share one map
         self.tops: dict[tuple[int, int, int], PartialMap] = {}
@@ -1247,13 +1257,13 @@ def reference_sandwich_matrix(
     pos = {x: idx for idx, x in enumerate(base_im)}
     qs = []
     for c in range(len(grid.cols)):
-        q = compose(grid.base_idempotent, word_value(grid, sys.r[c]))
+        q = compose(PartialMap(grid.base_idempotent), reference_word_value(grid, sys.r[c]))
         assert (q.kernel(), q.image()) == (grid.rows[base_row], grid.cols[c]), c
         qs.append(q)
     ts = []
     for i in range(len(grid.rows)):
         a = anchors_map[i]
-        t = compose(grid.cell(i, a), word_value(grid, sys.r_inv[a]))
+        t = compose(PartialMap(grid.cell(i, a)), reference_word_value(grid, sys.r_inv[a]))
         assert (t.kernel(), t.image()) == (grid.rows[i], base_im), i
         ts.append(t)
     out: dict[tuple[int, int], tuple[int, ...] | None] = {}

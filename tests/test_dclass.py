@@ -43,7 +43,8 @@ class TestBuildGrid:
 
     def test_cells_are_idempotents_in_place(self):
         grid = build_grid(4, 2, PT)
-        for (i, c), m in grid.group_cells.items():
+        for (i, c), entries in grid.group_cells.items():
+            m = PartialMap(entries)  # in range
             assert m.is_idempotent()
             assert m.kernel() == grid.rows[i]
             assert m.image() == grid.cols[c]
@@ -88,19 +89,36 @@ class TestBuildGrid:
                 }
                 assert mapped == partial_in_total
 
+    @pytest.mark.parametrize(
+        "key,n,k", [("t", 5, 2), ("pt", 5, 3), ("pt", 4, 0), ("t", 4, 4)]
+    )
+    def test_builds_one_partial_map_the_default_base(self, monkeypatch, key, n, k):
+        # the cells are entry tuples, in range by construction, so no cell is wrapped
+        made = []
+        init = PartialMap.__init__
+
+        def counted(self, entries):
+            made.append(entries)
+            init(self, entries)
+
+        monkeypatch.setattr(PartialMap, "__init__", counted)
+        grid = build_grid(n, k, MONOIDS[key])
+        assert made == [grid.base_idempotent]
+        assert all(type(m) is tuple for m in grid.group_cells.values())
+
     def test_default_base_is_total_retraction(self):
         e = default_base(5, 3)
         assert e.is_total and e.is_idempotent() and e.rank() == 3
         assert e == PartialMap.from_text("[1,2,3,3,3]")
         grid = build_grid(5, 3, PT)
-        assert grid.base_idempotent == e
+        assert grid.base_idempotent == e.entries
 
     def test_degenerate_grids(self):
         g0 = build_grid(3, 0, PT)
         assert (len(g0.rows), len(g0.cols), len(g0.group_cells)) == (1, 1, 1)
-        assert g0.base_idempotent == PartialMap.empty(3)
+        assert g0.base_idempotent == PartialMap.empty(3).entries
         gn = build_grid(3, 3, PT)
-        assert gn.base_idempotent == PartialMap.identity(3)
+        assert gn.base_idempotent == PartialMap.identity(3).entries
         with pytest.raises(ValueError):
             build_grid(3, 0, T)
 
@@ -196,16 +214,16 @@ class TestSandwich:
         grid, am, sys_, _, _ = pipeline("pt", 3, 2)
         base_im = grid.cols[grid.base[1]]
         pos = {x: idx for idx, x in enumerate(base_im)}
-        e = grid.base_idempotent
+        e = PartialMap(grid.base_idempotent)
         mat = sandwich_matrix(grid, sys_, am)
         for c in range(len(grid.cols)):
             q = e
             for cell in sys_.r[c]:
-                q = compose(q, grid.group_cells[cell])
+                q = compose(q, PartialMap(grid.group_cells[cell]))
             for i in range(len(grid.rows)):
-                t = grid.cell(i, am[i])
+                t = PartialMap(grid.cell(i, am[i]))
                 for cell in sys_.r_inv[am[i]]:
-                    t = compose(t, grid.group_cells[cell])
+                    t = compose(t, PartialMap(grid.group_cells[cell]))
                 prod = compose(q, t)
                 if prod.rank() == grid.k:
                     assert mat[(c, i)] == tuple(pos[prod.entries[x]] for x in base_im)
@@ -213,7 +231,8 @@ class TestSandwich:
                     assert (c, i) not in mat
 
     def test_composes_only_group_cells(self, monkeypatch):
-        # one product per column and per row; the group cells read them
+        # one product per column and per row, each checked to lie in its
+        # H-class by one more; the group cells read them
         grid, am, sys_, _, _ = pipeline("pt", 4, 2)
         calls = []
 
@@ -221,9 +240,9 @@ class TestSandwich:
             calls.append(None)
             return compose_entries(a, b)
 
-        monkeypatch.setattr(dclass, "_product", counted)
+        monkeypatch.setattr(dclass, "compose_entries", counted)
         sandwich_matrix(grid, sys_, am)
-        assert len(calls) == len(grid.cols) + len(grid.rows)
+        assert len(calls) == 2 * (len(grid.cols) + len(grid.rows))
 
     @pytest.mark.parametrize("key,n,k", [("pt", 4, 2), ("t", 4, 2), ("t", 5, 3)])
     def test_non_group_cell_raises(self, key, n, k):

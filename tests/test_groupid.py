@@ -31,7 +31,7 @@ from igmax.dclass import ANCHOR_RULES, anchors, build_grid
 from igmax.errors import StructuralError
 from igmax.presentation import GroupPresentation, free_rank, gh_graph, tietze_simplify
 from igmax.ptrans import Monoid, PartialMap, compose, compose_entries
-from igmax.schreier import TIE_BREAKS, word_value
+from igmax.schreier import TIE_BREAKS
 
 from helpers import (
     MONOIDS,
@@ -49,6 +49,7 @@ from helpers import (
     reference_rees_hom,
     reference_smith_normal_form,
     reference_verify_hom,
+    reference_word_value,
 )
 
 PT = Monoid.PARTIAL
@@ -434,10 +435,10 @@ class TestReesHom:
         for (i, lam), perm in hom.items():
             loop = compose(
                 compose(
-                    compose(grid.base_idempotent, word_value(grid, sys_.r[am[i]])),
-                    grid.cell(i, lam),
+                    compose(PartialMap(grid.base_idempotent), reference_word_value(grid, sys_.r[am[i]])),
+                    PartialMap(grid.cell(i, lam)),
                 ),
-                word_value(grid, sys_.r_inv[lam]),
+                reference_word_value(grid, sys_.r_inv[lam]),
             )
             assert perm == tuple(pos[loop.entries[v]] for v in base_im)
 
@@ -480,10 +481,10 @@ class TestReesHomReadOff:
     def test_cell_not_injective_on_the_anchor_image_raises(self, key, n, k):
         grid, am, sys_, _, _ = pipeline(key, n, k)
         i, lam = _unused_cell(grid, am, sys_)
-        f = grid.cell(i, lam).entries
+        f = grid.cell(i, lam)
         x, y = grid.cols[am[i]][:2]
         # y's kernel block now goes where x's does
-        merged = PartialMap(tuple(f[x] if v == f[y] else v for v in f))
+        merged = tuple(f[x] if v == f[y] else v for v in f)
         broken = grid._replace(group_cells={**grid.group_cells, (i, lam): merged})
         with pytest.raises(StructuralError, match="base image is not a bijection"):
             rees_hom(broken, sys_, am)
@@ -508,12 +509,13 @@ class TestReesHomReadOff:
             calls.append(None)
             return compose_entries(a, b)
 
-        monkeypatch.setattr(dclass, "_product", counted)
+        monkeypatch.setattr(dclass, "compose_entries", counted)
         monkeypatch.setattr(groupid, "perm_compose", _refuse)
         monkeypatch.setattr(groupid, "sandwich_matrix", _refuse)
         monkeypatch.setattr(dclass, "sandwich_matrix", _refuse)
         assert rees_hom(grid, sys_, am) == expected
-        assert len(calls) == len(grid.cols)
+        # per column, the product q = e * r[col] and its H-class check
+        assert len(calls) == 2 * len(grid.cols)
 
     def test_identify_certifies_without_the_sandwich_matrix(self, monkeypatch):
         from igmax import dclass, groupid

@@ -33,7 +33,7 @@ from igmax.presentation import (
     to_dot,
     to_gap,
 )
-from igmax.ptrans import KernelPartition, Monoid
+from igmax.ptrans import KernelPartition, Monoid, PartialMap
 from igmax.schreier import TIE_BREAKS, SchreierSystem, build_schreier, verify_schreier
 from igmax.squares import enumerate_singular_squares
 
@@ -509,7 +509,8 @@ class TestEliminatePartialRows:
             for lam in grid.cells_in_row[i]:
                 if lam == lam_i:
                     continue
-                alpha_t, _, _ = complete_to_singular_square(grid.cell(i, lam_i), grid.cell(i, lam))
+                alpha_t, _, _ = complete_to_singular_square(
+                    PartialMap(grid.cell(i, lam_i)), PartialMap(grid.cell(i, lam)))
                 j = grid.row_of[alpha_t.kernel()]
                 cols = (min(lam_i, lam), max(lam_i, lam))
                 idx = next(idx for idx, c in enumerate(classes) if c.cols == cols and i in c.rows)
@@ -577,7 +578,7 @@ class TestCompletionRow:
         for i in range(len(grid.rows)):
             if i in total:
                 continue
-            alpha = grid.cell(i, grid.cells_in_row[i][0])
+            alpha = PartialMap(grid.cell(i, grid.cells_in_row[i][0]))
             alpha_t, _, _ = complete_to_singular_square(alpha, alpha)
             assert presentation._completion_row(grid, i) == grid.row_of[alpha_t.kernel()], i
 

@@ -3,7 +3,7 @@ import pytest
 from igmax.dclass import build_grid
 from igmax.errors import StructuralError
 from igmax.groupid import verified_schreier
-from igmax.ptrans import Monoid, compose
+from igmax.ptrans import Monoid, PartialMap, compose
 from igmax.schreier import (
     TIE_BREAKS,
     SchreierSystem,
@@ -12,7 +12,14 @@ from igmax.schreier import (
     word_value,
 )
 
-from helpers import l_class_elements, pipeline, reference_build_schreier, reference_lift
+from helpers import (
+    MONOIDS,
+    l_class_elements,
+    pipeline,
+    reference_build_schreier,
+    reference_lift,
+    reference_word_value,
+)
 
 PT = Monoid.PARTIAL
 T = Monoid.TOTAL
@@ -95,11 +102,27 @@ class TestBuild:
 
     def test_word_value_lands_in_base_row(self):
         grid, _, sys_, _, _ = pipeline("pt", 4, 2)
-        e = grid.base_idempotent
+        e = PartialMap(grid.base_idempotent)
         for col in range(len(grid.cols)):
-            q = compose(e, word_value(grid, sys_.r[col]))
+            q = compose(e, PartialMap(word_value(grid, sys_.r[col])))
             assert q.kernel() == grid.rows[grid.base[0]]
             assert q.image() == grid.cols[col]
+
+
+class TestWordValue:
+    """The entry-tuple product against the product of checked maps."""
+
+    @pytest.mark.parametrize("tie", TIE_BREAKS)
+    @pytest.mark.parametrize("key", sorted(MONOIDS))
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_checked_map_product(self, n, key, tie):
+        monoid = MONOIDS[key]
+        for k in range(0 if monoid is PT else 1, n + 1):
+            grid = build_grid(n, k, monoid)
+            sys_ = build_schreier(grid, tie)
+            assert word_value(grid, ()) == tuple(range(n))
+            for w in (*sys_.r.values(), *sys_.r_inv.values()):
+                assert PartialMap(word_value(grid, w)) == reference_word_value(grid, w), (k, w)
 
 
 class TestVerify:

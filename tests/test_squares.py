@@ -105,7 +105,8 @@ class TestCompleteToSingularSquare:
                         continue
                     cells = grid.cells_in_row[i]
                     for lam, mu in itertools.combinations(cells, 2):
-                        a_t, b_t, eps = complete_to_singular_square(grid.cell(i, lam), grid.cell(i, mu))
+                        a_t, b_t, eps = complete_to_singular_square(
+                            PartialMap(grid.cell(i, lam)), PartialMap(grid.cell(i, mu)))
                         j = grid.row_of[a_t.kernel()]
                         assert j in total
                         assert (j, lam) in grid.group_cells
@@ -119,7 +120,7 @@ class TestSingularizes:
         i = next(i for i in range(len(grid.rows))
                  if i not in total and len(grid.cells_in_row[i]) >= 2)
         lam, mu = grid.cells_in_row[i][:2]
-        alpha, beta = grid.cell(i, lam), grid.cell(i, mu)
+        alpha, beta = PartialMap(grid.cell(i, lam)), PartialMap(grid.cell(i, mu))
         alpha_t, beta_t, eps = complete_to_singular_square(alpha, beta)
         assert singularizes(eps, (alpha, beta, alpha_t, beta_t)) == CASE_A
 
@@ -237,7 +238,7 @@ class TestPointwiseDifferential:
         assert list(got) == sorted(got, key=lambda c: (c.cols, c.rows))
         for c in got:
             assert len(c.rows) >= 2 and list(c.rows) == sorted(c.rows)
-            e, im_f = grid.cell(c.rows[0], c.cols[0]).entries, grid.cols[c.cols[1]]
+            e, im_f = grid.cell(c.rows[0], c.cols[0]), grid.cols[c.cols[1]]
             eps = tuple(e[x] if x in im_f else x for x in range(n))
             assert c.witness.entries == eps
         for sq in class_squares(got):
@@ -254,7 +255,7 @@ class TestPointwiseDifferential:
         accepted = 0
         for i, j, lam, mu in group_square_candidates(grid):
             for rows, cols in itertools.product(((i, j), (j, i)), ((lam, mu), (mu, lam))):
-                e, im_f = grid.cell(rows[0], cols[0]).entries, grid.cols[cols[1]]
+                e, im_f = grid.cell(rows[0], cols[0]), grid.cols[cols[1]]
                 eps = tuple(e[x] if x in im_f else x for x in range(n))
                 cells = tuple(c.entries for c in square_cells(grid, rows, cols))
                 want = _singular_case(eps, cells) == CASE_A
@@ -271,7 +272,7 @@ ORIENTATION_CLASSES = DIFFERENTIAL_CLASSES + [pytest.param("pt", 7, 3, marks=pyt
 
 def sigma(grid, r, lam, mu):
     """x.e_{r,lam} over x in cols[mu]: row r's matching of cols[mu] to cols[lam]."""
-    e = grid.cell(r, lam).entries
+    e = grid.cell(r, lam)
     return tuple(e[x] for x in grid.cols[mu])
 
 
@@ -327,7 +328,7 @@ class TestTopRowLookups:
     def triples(grid):
         for i, row_cols in enumerate(grid.cells_in_row):
             for a, b in itertools.permutations(row_cols, 2):
-                yield grid.cell(i, a).entries, grid.cell(i, b).entries, grid.cols[a], grid.cols[b]
+                yield grid.cell(i, a), grid.cell(i, b), grid.cols[a], grid.cols[b]
 
     @pytest.mark.parametrize("key,n,k", SMALL_CLASSES)
     def test_explicit_witness(self, key, n, k):
@@ -384,7 +385,7 @@ class TestCaseAConfirmation:
         grid = build_grid(4, 2, PT)
         first = enumerate_singular_squares(grid)[0]
         cell = (first.rows[1], first.cols[1])
-        broken = grid._replace(group_cells={**grid.group_cells, cell: PartialMap(entries)})
+        broken = grid._replace(group_cells={**grid.group_cells, cell: entries})
         with pytest.raises(StructuralError, match="bottom-row case-\\(a\\) facts"):
             enumerate_singular_squares(broken)
         assert enumerate_singular_squares(grid)[0] == first  # the original is untouched

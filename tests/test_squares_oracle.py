@@ -92,11 +92,11 @@ class TestBucketLemma:
 
         scan = _SquareScan(grid)
         for i, cols in enumerate(grid.cells_in_row):
-            sets = {frozenset(left_fixing(grid.cell(i, lam).entries)) for lam in cols}
+            sets = {frozenset(left_fixing(grid.cell(i, lam))) for lam in cols}
             assert len(sets) == 1, i
             assert sets == {frozenset(_bits(scan.lefts[i]))}
         for lam, rows in enumerate(grid.cells_in_col):
-            sets = {frozenset(right_fixing(grid.cell(i, lam).entries)) for i in rows}
+            sets = {frozenset(right_fixing(grid.cell(i, lam))) for i in rows}
             assert len(sets) == 1, lam
             assert sets == {frozenset(_bits(scan.rights[lam]))}
 
