@@ -39,7 +39,6 @@ from .schreier import (
     SchreierSystem,
     build_schreier,
     verify_schreier,
-    word_value,
 )
 from .squares import SingularClass, enumerate_singular_squares
 

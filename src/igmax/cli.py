@@ -167,21 +167,23 @@ def _cmd_grid(args):
 
 def _cmd_schreier(args):
     sys_ = verified_schreier(_grid(args), args.tie_break)
+    base = sys_.base_col + 1
+    # the star's words: r[c] = e_{i,c} and r_inv[c] = e_{i,base}, empty at the base
     return 0, lambda: {
         **_class_json(args),
-        "base_col": sys_.base_col + 1,
+        "base_col": base,
         "words": [
             {
                 "col": c + 1,
-                "r": [[i + 1, l + 1] for i, l in sys_.r[c]],
-                "r_inv": [[i + 1, l + 1] for i, l in sys_.r_inv[c]],
+                "r": [] if i is None else [[i + 1, c + 1]],
+                "r_inv": [] if i is None else [[i + 1, base]],
             }
-            for c in sorted(sys_.r)
+            for c, i in enumerate(sys_.rows)
         ],
         "verified": True,
     }, (
-        f"schreier system over {len(sys_.r)} columns, "
-        f"max word length {max(len(w) for w in sys_.r.values())}, verified\n"
+        f"schreier system over {len(sys_.rows)} columns, "
+        f"max word length {int(len(sys_.rows) > 1)}, verified\n"
     )
 
 
@@ -232,13 +234,11 @@ def _cmd_presentation(args):
 
 
 def _cmd_identify(args):
-    if args.workers < 1:
-        raise ValueError("workers must be positive")
     if args.timings and args.output != "json":
         raise ValueError("--timings needs --output json")
     report = identify(
         args.n, args.k, MONOIDS[args.monoid], max_cosets=args.max_cosets,
-        anchor_rule=args.anchor_rule, tie_break=args.tie_break,
+        anchor_rule=args.anchor_rule, tie_break=args.tie_break, workers=args.workers,
         simplify=not args.raw_coset_table,
     )
     desc = {

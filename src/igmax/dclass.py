@@ -12,7 +12,7 @@ the singular classes' witnesses and text output.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import StructuralError
 from .ptrans import (
@@ -23,7 +23,9 @@ from .ptrans import (
     compose_entries,
     kernels_of_rank,
 )
-from . import schreier as _schreier
+
+if TYPE_CHECKING:
+    from .schreier import SchreierSystem
 
 ANCHOR_RULES = ("lex", "lexmax", "two-step")
 
@@ -149,33 +151,33 @@ def _member_of_cell(
         raise StructuralError(f"{what} fell out of its H-class")
 
 
-def column_representatives(
-    grid: DClassGrid, sys: "_schreier.SchreierSystem"
-) -> list[tuple[int, ...]]:
-    """q[col] = e * r[col] for every column, e the base idempotent, each checked
-    to lie in the H-class of the base row and column col."""
+def column_representatives(grid: DClassGrid, sys: SchreierSystem) -> list[tuple[int, ...]]:
+    """q[col] = e * e_{i,col} for every column, e the base idempotent and i the
+    row col shares with the base column (q = e at the base), each checked to
+    lie in the H-class of the base row and column col."""
     e = grid.base_idempotent
     qs = []
-    for c in range(len(grid.cols)):
-        q = compose_entries(e, _schreier.word_value(grid, sys.r[c]))
+    for c, i in enumerate(sys.rows):
+        q = e if i is None else compose_entries(e, grid.cell(i, c))
         _member_of_cell(grid, q, e, c, f"column representative q[{c}]")
         qs.append(q)
     return qs
 
 
 def sandwich_matrix(
-    grid: DClassGrid, sys: "_schreier.SchreierSystem", anchors_map: dict[int, int]
+    grid: DClassGrid, sys: SchreierSystem, anchors_map: dict[int, int]
 ) -> dict[tuple[int, int], Permutation]:
     """Rees sandwich entries p_{col,row} at the group cells, keyed by (col, row).
 
-    q[col] is the base idempotent pushed along r[col], in L_col of the base
-    row; t[row] is the anchor cell pulled back along r_inv of the anchor
-    column, in R_row of the base column.  Every other entry is zero: q*t has
-    rank k exactly when the image of col is a transversal of the kernel of
-    row (the rank of q*t counts the kernel blocks that im q meets), and that
-    is the test build_grid picked the group cells by (Clifford-Miller; Howie
-    1995, Prop. 2.3.7).  So only group cells get an entry.  Every map is an
-    entry tuple.
+    q[col] is the base idempotent pushed along e_{j,col}, in L_col of the base
+    row, for j the row col shares with the base column; t[row] is the anchor
+    cell f pulled back to the base column as f * e_{j,base}, for j the row the
+    anchor column shares with it, in R_row of the base column.  Every other
+    entry is zero: q*t has rank k exactly when the image of col is a
+    transversal of the kernel of row (the rank of q*t counts the kernel blocks
+    that im q meets), and that is the test build_grid picked the group cells
+    by (Clifford-Miller; Howie 1995, Prop. 2.3.7).  So only group cells get an
+    entry.  Every map is an entry tuple.
 
     A product x lies in the base H-class when e*x = x = x*e, for e the base
     idempotent, and x restricts to a bijection of im e: x*e = x puts im x
@@ -195,14 +197,11 @@ def sandwich_matrix(
     """
     e = grid.base_idempotent
     qs = column_representatives(grid, sys)
-    back: dict[int, tuple[int, ...]] = {}  # r_inv of each anchor column, evaluated once
     ts = []
     for i in range(len(grid.rows)):
         a = anchors_map[i]
-        if a not in back:
-            back[a] = _schreier.word_value(grid, sys.r_inv[a])
-        f = grid.cell(i, a)
-        t = compose_entries(f, back[a])
+        f, j = grid.cell(i, a), sys.rows[a]
+        t = f if j is None else compose_entries(f, grid.cell(j, sys.base_col))
         _member_of_cell(grid, t, f, grid.base[1], f"row representative t[{i}]")
         ts.append(t)
     base_im = grid.cols[grid.base[1]]

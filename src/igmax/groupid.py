@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 from .dclass import (
+    ANCHOR_RULES,
     DClassGrid,
     Permutation,
     anchors,
@@ -37,7 +38,7 @@ from .presentation import (
     tietze_simplify,
 )
 from .ptrans import Monoid
-from .schreier import SchreierSystem, build_schreier, verify_schreier
+from .schreier import TIE_BREAKS, SchreierSystem, build_schreier, verify_schreier
 from .squares import SingularClass, enumerate_singular_squares, group_square_candidates
 
 COMPLETE = "complete"
@@ -616,7 +617,7 @@ def _timed(timings: dict[str, float], stage: str):
 
 
 def verified_schreier(grid: DClassGrid, tie_break: str = "least") -> SchreierSystem:
-    """Build and verify; a degenerate grid's one column has empty words."""
+    """Build and verify; a degenerate grid's one column has no row."""
     sys = build_schreier(grid, tie_break)
     violations = verify_schreier(grid, sys)
     if violations:
@@ -702,7 +703,8 @@ def identify(
     Edge ranks k in {0, n} short-circuit to the trivial verdict, k = n-1 is
     certified free of the Graham-Houghton cycle rank, and 1 <= k <= n-2 is
     certified symmetric via order k! plus a verified surjection onto S_k.
-    `workers` is accepted and has no effect.
+    `workers` must be positive and has no effect.  The options are checked
+    on every rank, the edge ranks included.
 
     The surjection is checked first, as it gives |G| >= k!.  Then the upper
     bound comes from `_subgroup_chain` on the simplified presentation: for
@@ -724,6 +726,12 @@ def identify(
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    if anchor_rule not in ANCHOR_RULES:
+        raise ValueError(f"anchor rule must be one of {ANCHOR_RULES}")
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
     timings: dict[str, float] = {}
 
     if k in (0, n):

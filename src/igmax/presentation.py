@@ -125,9 +125,9 @@ def build_presentation(
     columns, type 3 the four distinct cells of a square; the three lengths
     differ, so no relator needs a dedup pass.
 
-    Type 2 reads the star system of `build_schreier`: each non-base column's
-    word r[mu] is one letter e_{i,mu} with (i, base) a group cell, and gives
-    X_{i,base} X_{i,mu}^-1, in ascending mu.  Any other word is a ValueError.
+    Type 2 reads the star system of `build_schreier`: each non-base column mu
+    and the row i it shares with the base column give X_{i,base} X_{i,mu}^-1,
+    in ascending mu.
 
     Type 3 is the star of each singular class: with r0 its least row, the
     squares (r0, j) on its other rows j, in the canonical (i, j, lam, mu)
@@ -150,15 +150,10 @@ def build_presentation(
 
     # type 2: X_{i,base} = X_{i,mu} for the one letter r[mu] = e_{i,mu}
     base = sys.base_col
-    for mu in range(len(grid.cols)):
-        if mu == base:
-            continue
-        w = sys.r[mu]
-        i = w[0][0] if len(w) == 1 else None
-        if w != ((i, mu),) or (i, mu) not in letter or (i, base) not in letter:
-            raise ValueError(f"r[{mu}] is not one letter of column {mu} in a base-column row")
-        rels.append((letter[(i, base)], letter[(i, mu)] ^ 1))
-        tags.append(TYPE2)
+    for mu, i in enumerate(sys.rows):
+        if mu != base:
+            rels.append((letter[(i, base)], letter[(i, mu)] ^ 1))
+            tags.append(TYPE2)
 
     star = sorted((c.rows[0], j, *c.cols) for c in classes for j in c.rows[1:])
     for i, j, lam, mu in star:

@@ -1,12 +1,10 @@
 """Schreier systems of column representatives over the idempotent alphabet.
 
-A word is a tuple of grid cells (row, col); its value is the left-to-right
-product of the cell idempotents, an entry tuple like each cell.  Each column's
-word r[col] must move the base L-class onto that column's L-class by right
-multiplication, with r_inv[col] undoing it, both preserving R-classes; by
-Green's lemma two products check it.  The built words have one letter each,
-read off a row the column shares with the base column; `verify_schreier`
-checks words of any length.
+Each column mu needs a representative r[mu] that moves the base L-class onto
+that column's L-class by right multiplication, with r_inv[mu] undoing it, both
+preserving R-classes.  Every column shares a row i with the base column, so the
+system is a star: r[mu] = e_{i,mu} and r_inv[mu] = e_{i,base}, and it is stored
+as that row alone.  By Green's lemma two products per column check it.
 """
 
 from __future__ import annotations
@@ -19,24 +17,14 @@ from .ptrans import UNDEF, compose_entries
 if TYPE_CHECKING:
     from .dclass import DClassGrid
 
-Cell = tuple[int, int]
-EWord = tuple[Cell, ...]
-
 TIE_BREAKS = ("least", "greatest")
 
 
 class SchreierSystem(NamedTuple):
+    """rows[mu]: the row column mu shares with the base column; None at the base."""
+
     base_col: int
-    r: dict[int, EWord]
-    r_inv: dict[int, EWord]
-
-
-def word_value(grid: "DClassGrid", word: EWord) -> tuple[int, ...]:
-    """Product of the letter idempotents; the empty word is the identity map."""
-    val = tuple(range(grid.n))
-    for cell in word:
-        val = compose_entries(val, grid.group_cells[cell])
-    return val
+    rows: tuple[int | None, ...]
 
 
 def build_schreier(grid: "DClassGrid", tie_break: str = "least") -> SchreierSystem:
@@ -48,7 +36,7 @@ def build_schreier(grid: "DClassGrid", tie_break: str = "least") -> SchreierSyst
     So every column mu shares a row i with the base column, and r[mu] = e_{i,mu}
     and r_inv[mu] = e_{i,base} are mutually inverse, because the two are
     R-related idempotents.  A degenerate grid (k in {0, n}) has one column,
-    whose words are empty.
+    the base, which has no row.
 
     Tie-break "least" picks the least shared row, "greatest" the greatest.
     With "least" the PT_n system is the T_n system, so the paper's reduction
@@ -61,55 +49,40 @@ def build_schreier(grid: "DClassGrid", tie_break: str = "least") -> SchreierSyst
     pick = max if tie_break == "greatest" else min
     base = grid.base[1]
     base_rows = set(grid.cells_in_col[base])
-    r: dict[int, EWord] = {base: ()}
-    r_inv: dict[int, EWord] = {base: ()}
-    for mu, rows in enumerate(grid.cells_in_col):
+    rows: list[int | None] = []
+    for mu, col_rows in enumerate(grid.cells_in_col):
         if mu == base:
+            rows.append(None)
             continue
-        shared = base_rows.intersection(rows)
+        shared = base_rows.intersection(col_rows)
         if not shared:
             raise StructuralError(f"column {mu} shares no row with the base column {base}")
-        i = pick(shared)
-        r[mu] = ((i, mu),)
-        r_inv[mu] = ((i, base),)
-    return SchreierSystem(base, r, r_inv)
+        rows.append(pick(shared))
+    return SchreierSystem(base, tuple(rows))
 
 
 def verify_schreier(grid: "DClassGrid", sys: SchreierSystem) -> list[str]:
     """Check the Schreier system; returns violations (empty = valid).
 
-    Past the structural checks two products per column decide: if q = e*r[col]
-    is in L_col and q*r_inv[col] = e, for e an idempotent of the base L-class,
+    Past the shape checks two products per column decide: if q = e*e_{i,mu}
+    is in L_mu and q*e_{i,base} = e, for e the base idempotent and i = rows[mu],
     then by Green's lemma (Howie 1995, Lemma 2.2.1) right multiplication by
-    r[col] is an R-preserving bijection L_e -> L_col inverted by r_inv[col].
+    e_{i,mu} is an R-preserving bijection L_e -> L_mu inverted by e_{i,base}.
     """
-    bad: list[str] = []
-    ncols = len(grid.cols)
-    if set(sys.r) != set(range(ncols)) or set(sys.r_inv) != set(range(ncols)):
-        return ["words do not cover every column"]
-    if sys.r[sys.base_col] != ():
-        bad.append(f"root word r[{sys.base_col}] is not the empty word")
-
-    word_cols = {w: c for c, w in sys.r.items()}
-    if len(word_cols) != ncols:
-        bad.append("column words are not pairwise distinct")
-    for col in range(ncols):
-        w = sys.r[col]
-        for cut in range(len(w)):
-            if w[:cut] not in word_cols:
-                bad.append(f"prefix of r[{col}] of length {cut} is no column word")
-        for cell in w + sys.r_inv[col]:
-            if cell not in grid.group_cells:
-                bad.append(f"letter {cell} in the words of column {col} is not a group cell")
-
-    if bad:
-        return bad
-
-    e = grid.cell(grid.cells_in_col[sys.base_col][0], sys.base_col)
-    for col in range(ncols):
-        q = compose_entries(e, word_value(grid, sys.r[col]))
-        if tuple(sorted(set(q) - {UNDEF})) != grid.cols[col]:
-            bad.append(f"column {col}: e * r[{col}] does not land in L_{col}")
-        elif compose_entries(q, word_value(grid, sys.r_inv[col])) != e:
-            bad.append(f"column {col}: r_inv[{col}] does not invert r[{col}] on the base L-class")
+    base = grid.base[1]
+    if sys.base_col != base or len(sys.rows) != len(grid.cols):
+        return ["rows do not cover the grid's columns from its base column"]
+    bad = [] if sys.rows[base] is None else [f"base column {base} has a row"]
+    e = grid.base_idempotent
+    for mu, i in enumerate(sys.rows):
+        if mu == base:
+            continue
+        if (i, mu) not in grid.group_cells or (i, base) not in grid.group_cells:
+            bad.append(f"column {mu}: ({i}, {mu}) or ({i}, {base}) is not a group cell")
+            continue
+        q = compose_entries(e, grid.cell(i, mu))
+        if tuple(sorted(set(q) - {UNDEF})) != grid.cols[mu]:
+            bad.append(f"column {mu}: e * r[{mu}] does not land in L_{mu}")
+        elif compose_entries(q, grid.cell(i, base)) != e:
+            bad.append(f"column {mu}: r_inv[{mu}] does not invert r[{mu}] on the base L-class")
     return bad

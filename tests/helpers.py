@@ -793,10 +793,36 @@ def reference_eliminate_partial_rows(
 # Schreier oracles: the breadth-first build the one-letter star replaced, and
 # the exhaustive check the Green's-lemma one replaced.  The check multiplies
 # every element of the base L-class by every column word, so it is slow but
-# checks the bijection L_e -> L_col element by element.
+# checks the bijection L_e -> L_col element by element.  Both work on words
+# of any length; `star_words` spells a star system out as words for them.
 
 
-def reference_build_schreier(grid: DClassGrid, tie_break: str = "least") -> SchreierSystem:
+class WordSystem(NamedTuple):
+    """A Schreier system as words: r[col] and r_inv[col] are tuples of cells."""
+
+    base_col: int
+    r: dict[int, tuple]
+    r_inv: dict[int, tuple]
+
+
+def star_words(sys: SchreierSystem) -> WordSystem:
+    """r[mu] = e_{i,mu} and r_inv[mu] = e_{i,base} for i = rows[mu]; a column
+    without a row gets empty words."""
+    base = sys.base_col
+    r = {mu: () if i is None else ((i, mu),) for mu, i in enumerate(sys.rows)}
+    r_inv = {mu: () if i is None else ((i, base),) for mu, i in enumerate(sys.rows)}
+    return WordSystem(base, r, r_inv)
+
+
+def swap_cells(grid: DClassGrid, a: tuple[int, int], b: tuple[int, int]) -> DClassGrid:
+    """The grid with the entry tuples of group cells a and b swapped: every
+    entry stays in range, but each cell holds the other's idempotent."""
+    cells = dict(grid.group_cells)
+    cells[a], cells[b] = cells[b], cells[a]
+    return grid._replace(group_cells=cells)
+
+
+def reference_build_schreier(grid: DClassGrid, tie_break: str = "least") -> WordSystem:
     """Breadth-first Schreier system over the column graph.
 
     Columns lam, mu are adjacent when some row has group cells at both; the
@@ -827,7 +853,7 @@ def reference_build_schreier(grid: DClassGrid, tie_break: str = "least") -> Schr
     if len(r) != ncols:
         missing = sorted(set(range(ncols)) - set(r))
         raise StructuralError(f"column graph disconnected; unreachable columns {missing}")
-    return SchreierSystem(base, r, r_inv)
+    return WordSystem(base, r, r_inv)
 
 
 def l_class_elements(grid: DClassGrid, col: int) -> list[PartialMap]:
@@ -853,7 +879,7 @@ def reference_word_value(grid: DClassGrid, word) -> PartialMap:
     return val
 
 
-def reference_verify_schreier(grid: DClassGrid, sys: SchreierSystem) -> list[str]:
+def reference_verify_schreier(grid: DClassGrid, sys: WordSystem) -> list[str]:
     """Exhaustively check the Schreier system; returns violations (empty = valid)."""
     bad: list[str] = []
     ncols = len(grid.cols)
@@ -904,12 +930,8 @@ def reference_lift(grid_t: DClassGrid, grid_pt: DClassGrid) -> SchreierSystem:
     assert (grid_t.monoid, grid_pt.monoid) == (Monoid.TOTAL, Monoid.PARTIAL)
     assert (grid_t.n, grid_t.k, grid_t.cols) == (grid_pt.n, grid_pt.k, grid_pt.cols)
     sys_t = build_schreier(grid_t)
-    row_map = {i: grid_pt.row_of[kp] for i, kp in enumerate(grid_t.rows)}
-
-    def conv(words: dict) -> dict:
-        return {c: tuple((row_map[i], col) for i, col in w) for c, w in words.items()}
-
-    return SchreierSystem(sys_t.base_col, conv(sys_t.r), conv(sys_t.r_inv))
+    rows = tuple(None if i is None else grid_pt.row_of[grid_t.rows[i]] for i in sys_t.rows)
+    return SchreierSystem(sys_t.base_col, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1255,15 +1277,16 @@ def reference_sandwich_matrix(
     base_row, base_col = grid.base
     base_im = grid.cols[base_col]
     pos = {x: idx for idx, x in enumerate(base_im)}
+    words = star_words(sys)
     qs = []
     for c in range(len(grid.cols)):
-        q = compose(PartialMap(grid.base_idempotent), reference_word_value(grid, sys.r[c]))
+        q = compose(PartialMap(grid.base_idempotent), reference_word_value(grid, words.r[c]))
         assert (q.kernel(), q.image()) == (grid.rows[base_row], grid.cols[c]), c
         qs.append(q)
     ts = []
     for i in range(len(grid.rows)):
         a = anchors_map[i]
-        t = compose(PartialMap(grid.cell(i, a)), reference_word_value(grid, sys.r_inv[a]))
+        t = compose(PartialMap(grid.cell(i, a)), reference_word_value(grid, words.r_inv[a]))
         assert (t.kernel(), t.image()) == (grid.rows[i], base_im), i
         ts.append(t)
     out: dict[tuple[int, int], tuple[int, ...] | None] = {}

@@ -7,6 +7,7 @@ class): in particular the last coset enumeration must carry the order."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -14,6 +15,8 @@ import pytest
 
 import igmax
 import igmax.cli  # noqa: F401  (targets() reads igmax.cli)
+from igmax.dclass import ANCHOR_RULES
+from igmax.schreier import TIE_BREAKS
 
 from helpers import MONOIDS
 
@@ -24,6 +27,9 @@ TRACED_CLASSES = [
     ("t", 7, 5), ("pt", 6, 4), ("pt", 7, 6), ("t", 6, 5), ("pt", 6, 0), ("t", 6, 6),
     ("t", 6, 2), ("t", 6, 3), ("pt", 5, 2), ("pt", 5, 3), ("pt", 6, 1),
 ]
+
+# the CLI classes of the raw_squeeze workload
+RAW_SQUEEZE_CLASSES = [("pt", 5, 3), ("t", 6, 4), ("pt", 6, 4)]
 
 
 @pytest.fixture
@@ -49,3 +55,17 @@ def test_traced_spans_agree_with_the_report(spans, key, n, k):
         report = igmax.groupid.identify(n, k, MONOIDS[key])
     assert tracer.spans
     assert spans.cross_check(tracer.spans, report.to_json()) == []
+
+
+@pytest.mark.parametrize("tie", TIE_BREAKS)
+@pytest.mark.parametrize("rule", ANCHOR_RULES)
+@pytest.mark.parametrize("key,n,k", RAW_SQUEEZE_CLASSES)
+def test_traced_raw_route_agrees_with_the_report(spans, capsys, key, n, k, rule, tie):
+    argv = ["identify", "--monoid", key, "--n", str(n), "--k", str(k), "--anchor-rule", rule,
+            "--tie-break", tie, "--raw-coset-table", "--output", "json"]
+    with spans.patched(spans.Tracer(), spans.targets(igmax)) as tracer:
+        code = igmax.cli.main(argv)
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert tracer.spans
+    assert spans.cross_check(tracer.spans, report) == []

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ from igmax import cli
 from igmax.cli import main
 from igmax.dclass import build_grid
 from igmax.ptrans import Monoid
-from igmax.schreier import SchreierSystem, build_schreier
+from igmax.schreier import build_schreier
 
 from helpers import pipeline, reference_enumerate_singular_squares
 
@@ -107,12 +108,17 @@ class TestSchreierFailure:
 
     @staticmethod
     def swap_two_columns(grid, tie_break="least"):
-        """build_schreier with the words of two non-base columns swapped."""
+        """build_schreier with the rows of two non-base columns swapped, where
+        neither row has a cell in the other column."""
         sys_ = build_schreier(grid, tie_break)
-        a, b = [c for c in sorted(sys_.r) if c != sys_.base_col][:2]
-        r, r_inv = dict(sys_.r), dict(sys_.r_inv)
-        r[a], r[b], r_inv[a], r_inv[b] = r[b], r[a], r_inv[b], r_inv[a]
-        return SchreierSystem(sys_.base_col, r, r_inv)
+        rows = list(sys_.rows)
+        a, b = next(
+            (a, b) for a, b in itertools.combinations(range(len(rows)), 2)
+            if sys_.base_col not in (a, b)
+            and (rows[b], a) not in grid.group_cells and (rows[a], b) not in grid.group_cells
+        )
+        rows[a], rows[b] = rows[b], rows[a]
+        return sys_._replace(rows=tuple(rows))
 
     @pytest.fixture
     def swapped(self, monkeypatch):

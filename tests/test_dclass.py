@@ -13,7 +13,7 @@ from igmax.dclass import (
 from igmax.errors import StructuralError
 from igmax.groupid import perm_identity, verified_schreier
 from igmax.ptrans import Monoid, PartialMap, compose, compose_entries
-from igmax.schreier import TIE_BREAKS, SchreierSystem
+from igmax.schreier import TIE_BREAKS
 from helpers import (
     MONOIDS,
     all_maps,
@@ -22,6 +22,8 @@ from helpers import (
     pipeline,
     reference_build_grid,
     reference_sandwich_matrix,
+    star_words,
+    swap_cells,
 )
 
 PT = Monoid.PARTIAL
@@ -216,13 +218,14 @@ class TestSandwich:
         pos = {x: idx for idx, x in enumerate(base_im)}
         e = PartialMap(grid.base_idempotent)
         mat = sandwich_matrix(grid, sys_, am)
+        words = star_words(sys_)
         for c in range(len(grid.cols)):
             q = e
-            for cell in sys_.r[c]:
+            for cell in words.r[c]:
                 q = compose(q, PartialMap(grid.group_cells[cell]))
             for i in range(len(grid.rows)):
                 t = PartialMap(grid.cell(i, am[i]))
-                for cell in sys_.r_inv[am[i]]:
+                for cell in words.r_inv[am[i]]:
                     t = compose(t, PartialMap(grid.group_cells[cell]))
                 prod = compose(q, t)
                 if prod.rank() == grid.k:
@@ -231,8 +234,9 @@ class TestSandwich:
                     assert (c, i) not in mat
 
     def test_composes_only_group_cells(self, monkeypatch):
-        # one product per column and per row, each checked to lie in its
-        # H-class by one more; the group cells read them
+        # one product per column and per row, none at the base column or for
+        # a row anchored there, each checked to lie in its H-class by one
+        # more; the group cells read them
         grid, am, sys_, _, _ = pipeline("pt", 4, 2)
         calls = []
 
@@ -242,7 +246,8 @@ class TestSandwich:
 
         monkeypatch.setattr(dclass, "compose_entries", counted)
         sandwich_matrix(grid, sys_, am)
-        assert len(calls) == 2 * (len(grid.cols) + len(grid.rows))
+        at_base = 1 + sum(a == sys_.base_col for a in am.values())
+        assert len(calls) == 2 * (len(grid.cols) + len(grid.rows)) - at_base
 
     @pytest.mark.parametrize("key,n,k", [("pt", 4, 2), ("t", 4, 2), ("t", 5, 3)])
     def test_non_group_cell_raises(self, key, n, k):
@@ -257,15 +262,24 @@ class TestSandwich:
 
     @pytest.mark.parametrize("key,n,k", [("pt", 4, 2), ("t", 4, 2), ("t", 5, 3)])
     def test_misplaced_representatives_raise(self, key, n, k):
-        grid, am, sys_, _, _ = pipeline(key, n, k)
-        a, b = [c for c in sorted(sys_.r) if c != sys_.base_col][:2]
-        swapped = SchreierSystem(sys_.base_col, {**sys_.r, a: sys_.r[b], b: sys_.r[a]}, sys_.r_inv)
-        with pytest.raises(StructuralError, match="column representative"):
-            sandwich_matrix(grid, swapped, am)
-        lam = next(c for c in am.values() if c != sys_.base_col)
-        emptied = SchreierSystem(sys_.base_col, sys_.r, {**sys_.r_inv, lam: ()})
+        # cells of the shared rows that hold another column's idempotent; under
+        # lexmax some anchor column shares a row other than the base row
+        grid, am, sys_, _, _ = pipeline(key, n, k, anchor_rule="lexmax")
+        base, rows = sys_.base_col, sys_.rows
+        a = next(c for c, i in enumerate(rows) if i is not None)  # the first q composed
+        i = rows[a]
+        b = next(c for c in grid.cells_in_row[i] if c > a and (i, c) != grid.base)
+        with pytest.raises(StructuralError, match=rf"column representative q\[{a}\]"):
+            sandwich_matrix(swap_cells(grid, (i, a), (i, b)), sys_, am)
+        # (j, base) now pulls the anchor cells of column lam back to column y;
+        # no q reads either cell, nor the base idempotent
+        j, y = next(
+            (j, y) for lam in sorted(set(am.values()) - {base}) for j in [rows[lam]]
+            if j != grid.base[0]
+            for y in grid.cells_in_row[j] if y != base and rows[y] != j
+        )
         with pytest.raises(StructuralError, match="row representative"):
-            sandwich_matrix(grid, emptied, am)
+            sandwich_matrix(swap_cells(grid, (j, base), (j, y)), sys_, am)
 
 
 SANDWICH_CLASSES = [(key, n, k) for key, n, k, _ in CORPUS_RUNS if n <= 5] + [

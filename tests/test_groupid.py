@@ -50,6 +50,8 @@ from helpers import (
     reference_smith_normal_form,
     reference_verify_hom,
     reference_word_value,
+    star_words,
+    swap_cells,
 )
 
 PT = Monoid.PARTIAL
@@ -430,15 +432,16 @@ class TestReesHom:
         # independent route: evaluate e * r[anchor] * cell * r_inv[col] directly
         grid, am, sys_, _, _ = pipeline("pt", 4, 2)
         hom = rees_hom(grid, sys_, am)
+        words = star_words(sys_)
         base_im = grid.cols[grid.base[1]]
         pos = {v: idx for idx, v in enumerate(base_im)}
         for (i, lam), perm in hom.items():
             loop = compose(
                 compose(
-                    compose(PartialMap(grid.base_idempotent), reference_word_value(grid, sys_.r[am[i]])),
+                    compose(PartialMap(grid.base_idempotent), reference_word_value(grid, words.r[am[i]])),
                     PartialMap(grid.cell(i, lam)),
                 ),
-                reference_word_value(grid, sys_.r_inv[lam]),
+                reference_word_value(grid, words.r_inv[lam]),
             )
             assert perm == tuple(pos[loop.entries[v]] for v in base_im)
 
@@ -457,7 +460,8 @@ def _refuse(*args):
 
 def _unused_cell(grid, anchors_map, sys_):
     """A group cell off its row's anchor that no Schreier word uses as a letter."""
-    used = {cell for words in (sys_.r, sys_.r_inv) for w in words.values() for cell in w}
+    words = star_words(sys_)
+    used = {cell for ws in (words.r, words.r_inv) for w in ws.values() for cell in w}
     return next(
         (i, lam) for i, lam in sorted(grid.group_cells)
         if lam != anchors_map[i] and (i, lam) not in used
@@ -490,12 +494,15 @@ class TestReesHomReadOff:
             rees_hom(broken, sys_, am)
 
     @pytest.mark.parametrize("key,n,k", [("pt", 4, 2), ("t", 4, 2), ("t", 5, 3)])
-    def test_column_word_of_another_column_trips_the_q_check(self, key, n, k):
+    def test_cell_of_another_column_trips_the_q_check(self, key, n, k):
+        # the first column's letter holds the idempotent of a later column's cell
         grid, am, sys_, _, _ = pipeline(key, n, k)
-        a, b = [c for c in sorted(sys_.r) if c != sys_.base_col][:2]
-        crossed = sys_._replace(r={**sys_.r, a: sys_.r[b]})
+        a = next(c for c, i in enumerate(sys_.rows) if i is not None)
+        i = sys_.rows[a]
+        b = next(c for c in grid.cells_in_row[i] if c > a and (i, c) != grid.base)
+        crossed = swap_cells(grid, (i, a), (i, b))
         with pytest.raises(StructuralError, match=rf"column representative q\[{a}\] fell out"):
-            rees_hom(grid, crossed, am)
+            rees_hom(crossed, sys_, am)
 
     def test_composes_column_representatives_only(self, monkeypatch):
         # no row representative, no sandwich entry, no permutation product
@@ -514,8 +521,9 @@ class TestReesHomReadOff:
         monkeypatch.setattr(groupid, "sandwich_matrix", _refuse)
         monkeypatch.setattr(dclass, "sandwich_matrix", _refuse)
         assert rees_hom(grid, sys_, am) == expected
-        # per column, the product q = e * r[col] and its H-class check
-        assert len(calls) == 2 * len(grid.cols)
+        # per column, the product q = e * r[col] (none at the base, q = e) and
+        # its H-class check
+        assert len(calls) == 2 * len(grid.cols) - 1
 
     def test_identify_certifies_without_the_sandwich_matrix(self, monkeypatch):
         from igmax import dclass, groupid
@@ -570,6 +578,19 @@ class TestIdentify:
             identify(3, 4, PT)
         with pytest.raises(ValueError):
             identify(3, 0, T)
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    @pytest.mark.parametrize(
+        "option,message",
+        [({"anchor_rule": "bogus"}, "anchor rule must be one of"),
+         ({"tie_break": "bogus"}, "tie_break must be one of"),
+         ({"workers": 0}, "workers must be positive")],
+        ids=["anchor_rule", "tie_break", "workers"],
+    )
+    def test_bad_option_rejected_on_every_rank(self, k, option, message):
+        # the edge ranks short-circuit to trivial, but not past the checks
+        with pytest.raises(ValueError, match=message):
+            identify(4, k, PT, **option)
 
     @pytest.mark.parametrize(
         "key,n,k",

@@ -34,7 +34,7 @@ from igmax.presentation import (
     to_gap,
 )
 from igmax.ptrans import KernelPartition, Monoid, PartialMap
-from igmax.schreier import TIE_BREAKS, SchreierSystem, build_schreier, verify_schreier
+from igmax.schreier import TIE_BREAKS, build_schreier
 from igmax.squares import enumerate_singular_squares
 
 from helpers import (
@@ -52,6 +52,7 @@ from helpers import (
     reference_tietze_simplify,
     singularizes,
     square_cells,
+    star_words,
     tietze_alone,
 )
 
@@ -181,31 +182,18 @@ class TestBuildPresentation:
         # build_presentation reads each star letter; the scan tries every parent column
         grid, _, sys_, _, pres = pipeline(key, n, k, tie_break=tie_break)
         letter = {cell: 2 * g for g, cell in enumerate(pres.cells)}
+        words = star_words(sys_)
         want = []
         for mu in range(len(grid.cols)):
-            w = sys_.r[mu]
+            w = words.r[mu]
             if not w or w[-1][1] != mu or w[-1] not in grid.group_cells:
                 continue
             i = w[-1][0]
             for lam in range(len(grid.cols)):
-                if lam != mu and sys_.r[lam] == w[:-1] and (i, lam) in grid.group_cells:
+                if lam != mu and words.r[lam] == w[:-1] and (i, lam) in grid.group_cells:
                     want.append((letter[(i, lam)], letter[(i, mu)] ^ 1))
         got = [rel for rel, tag in zip(pres.relators, pres.provenance) if tag == TYPE2]
         assert got == want
-
-    def test_two_letter_word_is_value_error(self):
-        # a verified system, built by hand, whose word for mu goes base -> lam -> mu
-        grid, anchors_map, sys_, classes, _ = pipeline("pt", 4, 2)
-        lam, mu = [c for c in range(len(grid.cols)) if c != sys_.base_col][:2]
-        j = min(set(grid.cells_in_col[lam]) & set(grid.cells_in_col[mu]))
-        two = SchreierSystem(
-            sys_.base_col,
-            {**sys_.r, mu: sys_.r[lam] + ((j, mu),)},
-            {**sys_.r_inv, mu: ((j, lam),) + sys_.r_inv[lam]},
-        )
-        assert verify_schreier(grid, two) == []
-        with pytest.raises(ValueError, match=rf"r\[{mu}\] is not one letter of column {mu}"):
-            build_presentation(grid, two, anchors_map, classes)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,16 +9,16 @@ from igmax.schreier import (
     SchreierSystem,
     build_schreier,
     verify_schreier,
-    word_value,
 )
 
 from helpers import (
-    MONOIDS,
     l_class_elements,
     pipeline,
     reference_build_schreier,
     reference_lift,
     reference_word_value,
+    star_words,
+    swap_cells,
 )
 
 PT = Monoid.PARTIAL
@@ -26,12 +26,11 @@ T = Monoid.TOTAL
 
 
 class TestBuild:
-    def test_root_word_is_empty(self):
+    def test_base_column_has_no_row(self):
         grid = build_grid(4, 2, PT)
         sys_ = build_schreier(grid)
-        assert sys_.r[sys_.base_col] == ()
-        assert sys_.r_inv[sys_.base_col] == ()
         assert sys_.base_col == grid.base[1]
+        assert sys_.rows[sys_.base_col] is None
 
     @pytest.mark.parametrize("tie", TIE_BREAKS)
     @pytest.mark.parametrize("monoid", [T, PT])
@@ -41,10 +40,10 @@ class TestBuild:
         for k in range(0 if monoid is PT else 1, n + 1):
             grid = build_grid(n, k, monoid)
             sys_ = build_schreier(grid, tie)
-            assert sys_ == reference_build_schreier(grid, tie), (n, k)
-            assert set(sys_.r) == set(range(len(grid.cols)))
-            for col, w in sys_.r.items():
-                assert len(w) == (col != sys_.base_col) == len(sys_.r_inv[col]), (n, k, col)
+            assert star_words(sys_) == reference_build_schreier(grid, tie), (n, k)
+            assert len(sys_.rows) == len(grid.cols)
+            for col, i in enumerate(sys_.rows):
+                assert (i is None) == (col == sys_.base_col), (n, k, col)
 
     def test_unknown_tie_break(self):
         with pytest.raises(ValueError, match="tie_break must be one of"):
@@ -78,80 +77,70 @@ class TestBuild:
 
     def test_deterministic(self):
         grid = build_grid(4, 2, PT)
-        a = build_schreier(grid)
-        b = build_schreier(grid)
-        assert a.r == b.r and a.r_inv == b.r_inv
+        assert build_schreier(grid) == build_schreier(grid)
 
     @pytest.mark.parametrize("tie", TIE_BREAKS)
-    def test_degenerate_grid_gets_empty_words(self, tie):
+    def test_degenerate_grid_has_no_row(self, tie):
         # k in {0, n}: one column, the base, so there is no letter to read
         for n in range(1, 7):
             for monoid, k in [(PT, 0), (PT, n), (T, n)]:
                 grid = build_grid(n, k, monoid)
-                base = grid.base[1]
-                want = SchreierSystem(base, {base: ()}, {base: ()})
+                want = SchreierSystem(grid.base[1], (None,))
                 assert build_schreier(grid, tie) == verified_schreier(grid, tie) == want
 
-    def test_prefix_closure(self):
-        for key, n, k in [("pt", 4, 2), ("t", 5, 3)]:
-            _, _, sys_, _, _ = pipeline(key, n, k)
-            words = set(sys_.r.values())
-            for w in words:
-                for cut in range(len(w)):
-                    assert w[:cut] in words
-
-    def test_word_value_lands_in_base_row(self):
+    def test_representative_lands_in_base_row(self):
         grid, _, sys_, _, _ = pipeline("pt", 4, 2)
         e = PartialMap(grid.base_idempotent)
+        words = star_words(sys_)
         for col in range(len(grid.cols)):
-            q = compose(e, PartialMap(word_value(grid, sys_.r[col])))
+            q = compose(e, reference_word_value(grid, words.r[col]))
             assert q.kernel() == grid.rows[grid.base[0]]
             assert q.image() == grid.cols[col]
 
 
-class TestWordValue:
-    """The entry-tuple product against the product of checked maps."""
-
-    @pytest.mark.parametrize("tie", TIE_BREAKS)
-    @pytest.mark.parametrize("key", sorted(MONOIDS))
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_matches_checked_map_product(self, n, key, tie):
-        monoid = MONOIDS[key]
-        for k in range(0 if monoid is PT else 1, n + 1):
-            grid = build_grid(n, k, monoid)
-            sys_ = build_schreier(grid, tie)
-            assert word_value(grid, ()) == tuple(range(n))
-            for w in (*sys_.r.values(), *sys_.r_inv.values()):
-                assert PartialMap(word_value(grid, w)) == reference_word_value(grid, w), (k, w)
-
-
 class TestVerify:
-    @pytest.mark.parametrize("corruption", ["swap_inverses", "foreign_letter"])
-    def test_corrupted_system_reports_violations(self, corruption):
+    @staticmethod
+    def corrupted(corruption):
+        """PT_3 k=2 with one corruption of its star or its grid."""
         grid = build_grid(3, 2, PT)
         sys_ = build_schreier(grid)
-        cols = [c for c in sys_.r if c != sys_.base_col]
-        a, b = cols[0], cols[1]
-        if corruption == "swap_inverses":
-            r, r_inv = dict(sys_.r), {**sys_.r_inv, a: sys_.r_inv[b], b: sys_.r_inv[a]}
-            violation = "does not invert"
+        base = sys_.base_col
+        rows = list(sys_.rows)
+        if corruption == "foreign_row":
+            mu = next(c for c in range(len(rows)) if c != base)
+            rows[mu] = next(i for i in range(len(grid.rows)) if (i, mu) not in grid.group_cells)
+        elif corruption == "base_row":
+            rows[base] = grid.cells_in_col[base][0]
         else:
-            i = next(i for i in range(len(grid.rows)) if (i, a) not in grid.group_cells)
-            r, r_inv = {**sys_.r, a: ((i, a),)}, dict(sys_.r_inv)
-            violation = "is not a group cell"
-        violations = verify_schreier(grid, SchreierSystem(sys_.base_col, r, r_inv))
+            # the shared row's cells in its column and in the base column trade entries
+            mu, i = next((c, i) for c, i in enumerate(rows) if i not in (None, grid.base[0]))
+            grid = swap_cells(grid, (i, mu), (i, base))
+        return grid, sys_._replace(rows=tuple(rows))
+
+    @pytest.mark.parametrize(
+        "corruption,violation",
+        [("foreign_row", "is not a group cell"), ("base_row", "has a row"),
+         ("swapped_cells", "does not land")],
+    )
+    def test_corrupted_system_reports_violations(self, corruption, violation):
+        grid, sys_ = self.corrupted(corruption)
+        violations = verify_schreier(grid, sys_)
         assert violations and all(violation in v for v in violations), violations
 
-    def test_empty_word_system_on_degenerate_grid(self):
+    def test_no_row_system_on_degenerate_grid(self):
         grid = build_grid(3, 3, PT)
-        sys_ = SchreierSystem(base_col=0, r={0: ()}, r_inv={0: ()})
-        assert verify_schreier(grid, sys_) == []
+        assert verify_schreier(grid, SchreierSystem(base_col=0, rows=(None,))) == []
 
     def test_missing_column_detected(self):
         grid = build_grid(3, 2, PT)
         sys_ = build_schreier(grid)
-        broken = SchreierSystem(sys_.base_col, {0: ()}, {0: ()})
-        assert verify_schreier(grid, broken) != []
+        assert verify_schreier(grid, SchreierSystem(sys_.base_col, (None,))) != []
+
+    def test_foreign_base_column_detected(self):
+        grid = build_grid(3, 2, PT)
+        sys_ = build_schreier(grid)
+        other = next(c for c in range(len(grid.cols)) if c != sys_.base_col)
+        assert verify_schreier(grid, sys_._replace(base_col=other)) != []
 
     def test_l_class_size(self):
         grid = build_grid(3, 2, PT)
