@@ -5,13 +5,16 @@ byte-identical across runs (timings are opt-in because they are not).
 Each subcommand takes only the flags it reads.  `main` alone validates the
 class flags, writes a subcommand's output and maps errors to exit codes; a
 `_cmd_*` returns its exit code, a builder of its JSON payload (run only for
-`--output json`) and its text.  Exit codes: 0 success, 1 undecided verdict
+`--output json`) and its text.  `main` builds its argparse parser on its
+first call and reuses it for every later call in the process; importing
+this module builds none.  Exit codes: 0 success, 1 undecided verdict
 or failed corpus, 2 usage error or unwritable file, 3 structural error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -320,8 +323,14 @@ def _cmd_corpus(args):
     return int(not all_ok), lambda: {"runs": runs, "all_ok": all_ok}, "".join(lines)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # the tree never changes, so `main` builds it on its first call, not at import
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if "monoid" in args:  # every subcommand but corpus takes the class flags
             _validate(args)

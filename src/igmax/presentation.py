@@ -267,11 +267,21 @@ def _collapse_short_relators(
         consumed = False
         kept = []
         for rel, tag, cur in pending:
-            word = tuple(map(image.__getitem__, cur))
-            if word != cur:
-                if -1 in word:
-                    word = tuple(y for y in word if y >= 0)
-                word = cyclically_reduce(word)
+            # one pass over the mapped word: drop killed letters, reduce
+            # freely on a stack, then strip the cancelling ends (the inside
+            # of a freely reduced word is freely reduced)
+            out = []
+            for x in cur:
+                y = image[x]
+                if y >= 0:
+                    if out and out[-1] == y ^ 1:
+                        out.pop()
+                    else:
+                        out.append(y)
+            while len(out) >= 2 and out[0] == out[-1] ^ 1:
+                del out[0]
+                out.pop()
+            word = tuple(out)
             if len(word) <= 2 and consume(word):
                 consumed = True
             elif word:

@@ -498,6 +498,79 @@ def tietze_alone(p: GroupPresentation) -> GroupPresentation:
 
 
 # ---------------------------------------------------------------------------
+# Union-find oracle: the round loop of `_collapse_short_relators` written on
+# whole words, filtering the killed letters out and then calling
+# `cyclically_reduce`, where the library reduces each word in one pass.
+
+
+def reference_collapse_short_relators(
+    p: GroupPresentation,
+) -> tuple[list[bool], list[Relator | None], list[Relator | None], list[str]]:
+    """`_collapse_short_relators`'s (alive, rels, canons, tags), word by word."""
+    ngen = len(p.generators)
+    image = list(range(2 * ngen))
+    members = [[g] for g in range(ngen)]
+
+    def consume(rel: Relator) -> bool:
+        if len(rel) == 1:
+            for g in members[rel[0] >> 1]:
+                image[2 * g] = image[2 * g + 1] = -1
+            members[rel[0] >> 1] = []
+            return True
+        if len(rel) != 2 or rel[0] >> 1 == rel[1] >> 1:
+            return False
+        x, y = rel
+        if len(members[x >> 1]) > len(members[y >> 1]):
+            x, y = y, x
+        base = y ^ 1 ^ (x & 1)
+        for g in members[x >> 1]:
+            image[2 * g] = base ^ (image[2 * g] & 1)
+            image[2 * g + 1] = image[2 * g] ^ 1
+        members[y >> 1] += members[x >> 1]
+        members[x >> 1] = []
+        return True
+
+    pending = [(rel, tag, cyclically_reduce(rel)) for rel, tag in zip(p.relators, p.provenance)]
+    consumed = True
+    while consumed:
+        consumed = False
+        kept = []
+        for rel, tag, cur in pending:
+            word = tuple(map(image.__getitem__, cur))
+            if word != cur:
+                word = cyclically_reduce(tuple(y for y in word if y >= 0))
+            if len(word) <= 2 and consume(word):
+                consumed = True
+            elif word:
+                kept.append((rel, tag, word))
+        pending = kept
+
+    rename = list(range(2 * ngen))
+    alive = [False] * ngen
+    for rep, group in enumerate(members):
+        if group:
+            g = max(group)
+            alive[g] = True
+            t = image[2 * g] & 1
+            rename[2 * rep] = 2 * g | t
+            rename[2 * rep + 1] = 2 * g | (t ^ 1)
+
+    rels: list[Relator | None] = []
+    canons: list[Relator | None] = []
+    tags: list[str] = []
+    seen: set[Relator] = set()
+    for rel, tag, cur in pending:
+        word = tuple(map(rename.__getitem__, cur))
+        canon = reference_canonical_form(word)
+        if canon not in seen:
+            seen.add(canon)
+            rels.append(word)
+            canons.append(canon)
+            tags.append(tag if word == rel else TIETZE)
+    return alive, rels, canons, tags
+
+
+# ---------------------------------------------------------------------------
 # Tietze oracle: the full-rescan elimination the indexed one replaced.  It
 # recounts every live relator on every elimination, so it is slow but plainly
 # follows the priority (length, least once-occurring generator, relator id).

@@ -1,6 +1,8 @@
 import itertools
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -458,7 +460,9 @@ class TestMaxCosets:
         assert json.loads(out)["order_kind"] == "overflow"
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SRC = ROOT / "src"
 FLAG = re.compile(r"--[a-z][a-z-]*")
 
 
@@ -485,3 +489,54 @@ def test_readme_flag_list_matches_the_parser(capsys):
         want = bullets.pop(f"`{command}`", set()) | (set() if command == "corpus" else shared)
         assert set(FLAG.findall(usage(capsys, command))) == want, command
     assert bullets == {}
+
+
+RAW = ["identify", "--monoid", "pt", "--n", "5", "--k", "3", "--raw-coset-table",
+       "--output", "json"]
+# a usage error (argparse exits 2), help (exits 0), the raw route twice, the corpus
+REUSE_CALLS = (["identify", "--monoid", "pt", "--n", "4"], ["identify", "--help"],
+               RAW, RAW, ["corpus"])
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process, and never at import."""
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_reused_parser_answers_like_a_fresh_one(self, capsys, monkeypatch):
+        fresh = []
+        for argv in REUSE_CALLS:
+            cli._parser.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0]
+        assert fresh[2] == fresh[3]
+
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        assert [self.call(capsys, argv) for argv in REUSE_CALLS] == fresh
+        assert len(built) == 1
+
+    def test_import_builds_no_parser(self):
+        # count every ArgumentParser made while importing, then check the count
+        # sees one made on purpose
+        probe = (
+            "import argparse, sys; sys.path.insert(0, sys.argv[1]); made = []; "
+            "init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: made.append(1) or init(self, *a, **k); "
+            "import igmax.cli; print(len(made)); "
+            "igmax.cli.build_parser(); print(len(made) > 0)"
+        )
+        done = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC)],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "True"]

@@ -48,6 +48,7 @@ from helpers import (
     letters,
     pipeline,
     reference_canonical_form,
+    reference_collapse_short_relators,
     reference_eliminate_partial_rows,
     reference_tietze_simplify,
     singularizes,
@@ -382,6 +383,7 @@ class TestCollapseShortRelators:
             out = collapse_short_relators(p)
             assert_collapsed(out)
             assert abelian_invariants(out) == abelian_invariants(p)
+            assert presentation._collapse_short_relators(p) == reference_collapse_short_relators(p)
 
     @pytest.mark.parametrize(
         "key,n,k",
@@ -421,6 +423,35 @@ class TestCollapseShortRelators:
                 if k <= n - 2:
                     assert todd_coxeter(out).order == todd_coxeter(raw).order, where
                     assert verify_hom(out, rees_hom(grid, sys_, anchors_map)), where
+
+
+# every class with n <= 6 that has a Schreier system, both monoids; n = 7 under slow
+COLLAPSE_CLASSES = [
+    (key, n, k) for n in range(2, 7) for k in range(1, n) for key in ("pt", "t")
+] + [pytest.param(key, 7, k, marks=pytest.mark.slow) for k in range(1, 7) for key in ("pt", "t")]
+
+
+class TestCollapseDifferential:
+    @pytest.mark.parametrize("key,n,k", COLLAPSE_CLASSES)
+    def test_matches_word_based_oracle(self, key, n, k):
+        # the one-pass round loop returns the oracle's (alive, rels, canons,
+        # tags) letter for letter, on the star and the all-pairs presentation;
+        # n <= 6 under every anchor rule and tie-break, n = 7 the default only
+        grid, _, _, classes, _ = pipeline(key, n, k)
+        seen = set()  # on total grids "two-step" picks the same anchors as "lex"
+        for rule in ANCHOR_RULES if n <= 6 else ("lex",):
+            anchors_map = anchors(grid, rule)
+            for tie in TIE_BREAKS if n <= 6 else ("least",):
+                sys_ = build_schreier(grid, tie)
+                for name, raw in (
+                    ("star", build_presentation(grid, sys_, anchors_map, classes)),
+                    ("all_pairs", all_pairs_presentation(grid, sys_, anchors_map)),
+                ):
+                    if raw in seen:
+                        continue
+                    seen.add(raw)
+                    got = presentation._collapse_short_relators(raw)
+                    assert got == reference_collapse_short_relators(raw), (rule, tie, name)
 
 
 STAR_CLASSES = [(key, n, k) for key, n, k, _ in CORPUS_RUNS if n <= 5 and 1 <= k <= n - 2] + [
