@@ -323,6 +323,13 @@ def _subgroup_chain(p: GroupPresentation, max_cosets: int) -> CosetTable | None:
     second rule never skips it.  A skipped level keeps the bound sound, as
     the next level runs over the last complete table, as after an overflow.
     Returns the top table, complete, or None when the top level overflows.
+
+    A level skips the constructor's letter pass: its relators are relators
+    of p, already checked, with each generator renumbered to its place in
+    the chain.  Level j takes only the relators completed by its first
+    j + 1 generators, so every letter lands below 2(j + 1), and the
+    renumbering maps a letter's inverse to its image's inverse, so each
+    relator stays freely reduced.
     """
     ngens = len(p.generators)
     if not ngens:
@@ -360,7 +367,7 @@ def _subgroup_chain(p: GroupPresentation, max_cosets: int) -> CosetTable | None:
         alone = all(x >> 1 == chain[j] for r in done for x in p.relators[r])
         if j < ngens - 1 and (not done or alone and sub is not None and sub.order > 1):
             continue
-        level = GroupPresentation(names[: j + 1], tuple(rels), tuple(tags))
+        level = GroupPresentation._trusted(names[: j + 1], tuple(rels), tuple(tags))
         table = todd_coxeter(level, max_cosets, subgroup=sub)
         if table.status == COMPLETE:
             sub = table

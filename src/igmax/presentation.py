@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import StructuralError
@@ -19,6 +20,8 @@ from .ptrans import Frozen, KernelPartition, Monoid
 from .squares import SingularClass
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .dclass import DClassGrid
     from .schreier import SchreierSystem
 
@@ -47,12 +50,7 @@ class GroupPresentation(Frozen):
         provenance: tuple[str, ...],
         cells: tuple[tuple[int, int], ...] | None = None,
     ) -> None:
-        for name, value in zip(self._fields, (generators, relators, provenance, cells)):
-            object.__setattr__(self, name, value)
-        if len(self.relators) != len(self.provenance):
-            raise ValueError("one provenance tag per relator required")
-        if self.cells is not None and len(self.cells) != len(self.generators):
-            raise ValueError("one cell per generator required")
+        self._set(generators, relators, provenance, cells)
         top = 2 * len(self.generators)
         for rel in self.relators:
             for x in rel:
@@ -62,6 +60,23 @@ class GroupPresentation(Frozen):
             for a, b in zip(rel, rel[1:]):
                 if a ^ 1 == b:
                     raise ValueError("relator is not freely reduced")
+
+    @classmethod
+    def _trusted(cls, generators, relators, provenance, cells=None) -> GroupPresentation:
+        """The constructor without its per-letter pass, for a caller that
+        writes every letter in range and every relator freely reduced by
+        construction, and says why in its docstring."""
+        p = cls.__new__(cls)
+        p._set(generators, relators, provenance, cells)
+        return p
+
+    def _set(self, generators, relators, provenance, cells) -> None:
+        for name, value in zip(self._fields, (generators, relators, provenance, cells)):
+            object.__setattr__(self, name, value)
+        if len(self.relators) != len(self.provenance):
+            raise ValueError("one provenance tag per relator required")
+        if self.cells is not None and len(self.cells) != len(self.generators):
+            raise ValueError("one cell per generator required")
 
     def counts_by_type(self) -> dict[str, int]:
         counts = Counter(self.provenance)
@@ -121,6 +136,11 @@ def build_presentation(
 ) -> GroupPresentation:
     """Type 1, 2 and 3 relators, reduced and pairwise distinct as built.
 
+    `grid` gives the group cells, one generator each in (row, column) order;
+    `sys` the star Schreier system, `anchors_map` each row's anchor column
+    and `classes` the singular classes, from `build_schreier`, `anchors` and
+    `enumerate_singular_squares`.
+
     Type 1 is one letter per row, type 2 two cells of a row in distinct
     columns, type 3 the four distinct cells of a square; the three lengths
     differ, so no relator needs a dedup pass.
@@ -140,27 +160,68 @@ def build_presentation(
     halves of the squeeze survive: the coset bound, since the group is the
     same, and the surjection, since a homomorphism that kills the star kills
     every consequence of it.
+
+    The letters are checked here, once, not letter by letter in the
+    constructor: every letter is read from the table of `_letter_table`,
+    whose row i must hold the group columns of row i, in order, and whose
+    letters must be the ints 0, 2, ..., 2(#cells - 1), so every letter and
+    its inverse are in range and distinct cells have distinct generators.
+    A type-2 relator's two cells lie in distinct columns, and a class whose
+    columns are equal or whose root row recurs is rejected, so each star
+    entry has i != j and lam != mu and its four cells are distinct.  Hence
+    every relator is freely reduced.  A table or class that breaks this
+    raises StructuralError.
     """
     cells = tuple(sorted(grid.group_cells))
-    letter = {cell: 2 * idx for idx, cell in enumerate(cells)}
+    letter = _letter_table(grid, cells)
+    values = sorted(chain.from_iterable(map(dict.values, letter)))
+    # type(x) is int: True and 2.0 compare equal to letters
+    if (
+        list(map(tuple, letter)) != list(grid.cells_in_row)
+        or values != list(range(0, 2 * len(cells), 2))
+        or not set(map(type, values)) <= {int}
+    ):
+        raise StructuralError("the letter table must give each group cell one of 0, 2, 4, ...")
     names = tuple(generator_name(cell) for cell in cells)
 
-    rels: list[Relator] = [(letter[(i, anchors_map[i])],) for i in range(len(grid.rows))]
+    rels: list[Relator] = [(letter[i][anchors_map[i]],) for i in range(len(grid.rows))]
     tags = [TYPE1] * len(rels)
 
     # type 2: X_{i,base} = X_{i,mu} for the one letter r[mu] = e_{i,mu}
     base = sys.base_col
     for mu, i in enumerate(sys.rows):
         if mu != base:
-            rels.append((letter[(i, base)], letter[(i, mu)] ^ 1))
+            row = letter[i]
+            rels.append((row[base], row[mu] ^ 1))
             tags.append(TYPE2)
 
-    star = sorted((c.rows[0], j, *c.cols) for c in classes for j in c.rows[1:])
-    for i, j, lam, mu in star:
-        rels.append((letter[(i, lam)] ^ 1, letter[(i, mu)], letter[(j, mu)] ^ 1, letter[(j, lam)]))
+    # type 3, class by class; the mixed-radix key of (r0, j, lam, mu) sorts
+    # as the tuple does, and ints sort faster than tuples
+    nrows, ncols = len(grid.rows), len(grid.cols)
+    keys: list[int] = []
+    star: list[Relator] = []
+    for c in classes:
+        r0, (lam, mu) = c.rows[0], c.cols
+        if lam == mu or r0 in c.rows[1:]:
+            raise StructuralError(f"singular class {c.cols}, {c.rows} bounds a degenerate square")
+        ri = letter[r0]
+        a, b = ri[lam] ^ 1, ri[mu]
+        for j in c.rows[1:]:
+            rj = letter[j]
+            keys.append(((r0 * nrows + j) * ncols + lam) * ncols + mu)
+            star.append((a, b, rj[mu] ^ 1, rj[lam]))
+    rels += map(star.__getitem__, sorted(range(len(keys)), key=keys.__getitem__))
     tags += [TYPE3] * len(star)
 
-    return GroupPresentation(names, tuple(rels), tuple(tags), cells)
+    return GroupPresentation._trusted(names, tuple(rels), tuple(tags), cells)
+
+
+def _letter_table(grid: "DClassGrid", cells: tuple[tuple[int, int], ...]) -> list[dict[int, int]]:
+    """letter[i][c] = 2g for the g-th of the sorted group cells, (i, c)."""
+    letter: list[dict[int, int]] = [{} for _ in grid.rows]
+    for g, (i, c) in enumerate(cells):
+        letter[i][c] = 2 * g
+    return letter
 
 
 class GHGraph(NamedTuple):
@@ -222,14 +283,20 @@ def _collapse_short_relators(
 ) -> tuple[list[bool], list[Relator | None], list[Relator | None], list[str]]:
     """Consume every relator of length 1 or 2 by a signed union-find, to a fixpoint.
 
-    A relator g kills g's class; a relator on two distinct classes links them.
-    Each round rewrites every remaining relator once through the classes and
-    cyclically reduces it, consuming it at once if it became short; rounds
-    repeat until one consumes nothing.  A relator on one class, such as x^2,
-    is kept.  Each class is renamed to its largest generator, the one the
-    elimination would keep, and the survivors are deduplicated by canonical
-    form, in order.  Returns the alive mask, the surviving relators, their
-    canonical forms and tags, in the original generator numbering.
+    `p` is any presentation; its relators are read in order.  A relator g
+    kills g's class; a relator on two distinct classes links them.  Each
+    round (`_collapse_round`) rewrites the remaining relators through the
+    classes and cyclically reduces them, consuming each at once if it
+    became short; rounds repeat until one consumes nothing.  A relator on
+    one class, such as x^2, is kept.  Each kept word is stamped with the
+    number of kills and merges done when it was rewritten: while that
+    number stands, every letter of the word is a representative's, so the
+    word is its own image and a round keeps it without rewriting it.
+    Each class is renamed to its largest generator, the one the
+    elimination would keep, and the survivors are deduplicated by
+    canonical form, in order; each distinct survivor is renamed and
+    canonicalised once.  Returns the alive mask, the surviving relators,
+    their canonical forms and tags, in the original generator numbering.
     """
     ngen = len(p.generators)
     # image[x] is the letter that letter x equals, a letter of its class's
@@ -257,36 +324,18 @@ def _collapse_short_relators(
         members[x >> 1] = []
         return True
 
-    # relators are freely reduced, so only a pair of ends can cancel
+    # relators are freely reduced, so only a pair of ends can cancel; the
+    # stamp -1 marks a word never rewritten
     pending = [
-        (rel, tag, cyclically_reduce(rel) if len(rel) > 1 and rel[0] == rel[-1] ^ 1 else rel)
+        (rel, tag, cyclically_reduce(rel) if len(rel) > 1 and rel[0] == rel[-1] ^ 1 else rel, -1)
         for rel, tag in zip(p.relators, p.provenance)
     ]
-    consumed = True
-    while consumed:
-        consumed = False
-        kept = []
-        for rel, tag, cur in pending:
-            # one pass over the mapped word: drop killed letters, reduce
-            # freely on a stack, then strip the cancelling ends (the inside
-            # of a freely reduced word is freely reduced)
-            out = []
-            for x in cur:
-                y = image[x]
-                if y >= 0:
-                    if out and out[-1] == y ^ 1:
-                        out.pop()
-                    else:
-                        out.append(y)
-            while len(out) >= 2 and out[0] == out[-1] ^ 1:
-                del out[0]
-                out.pop()
-            word = tuple(out)
-            if len(word) <= 2 and consume(word):
-                consumed = True
-            elif word:
-                kept.append((rel, tag, word))
-        pending = kept
+    done = 0
+    while True:
+        pending, after = _collapse_round(pending, image, consume, done)
+        if after == done:
+            break
+        done = after
 
     # rename each class to its largest generator g, which equals rep^t
     rename = list(range(2 * ngen))
@@ -303,7 +352,12 @@ def _collapse_short_relators(
     canons: list[Relator | None] = []
     tags: list[str] = []
     seen: set[Relator] = set()
-    for rel, tag, cur in pending:
+    survivors: set[Relator] = set()
+    for rel, tag, cur, _ in pending:
+        # a repeated survivor has a canonical form already in seen
+        if cur in survivors:
+            continue
+        survivors.add(cur)
         word = tuple(map(rename.__getitem__, cur))
         canon = canonical_form(word)
         if canon not in seen:
@@ -312,6 +366,45 @@ def _collapse_short_relators(
             canons.append(canon)
             tags.append(tag if word == rel else TIETZE)
     return alive, rels, canons, tags
+
+
+def _collapse_round(
+    pending: list[tuple[Relator, str, Relator, int]],
+    image: list[int],
+    consume: Callable[[Relator], bool],
+    done: int,
+) -> tuple[list[tuple[Relator, str, Relator, int]], int]:
+    """One round of `_collapse_short_relators` over its (relator, tag, word,
+    stamp) items, `done` kills and merges in; returns the kept items and the
+    number of kills and merges after the round.  An item whose stamp equals
+    the count reached so far is kept as it is; every other word is
+    rewritten, and stamped anew if kept."""
+    kept = []
+    for item in pending:
+        rel, tag, cur, stamp = item
+        if stamp == done:
+            kept.append(item)
+            continue
+        # one pass over the mapped word: drop killed letters, reduce freely
+        # on a stack, then strip the cancelling ends (the inside of a freely
+        # reduced word is freely reduced)
+        out = []
+        for x in cur:
+            y = image[x]
+            if y >= 0:
+                if out and out[-1] == y ^ 1:
+                    out.pop()
+                else:
+                    out.append(y)
+        while len(out) >= 2 and out[0] == out[-1] ^ 1:
+            del out[0]
+            out.pop()
+        word = tuple(out)
+        if len(word) <= 2 and consume(word):
+            done += 1
+        elif word:
+            kept.append((rel, tag, word, done))
+    return kept, done
 
 
 def _eliminate(
@@ -395,6 +488,19 @@ def _eliminate(
 def _rebuild(
     p: GroupPresentation, alive: list[bool], rels: list[Relator | None], tags: list[str]
 ) -> GroupPresentation:
+    """p on its alive generators, with the given relators (None for a retired
+    one) and tags.
+
+    Skips the constructor's letter pass.  Every caller rewrites the letters
+    of p, which are ints, through maps of ints, and reduces each relator:
+    the union-find on a stack, `_eliminate` by `cyclically_reduce` and
+    `eliminate_partial_rows` by `free_reduce`.  Each leaves letters on
+    alive generators only, so every letter has a shift and lands in range
+    (a letter on a dead generator would be a KeyError, not a bad letter).
+    The renumbering keeps the order of the alive generators and maps a
+    letter's inverse to its image's inverse, so a reduced relator stays
+    reduced.
+    """
     keep = [g for g in range(len(p.generators)) if alive[g]]
     shift = {g: 2 * (g - i) for i, g in enumerate(keep)}  # letter 2g+b becomes 2i+b
     out_rels = []
@@ -404,7 +510,7 @@ def _rebuild(
             continue
         out_rels.append(tuple(x - shift[x >> 1] for x in rel))
         out_tags.append(tag)
-    return GroupPresentation(
+    return GroupPresentation._trusted(
         generators=tuple(p.generators[g] for g in keep),
         relators=tuple(out_rels),
         provenance=tuple(out_tags),

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from igmax.cli import CORPUS_RUNS
 from igmax.dclass import ANCHOR_RULES, anchors, build_grid
 from igmax.errors import StructuralError
 from igmax.groupid import (
+    CHAIN_CAP_PER_ORDER,
+    _subgroup_chain,
     abelian_invariants,
     rees_hom,
     todd_coxeter,
@@ -210,7 +213,7 @@ class TestBuildPresentation:
         with pytest.raises(ValueError):
             make(["a", "b"], [(4,)])  # letter 2 * ngens
         # equal to a letter but no int: 1.0 == 1, True == 1, and 1.0 ^ 1 raises
-        for rel in [(1.0,), (True,), (1.0, 0)]:
+        for rel in [(1.0,), (2.0,), (True,), (1.0, 0)]:
             with pytest.raises(ValueError):
                 make(["a"], [rel])
 
@@ -452,6 +455,175 @@ class TestCollapseDifferential:
                     seen.add(raw)
                     got = presentation._collapse_short_relators(raw)
                     assert got == reference_collapse_short_relators(raw), (rule, tie, name)
+
+
+@pytest.fixture
+def trusted_builds(monkeypatch):
+    """Every presentation built through the private constructor, in order."""
+    built = []
+    trusted = GroupPresentation._trusted.__func__
+
+    def recording(cls, *args, **kwargs):
+        p = trusted(cls, *args, **kwargs)
+        built.append(p)
+        return p
+
+    monkeypatch.setattr(GroupPresentation, "_trusted", classmethod(recording))
+    return built
+
+
+class TestTrustedConstructor:
+    """The private constructor skips the letter pass only where its callers
+    write letters in range and relators reduced by construction."""
+
+    @pytest.mark.parametrize("key,n,k", COLLAPSE_CLASSES)
+    def test_public_constructor_accepts_every_trusted_presentation(self, trusted_builds, key, n, k):
+        # every anchor rule and tie-break, n = 7 included
+        grid, _, _, classes, _ = pipeline(key, n, k)
+        seen = set()  # on total grids "two-step" picks the same anchors as "lex"
+        for rule in ANCHOR_RULES:
+            anchors_map = anchors(grid, rule)
+            for tie in TIE_BREAKS:
+                raw = build_presentation(grid, build_schreier(grid, tie), anchors_map, classes)
+                if raw in seen:
+                    continue
+                seen.add(raw)
+                simp = tietze_simplify(raw)
+                collapse_short_relators(raw)
+                if k <= n - 2:
+                    if key == "pt":
+                        eliminate_partial_rows(raw, grid, classes)
+                    _subgroup_chain(simp, CHAIN_CAP_PER_ORDER * math.factorial(k))
+        assert trusted_builds
+        for p in trusted_builds:
+            assert GroupPresentation(p.generators, p.relators, p.provenance, p.cells) == p
+
+    def test_chain_levels_go_through_the_trusted_constructor(self, trusted_builds):
+        simp = tietze_simplify(pipeline("t", 5, 3)[-1])
+        del trusted_builds[:]
+        table = _subgroup_chain(simp, CHAIN_CAP_PER_ORDER * 6)
+        assert table is not None and table.order == 6
+        top = trusted_builds[-1]
+        assert sorted(top.generators) == sorted(simp.generators)
+        assert len(top.relators) == len(simp.relators)
+
+
+class TestLetterChecksAtTheSource:
+    def test_the_table_is_the_letters_in_cell_order(self):
+        grid, _, _, _, pres = pipeline("pt", 4, 2)
+        letter = presentation._letter_table(grid, pres.cells)
+        assert [(i, c, x) for i, row in enumerate(letter) for c, x in row.items()] == [
+            (i, c, 2 * g) for g, (i, c) in enumerate(pres.cells)
+        ]
+
+    @staticmethod
+    def build_with(monkeypatch, change):
+        """`build_presentation` at PT_4 k=2, 54 group cells, reading a
+        letter table that `change` edits."""
+        grid, anchors_map, sys_, classes, pres = pipeline("pt", 4, 2)
+        assert len(pres.cells) == 54
+        table = presentation._letter_table
+
+        def changed(grid, cells):
+            letter = table(grid, cells)
+            change(letter)
+            return letter
+
+        monkeypatch.setattr(presentation, "_letter_table", changed)
+        return build_presentation(grid, sys_, anchors_map, classes)
+
+    @pytest.mark.parametrize(
+        "row,value",
+        [(0, 108), (0, -2), (0, 1), (1, 0), (0, 0.0), (0, False)],
+        ids=["out-of-range", "negative", "odd", "duplicate", "float", "bool"],
+    )
+    def test_bad_letter_is_structural_error(self, monkeypatch, row, value):
+        # row 0's first cell has letter 0
+        def change(letter):
+            letter[row][min(letter[row])] = value
+
+        with pytest.raises(StructuralError):
+            self.build_with(monkeypatch, change)
+
+    def test_cell_without_a_letter_is_structural_error(self, monkeypatch):
+        with pytest.raises(StructuralError):
+            self.build_with(monkeypatch, lambda letter: letter[0].pop(min(letter[0])))
+
+    def test_letter_without_a_cell_is_structural_error(self, monkeypatch):
+        with pytest.raises(StructuralError):
+            self.build_with(monkeypatch, lambda letter: letter[0].update({-1: 108}))
+
+    def test_star_entry_on_one_row_is_structural_error(self):
+        grid, anchors_map, sys_, classes, _ = pipeline("pt", 4, 2)
+        c = classes[0]
+        bad = (c._replace(rows=(c.rows[0],) + c.rows),) + classes[1:]
+        with pytest.raises(StructuralError):
+            build_presentation(grid, sys_, anchors_map, bad)
+
+    def test_star_entry_on_one_column_is_structural_error(self):
+        grid, anchors_map, sys_, classes, _ = pipeline("pt", 4, 2)
+        c = classes[0]
+        bad = (c._replace(cols=(c.cols[0], c.cols[0])),) + classes[1:]
+        with pytest.raises(StructuralError):
+            build_presentation(grid, sys_, anchors_map, bad)
+
+
+class TestCollapseCounters:
+    """At T_6 k=3 the stamps skip words no kill or merge touched, and the
+    final pass canonicalises each distinct survivor once."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        calls = []
+        collapse_round = presentation._collapse_round
+
+        def recording(pending, image, consume, done):
+            kept, after = collapse_round(pending, image, consume, done)
+            calls.append((pending, done, kept, after))
+            return kept, after
+
+        monkeypatch.setattr(presentation, "_collapse_round", recording)
+        return calls
+
+    @pytest.mark.parametrize("tie", TIE_BREAKS)
+    def test_final_pass_canonicalises_each_distinct_survivor_once(self, rounds, monkeypatch, tie):
+        canonicalised = []
+
+        def counting(rel):
+            canonicalised.append(rel)
+            return canonical_form(rel)
+
+        monkeypatch.setattr(presentation, "canonical_form", counting)
+        raw = pipeline("t", 6, 3, tie_break=tie)[-1]
+        got = presentation._collapse_short_relators(raw)
+        survivors = [cur for _, _, cur, _ in rounds[-1][2]]
+        assert len(canonicalised) == len(set(canonicalised)) == len(set(survivors))
+        assert len(canonicalised) < len(survivors) // 4  # 47 of 264 words on "least"
+        assert got == reference_collapse_short_relators(raw)
+
+    @pytest.mark.parametrize("tie", TIE_BREAKS)
+    def test_rounds_rewrite_only_words_a_merge_touched(self, rounds, tie):
+        raw = pipeline("t", 6, 3, tie_break=tie)[-1]
+        presentation._collapse_short_relators(raw)
+        assert len(rounds) >= 3
+        rewrites = []
+        for pending, done, kept, after in rounds:
+            # a word passes as the same object only when it was stamped with
+            # the count at which the round reached it, so only with `done`;
+            # the recorded lists keep every item alive, so ids are identities
+            ids = {id(item) for item in pending}
+            passed = [item for item in kept if id(item) in ids]
+            assert all(item[3] == done for item in passed)
+            assert all(done <= item[3] <= after for item in kept)
+            rewrites.append(len(pending) - len(passed))
+        assert rewrites[0] == len(raw.relators)
+        # the last round kills and merges nothing, so it passes every word
+        # stamped with its count and rewrites only the words kept before the
+        # previous round's last kill or merge: on "least" 123 of its 264
+        pending, done, kept, after = rounds[-1]
+        assert done == after and len(kept) == len(pending)
+        assert rewrites[-1] == sum(1 for item in pending if item[3] != done)
+        assert 0 < rewrites[-1] < len(pending)
 
 
 STAR_CLASSES = [(key, n, k) for key, n, k, _ in CORPUS_RUNS if n <= 5 and 1 <= k <= n - 2] + [
