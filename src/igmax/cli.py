@@ -237,7 +237,10 @@ def _write_files(files: list[tuple[str, str]]) -> None:
                 handles.append(open(path, "x"))
                 created.append(path)
             except FileExistsError:
+                dangling = not os.path.exists(path)  # a link whose target "a" creates
                 handles.append(open(path, "a"))
+                if dangling:
+                    created.append(os.path.realpath(path))
         for fh, (path, text) in zip(handles, files):
             if os.path.isfile(path):  # a pipe or device cannot be truncated
                 fh.truncate(0)

@@ -149,19 +149,6 @@ def _member_of_cell(
         raise StructuralError(f"{what} fell out of its H-class")
 
 
-def column_representatives(grid: DClassGrid, sys: SchreierSystem) -> list[tuple[int, ...]]:
-    """q[col] = e * e_{i,col} for every column, e the base idempotent and i the
-    row col shares with the base column (q = e at the base), each checked to
-    lie in the H-class of the base row and column col."""
-    e = grid.base_idempotent
-    qs = []
-    for c, i in enumerate(sys.rows):
-        q = e if i is None else compose_entries(e, grid.cell(i, c))
-        _member_of_cell(grid, q, e, c, f"column representative q[{c}]")
-        qs.append(q)
-    return qs
-
-
 def sandwich_matrix(
     grid: DClassGrid, sys: SchreierSystem, anchors_map: dict[int, int]
 ) -> dict[tuple[int, int], Permutation]:
@@ -186,19 +173,18 @@ def sandwich_matrix(
     im e as t[q[b]] (im e lies in dom e = dom q), and the bijection is the
     one check left per cell.
 
-    It stays as the textbook object `groupid.rees_hom` is tested against,
-    and `groupid` imports it so the traced benchmark's span over
-    `groupid.sandwich_matrix` resolves.
+    It stays as the textbook object `groupid.rees_hom` is tested against.
     """
     e = grid.base_idempotent
-    qs = column_representatives(grid, sys)
-    ts = []
+    qs, ts = [], []
+    for c, i in enumerate(sys.rows):
+        qs.append(e if i is None else compose_entries(e, grid.cell(i, c)))
+        _member_of_cell(grid, qs[c], e, c, f"column representative q[{c}]")
     for i in range(len(grid.rows)):
         a = anchors_map[i]
         f, j = grid.cell(i, a), sys.rows[a]
-        t = f if j is None else compose_entries(f, grid.cell(j, sys.base_col))
-        _member_of_cell(grid, t, f, grid.base[1], f"row representative t[{i}]")
-        ts.append(t)
+        ts.append(f if j is None else compose_entries(f, grid.cell(j, sys.base_col)))
+        _member_of_cell(grid, ts[i], f, grid.base[1], f"row representative t[{i}]")
     base_im = grid.cols[grid.base[1]]
     pos = {x: idx for idx, x in enumerate(base_im)}
     full = set(range(grid.k))

@@ -20,7 +20,6 @@ from .dclass import (
     Permutation,
     anchors,
     build_grid,
-    column_representatives,
     sandwich_matrix,  # unused here: kept so the traced benchmark can wrap groupid.sandwich_matrix
 )
 from .errors import StructuralError
@@ -517,7 +516,7 @@ def abelian_invariants(p: GroupPresentation) -> AbelianInvariants:
 
 
 def rees_hom(
-    grid: DClassGrid, sys, anchors_map: dict[int, int]
+    grid: DClassGrid, sys: SchreierSystem, anchors_map: dict[int, int]
 ) -> dict[tuple[int, int], Permutation]:
     """Generator cell -> permutation of the base image.
 
@@ -535,25 +534,26 @@ def rees_hom(
     of cols[a] to that point of its block.  The loop therefore sends
     position b to the position of f(q_a(base_im[b])) in q_col's base-image
     tuple: k lookups per cell, no t_i, no sandwich entry and no composition.
-    Each q_c is checked to lie in its H-class, and each distinct value to be
-    a permutation, which fails when f is not injective on cols[a] or leaves
-    cols[col].
+
+    q_c = e * e_{rows[c],c} is its letter read on the base image, which e
+    fixes (q_c = e at the base); `sys` must be verified, as `build_stages`
+    gives it, so q_c lies in L_c.  Each distinct value is checked to be a
+    bijection: not so when f is not injective on cols[a] or leaves cols[col].
     """
-    n, k = grid.n, grid.k
     base_im = grid.cols[grid.base[1]]
-    qs = [tuple(q[b] for b in base_im) for q in column_representatives(grid, sys)]
+    qs = [base_im if i is None else tuple(map(grid.cell(i, c).__getitem__, base_im))
+          for c, i in enumerate(sys.rows)]
     # where[c][y]: the position of y in qs[c]; one entry past n answers UNDEF (-1)
     where = []
     for qc in qs:
-        w = [-1] * (n + 1)
+        w = [-1] * (grid.n + 1)
         for b, y in enumerate(qc):
             w[y] = b
         where.append(w)
-    full = set(range(k))
+    full = set(range(grid.k))
     checked: set[Permutation] = set()
     out: dict[tuple[int, int], Permutation] = {}
-    for i, lam in sorted(grid.group_cells):
-        f = grid.group_cells[(i, lam)]
+    for (i, lam), f in grid.group_cells.items():  # in (row, column) order
         w = where[lam]
         perm = tuple(w[f[y]] for y in qs[anchors_map[i]])
         if perm not in checked:

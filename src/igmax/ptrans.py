@@ -175,7 +175,7 @@ def compose(a: PartialMap, b: PartialMap) -> PartialMap:
 
 
 def compose_entries(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # raw-tuple composition for hot loops; UNDEF propagates through b[v] == -1
+    # behind `compose` and the sandwich oracle; UNDEF propagates through b[v] == -1
     return tuple(b[v] if v >= 0 else UNDEF for v in a)
 
 

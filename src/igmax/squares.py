@@ -134,11 +134,11 @@ def enumerate_singular_squares(grid: DClassGrid) -> tuple[SingularClass, ...]:
     pairs are singular by sufficiency, with the same witness), in two parts:
 
       top row, once per class: eps depends only on e and im f = cols[mu], so
-        its idempotency (once per distinct witness) and eps*e = e,
-        f*eps = e, eps*f = f and e*eps = e are facts about the root
-        (`_top_row_holds`, with its proofs).  So is g*eps = g for every g in
-        column lam: im g = cols[lam], so g*eps = g exactly when eps fixes
-        each point of cols[lam];
+        eps*e = e, f*eps = e, eps*f = f and e*eps = e are facts about the
+        root (`_top_row_holds`, with its proofs), and so is g*eps = g for
+        every g in column lam (im g = cols[lam], so it holds exactly when eps
+        fixes cols[lam]).  eps is idempotent, as it moves only points x of
+        im f, each to e[x], and eps*e = e makes e[e[x]] = e[x] there;
       bottom row, once per other row j, over the k points x of im f: eps
         moves only points of im f, so eps*g = g is g[e[x]] == g[x] and
         eps*h = h is h[e[x]] == h[x]; g and h share a kernel of which im f is
@@ -168,8 +168,6 @@ def enumerate_singular_squares(grid: DClassGrid) -> tuple[SingularClass, ...]:
         top = witnesses.get(eps)
         if top is None:
             top = witnesses[eps] = PartialMap(eps)
-            if not top.is_idempotent():
-                raise StructuralError(f"witness {top.to_text()} is not idempotent")
         if not _top_row_holds(eps, e, cells[(i, mu)], cols[lam], cols[mu]):
             raise StructuralError(
                 f"witness {top.to_text()} fails the top-row case-(a) facts "

@@ -657,6 +657,28 @@ def reference_tietze_simplify(p: GroupPresentation) -> GroupPresentation:
 
 
 # ---------------------------------------------------------------------------
+# Type-3 count oracle: the number of type-3 relators of a class in closed
+# form, with no grid.  A column pair (lam, mu) with d = |mu - lam| has d!
+# singular classes, one per bijection mu - lam -> lam - mu, of b^(n-k-d) rows
+# each: the n - k - d points off lam | mu join any of the k blocks, or for
+# PT_n none.  A class of m rows gives m - 1 relators (its star), and there
+# are C(n,k) C(k,d) C(n-k,d) / 2 such pairs.
+
+
+def type3_count(n: int, k: int, monoid: Monoid) -> int:
+    """sum_{d=1}^{min(k, n-k)} C(n,k) C(k,d) C(n-k,d) d! (b^(n-k-d) - 1) / 2,
+    with b = k for T_n and k + 1 for PT_n; 0 at k in {0, n-1, n}."""
+    b = k if monoid is Monoid.TOTAL else k + 1
+    twice = sum(
+        math.comb(n, k) * math.comb(k, d) * math.comb(n - k, d) * math.factorial(d)
+        * (b ** (n - k - d) - 1)
+        for d in range(1, min(k, n - k) + 1)
+    )
+    assert twice % 2 == 0
+    return twice // 2
+
+
+# ---------------------------------------------------------------------------
 # Singular-square case checks and the completion lemma (Gray and Ruskuc):
 # the full per-square check that `enumerate_singular_squares` confirms by
 # lookups, and the completion of an R-related pair of partial-domain

@@ -13,10 +13,11 @@ import pytest
 from igmax import cli
 from igmax.cli import main
 from igmax.dclass import build_grid
+from igmax.groupid import identify
 from igmax.ptrans import Monoid
 from igmax.schreier import build_schreier
 
-from helpers import pipeline, reference_enumerate_singular_squares
+from helpers import MONOIDS, pipeline, reference_enumerate_singular_squares
 
 
 # every class with n <= 5 of both monoids; T_n has no rank-0 class
@@ -240,6 +241,14 @@ class TestPresentation:
         assert real.samefile(hard)  # and its other links
         assert sorted(p.name for p in tmp_path.iterdir()) == ["hard.dot", "link.g", "real.g"]
 
+    def test_export_through_a_dangling_link_writes_its_target(self, capsys, tmp_path):
+        link, target = tmp_path / "link.g", tmp_path / "target.g"
+        link.symlink_to(target)
+        code, _, _ = run(capsys, "presentation", "--monoid", "pt", "--n", "3", "--k", "2",
+                         "--gap", str(link))
+        assert code == 0 and link.is_symlink()
+        assert "G := F / rels;" in target.read_text()
+
     def test_export_to_devnull_leaves_the_device(self, capsys, monkeypatch):
         # a rename onto the device would replace it for every process on the host
         for name in ("replace", "rename"):
@@ -311,6 +320,23 @@ def test_eliminate_partial_lists_only_total_row_generators(capsys, n, k):
     total = {i + 1 for i in build_grid(n, k, Monoid.PARTIAL).total_rows()}
     rows = {int(name.split("_")[1]) for name in json.loads(out)["generators"]}
     assert rows <= total and bool(rows) == bool(total)  # k = 0 has no total row
+
+
+@pytest.mark.parametrize("key,n,k", SQUARE_COUNT_CLASSES)
+def test_no_production_path_composes(capsys, monkeypatch, key, n, k):
+    # every check on the way reads the grid's cells: no map is composed
+    def refuse(*args):
+        raise AssertionError("compose_entries called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "igmax" and hasattr(module, "compose_entries"):
+            monkeypatch.setattr(module, "compose_entries", refuse)
+    identify(n, k, MONOIDS[key])
+    flags = ["--monoid", key, "--n", str(n), "--k", str(k)]
+    assert main(["schreier", *flags]) == 0
+    if key == "pt":  # only partial grids carry partial rows to eliminate
+        assert main(["presentation", *flags, "--eliminate-partial"]) == 0
+    capsys.readouterr()
 
 
 class TestDeterminism:
@@ -410,6 +436,19 @@ class TestErrors:
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             ["dir"] if existing is None else ["dir", "p.g"]
         )
+
+    def test_failed_export_removes_what_a_dangling_link_created(self, capsys, tmp_path):
+        # opening the link for append creates its target; the failure on
+        # --dot removes that file and leaves the link dangling, as it was
+        link, target = tmp_path / "link.g", tmp_path / "target.g"
+        link.symlink_to(target)
+        code, out, _ = run(
+            capsys, "presentation", "--monoid", "pt", "--n", "3", "--k", "2",
+            "--gap", str(link), "--dot", str(tmp_path / "nodir" / "gh.dot"),
+        )
+        assert (code, out) == (2, "")
+        assert link.is_symlink() and not target.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.g"]
 
 
 CLASS_FLAGS = ["--monoid", "pt", "--n", "4", "--k", "2"]

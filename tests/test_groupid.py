@@ -30,7 +30,7 @@ from igmax.cli import CORPUS_RUNS
 from igmax.dclass import ANCHOR_RULES, anchors, build_grid
 from igmax.errors import StructuralError
 from igmax.presentation import GroupPresentation, free_rank, gh_graph, tietze_simplify
-from igmax.ptrans import Monoid, PartialMap, compose, compose_entries
+from igmax.ptrans import Monoid, PartialMap, compose
 from igmax.schreier import TIE_BREAKS
 
 from helpers import (
@@ -495,35 +495,33 @@ class TestReesHomReadOff:
 
     @pytest.mark.parametrize("key,n,k", [("pt", 4, 2), ("t", 4, 2), ("t", 5, 3)])
     def test_cell_of_another_column_trips_the_q_check(self, key, n, k):
-        # the first column's letter holds the idempotent of a later column's cell
+        # the first column's letter holds the idempotent of a later column's
+        # cell: the Schreier check, which rees_hom relies on, catches it, and
+        # rees_hom's bijection check still fails on the crossed grid
         grid, am, sys_, _, _ = pipeline(key, n, k)
         a = next(c for c, i in enumerate(sys_.rows) if i is not None)
         i = sys_.rows[a]
         b = next(c for c in grid.cells_in_row[i] if c > a and (i, c) != grid.base)
         crossed = swap_cells(grid, (i, a), (i, b))
-        with pytest.raises(StructuralError, match=rf"column representative q\[{a}\] fell out"):
+        landing = rf"column {a}: e \* r\[{a}\] does not land in L_{a}"
+        with pytest.raises(StructuralError, match=landing):
+            verified_schreier(crossed)
+        with pytest.raises(StructuralError, match="not a bijection"):
             rees_hom(crossed, sys_, am)
 
-    def test_composes_column_representatives_only(self, monkeypatch):
-        # no row representative, no sandwich entry, no permutation product
-        from igmax import dclass, groupid
+    def test_composes_nothing(self, monkeypatch):
+        # no column or row representative, no sandwich entry, no permutation
+        # product: every q_c is read off its Schreier letter
+        from igmax import dclass, groupid, ptrans
 
         grid, am, sys_, _, _ = pipeline("pt", 5, 3)
         expected = rees_hom(grid, sys_, am)
-        calls = []
-
-        def counted(a, b):
-            calls.append(None)
-            return compose_entries(a, b)
-
-        monkeypatch.setattr(dclass, "compose_entries", counted)
+        for module in (ptrans, dclass):
+            monkeypatch.setattr(module, "compose_entries", _refuse)
         monkeypatch.setattr(groupid, "perm_compose", _refuse)
         monkeypatch.setattr(groupid, "sandwich_matrix", _refuse)
         monkeypatch.setattr(dclass, "sandwich_matrix", _refuse)
         assert rees_hom(grid, sys_, am) == expected
-        # per column, the product q = e * r[col] (none at the base, q = e) and
-        # its H-class check
-        assert len(calls) == 2 * len(grid.cols) - 1
 
     def test_identify_certifies_without_the_sandwich_matrix(self, monkeypatch):
         from igmax import dclass, groupid

@@ -22,6 +22,7 @@ from helpers import (
     _PointwiseTest,
     _SquareScan,
     _singular_case,
+    all_maps,
     class_squares,
     complete_to_singular_square,
     pipeline,
@@ -30,6 +31,7 @@ from helpers import (
     reference_witness,
     singularizes,
     square_cells,
+    type3_count,
 )
 
 PT = Monoid.PARTIAL
@@ -186,16 +188,16 @@ class TestEnumerate:
 
         def broken_witness(e, im_f):
             # the pointwise test still decides, but every hit gets a witness
-            # that is not idempotent
+            # that is not idempotent; the top-row facts imply idempotency
             return tuple((x + 1) % len(e) for x in range(len(e)))
 
         monkeypatch.setattr(squares, "_explicit_witness", broken_witness)
-        with pytest.raises(StructuralError, match="not idempotent"):
+        with pytest.raises(StructuralError, match="fails the top-row case-\\(a\\) facts"):
             enumerate_singular_squares(build_grid(4, 2, PT))
         assert main(["squares", "--monoid", "pt", "--n", "4", "--k", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "not idempotent" in captured.err
+        assert "fails the top-row case-(a) facts" in captured.err
 
     def test_total_singulars_also_singular_in_partial(self):
         # same witness revalidates after reindexing the rows into the larger grid
@@ -351,6 +353,53 @@ class TestTopRowLookups:
                 assert _top_row_holds(eps, e, f, im_e, im_f) == want, (eps, e, f)
                 agree += want
         assert agree  # the explicit witness is in the pool and passes
+
+    @pytest.mark.parametrize(
+        "key,n,k", [(key, n, k) for key in ("pt", "t") for n in range(2, 5) for k in range(1, n)]
+    )
+    def test_the_facts_make_every_passing_map_idempotent(self, key, n, k):
+        # why enumerate_singular_squares checks no idempotency: every map of
+        # the monoid that passes the top-row facts is idempotent
+        grid = build_grid(n, k, MONOIDS[key])
+        maps = all_maps(n, MONOIDS[key])
+        passed = 0
+        for e, f, im_e, im_f in self.triples(grid):
+            for m in maps:
+                if _top_row_holds(m.entries, e, f, im_e, im_f):
+                    assert compose(m, m) == m, (m, e, f)
+                    passed += 1
+        assert passed
+
+
+# every class with n <= 6 of both monoids, edge ranks included; n = 7 under slow
+TYPE3_CLASSES = [
+    (key, n, k) for key in sorted(MONOIDS) for n in range(1, 7)
+    for k in range(0 if key == "pt" else 1, n + 1)
+] + [
+    pytest.param(key, 7, k, marks=pytest.mark.slow)
+    for key in sorted(MONOIDS) for k in range(0 if key == "pt" else 1, 8)
+]
+
+
+class TestType3CountOracle:
+    """The closed form of `helpers.type3_count` against the singular classes
+    and the presentation built from them."""
+
+    @pytest.mark.parametrize("key,n,k", TYPE3_CLASSES)
+    def test_closed_form_counts_the_type3_relators(self, key, n, k):
+        _, _, _, classes, pres = pipeline(key, n, k)
+        want = type3_count(n, k, MONOIDS[key])
+        assert sum(len(c.rows) - 1 for c in classes) == want
+        assert pres.counts_by_type()["type3"] == want
+
+    @pytest.mark.parametrize(
+        "key,n,k,count",
+        [("t", 9, 4, 1_047_060), ("pt", 9, 3, 2_054_808), ("pt", 9, 4, 2_116_800),
+         ("pt", 9, 5, 611_100), ("t", 10, 4, 11_139_660), ("t", 10, 6, 1_455_300)],
+    )
+    def test_roadmap_figures(self, key, n, k, count):
+        # the type-3 counts the roadmap's n = 9 and n = 10 tables report
+        assert type3_count(n, k, MONOIDS[key]) == count
 
 
 class TestCaseAConfirmation:
